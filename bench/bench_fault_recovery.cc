@@ -23,7 +23,6 @@
 #include "service/workload.h"
 #include "storage/fault_plan.h"
 
-using qbism::MedicalServer;
 using qbism::QuerySpec;
 using qbism::SpatialConfig;
 using qbism::SpatialExtension;

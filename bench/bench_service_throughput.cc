@@ -20,7 +20,6 @@
 #include "service/query_service.h"
 #include "service/workload.h"
 
-using qbism::MedicalServer;
 using qbism::QuerySpec;
 using qbism::SpatialConfig;
 using qbism::SpatialExtension;

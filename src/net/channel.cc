@@ -2,26 +2,21 @@
 
 namespace qbism::net {
 
-void SimulatedChannel::SendControl(uint64_t bytes) {
-  ++stats_.messages;
-  stats_.bytes += bytes;
-  stats_.simulated_seconds +=
-      model_.per_message_seconds +
-      static_cast<double>(bytes) / model_.bandwidth_bytes_per_second;
-}
-
-void SimulatedChannel::SendBulk(uint64_t bytes) {
-  uint64_t chunks = (bytes + model_.chunk_bytes - 1) / model_.chunk_bytes;
-  if (bytes == 0) chunks = 0;
-  stats_.messages += chunks;
-  stats_.bytes += bytes;
-  stats_.simulated_seconds +=
-      static_cast<double>(chunks) * model_.per_message_seconds +
-      static_cast<double>(bytes) / model_.bandwidth_bytes_per_second;
-}
-
-void SimulatedChannel::RoundTrip() {
-  stats_.simulated_seconds += model_.rtt_seconds;
+NetworkCharge NetworkCostModel::Charge(
+    uint64_t bulk_bytes, std::optional<uint64_t> control_bytes) const {
+  NetworkCharge out;
+  out.seconds = rtt_seconds;
+  if (control_bytes) {
+    ++out.messages;
+    out.seconds += per_message_seconds +
+                   static_cast<double>(*control_bytes) /
+                       bandwidth_bytes_per_second;
+  }
+  uint64_t chunks = (bulk_bytes + chunk_bytes - 1) / chunk_bytes;
+  out.messages += chunks;
+  out.seconds += static_cast<double>(chunks) * per_message_seconds +
+                 static_cast<double>(bulk_bytes) / bandwidth_bytes_per_second;
+  return out;
 }
 
 }  // namespace qbism::net

@@ -2,8 +2,15 @@
 #define QBISM_NET_CHANNEL_H_
 
 #include <cstdint>
+#include <optional>
 
 namespace qbism::net {
+
+/// Modeled traffic of one exchange over the link.
+struct NetworkCharge {
+  uint64_t messages = 0;
+  double seconds = 0.0;
+};
 
 /// Deterministic cost model for the RPC link between the MedicalServer
 /// and the DX executive (§5.2/§6.1): machine 1 on a 16 Mb/s Token Ring
@@ -11,55 +18,19 @@ namespace qbism::net {
 /// results are shipped in ~1 KB RPC chunks, which is why the paper's
 /// full-study query sends 2103 messages for 2 MB of voxels; per-message
 /// software overhead (RPC marshalling on 1993 CPUs) dominates the wire
-/// time.
+/// time. No real sockets are involved: the charge is a pure function of
+/// the byte counts.
 struct NetworkCostModel {
   uint64_t chunk_bytes = 1024;          // RPC payload per data message
   double per_message_seconds = 0.0105;  // software (RPC) overhead
   double bandwidth_bytes_per_second = 10.0e6 / 8.0;  // slower hop wins
   double rtt_seconds = 0.004;           // per round trip (query/answer)
-};
 
-/// Traffic accounting for one side of the channel.
-struct ChannelStats {
-  uint64_t messages = 0;
-  uint64_t bytes = 0;
-  double simulated_seconds = 0.0;
-
-  /// Saturating delta: a "before" snapshot taken prior to a stats reset
-  /// can be larger than the "after"; clamp each field at zero instead
-  /// of wrapping the unsigned counters around.
-  ChannelStats operator-(const ChannelStats& o) const {
-    auto sat = [](uint64_t a, uint64_t b) { return a >= b ? a - b : 0; };
-    double seconds = simulated_seconds - o.simulated_seconds;
-    return {sat(messages, o.messages), sat(bytes, o.bytes),
-            seconds > 0.0 ? seconds : 0.0};
-  }
-};
-
-/// Simulated RPC channel: records messages/bytes and accumulates model
-/// time; no real sockets are involved (both "processes" live in this
-/// address space, but all shipped bytes are charged).
-class SimulatedChannel {
- public:
-  explicit SimulatedChannel(NetworkCostModel model = NetworkCostModel{})
-      : model_(model) {}
-
-  /// Sends one control message (query string, acknowledgement, ...).
-  void SendControl(uint64_t bytes);
-
-  /// Ships a bulk payload, chunked into data messages.
-  void SendBulk(uint64_t bytes);
-
-  /// Charges one request/response round trip.
-  void RoundTrip();
-
-  const ChannelStats& stats() const { return stats_; }
-  void ResetStats() { stats_ = ChannelStats{}; }
-  const NetworkCostModel& model() const { return model_; }
-
- private:
-  NetworkCostModel model_;
-  ChannelStats stats_;
+  /// One query/answer exchange: a round trip, then (when given) one
+  /// control message of `control_bytes` such as the query text, then
+  /// `bulk_bytes` shipped in chunk_bytes data messages (none for 0).
+  NetworkCharge Charge(uint64_t bulk_bytes,
+                       std::optional<uint64_t> control_bytes = {}) const;
 };
 
 }  // namespace qbism::net

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "common/result.h"
-#include "qbism/medical_server.h"
+#include "qbism/query_pipeline.h"
 #include "region/encoding.h"
 #include "server/protocol.h"
 #include "volume/volume.h"

@@ -258,7 +258,10 @@ void QbismServer::HandleConnection(Connection* conn) {
     }
     if (!keep) break;
   }
-  conn->socket.Close();
+  // Tell the peer we are done, but keep the fd: it is released only when
+  // the connection is reaped after this thread is joined, so Shutdown
+  // can never shutdown(2) a descriptor number a later accept reused.
+  conn->socket.ShutdownBoth();
   connections_open_.fetch_sub(1, std::memory_order_relaxed);
   conn->done.store(true, std::memory_order_release);
 }
@@ -401,17 +404,12 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   if (options_.shape_egress) {
     // The paper's §6.1 accounting over the real socket: each chunk is a
     // data message; one round trip covers request/first-response.
-    const net::NetworkCostModel& m = options_.egress_model;
-    modeled = static_cast<double>(chunks) * m.per_message_seconds +
-              static_cast<double>(total) / m.bandwidth_bytes_per_second +
-              m.rtt_seconds;
+    net::NetworkCostModel model = options_.egress_model;
+    model.chunk_bytes = chunk_bytes;
+    modeled = model.Charge(total).seconds;
     double cur = modeled_egress_seconds_.load(std::memory_order_relaxed);
     while (!modeled_egress_seconds_.compare_exchange_weak(
         cur, cur + modeled, std::memory_order_relaxed)) {
-    }
-    if (options_.egress_wait_scale > 0.0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.egress_wait_scale * modeled));
     }
   }
   ship.AddBytes(total);
@@ -457,9 +455,11 @@ void QbismServer::Shutdown() {
   // Wake admission waiters first so no connection thread is parked in
   // the governor when we sever its socket.
   if (governor_ != nullptr) governor_->Close();
+  // Wake the accept loop and join it before releasing the listening fd
+  // it reads; each connection's fd likewise outlives its thread's join.
   listener_.ShutdownBoth();
-  listener_.Close();
   if (accept_thread_.joinable()) accept_thread_.join();
+  listener_.Close();
   {
     std::lock_guard<std::mutex> lock(conns_mu_);
     for (auto& conn : conns_) conn->socket.ShutdownBoth();

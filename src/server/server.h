@@ -48,14 +48,13 @@ struct ServerOptions {
   double quota_penalty_seconds = 0.010;
   std::vector<TenantConfig> tenants;
   service::ServiceOptions service;
-  /// Optional egress shaping with the paper's network cost model: every
-  /// result ship is charged modeled seconds (chunks as data messages),
-  /// accumulated in stats().modeled_egress_seconds; a scale > 0 also
-  /// realizes scale x modeled as a real sleep, which keeps the paper's
-  /// 69s-vs-15-28s reproduction runnable over real sockets.
+  /// Optional egress accounting with the paper's network cost model:
+  /// every result ship is charged NetworkCostModel::Charge seconds (one
+  /// round trip, each kResultChunk frame a data message), reported in
+  /// kResultEnd and accumulated in stats().modeled_egress_seconds. The
+  /// charge is modeled only; nothing sleeps.
   bool shape_egress = false;
   net::NetworkCostModel egress_model;
-  double egress_wait_scale = 0.0;
 };
 
 /// Aggregate server counters (one consistent-enough snapshot).

@@ -57,6 +57,7 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
                            ServiceOptions options)
     : ext_(ext),
       options_(options),
+      pipeline_(ext, options.net_model, options.cost_model),
       cache_(options.cache_entries, options.cache_bytes),
       queue_(options.queue_capacity) {
   extractor_baseline_ = ext_->extractor()->stats();
@@ -84,10 +85,6 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
             (void)ext_->RefreshPlannerStats();
           }
         });
-  }
-  for (int i = 0; i < options_.num_workers; ++i) {
-    servers_.push_back(std::make_unique<qbism::MedicalServer>(
-        ext_, options_.net_model, options_.cost_model));
   }
   for (int i = 0; i < options_.num_workers; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -188,16 +185,14 @@ void QueryService::Complete(const std::shared_ptr<Ticket::State>& state,
 }
 
 void QueryService::WorkerLoop(int worker_id) {
-  qbism::MedicalServer* server = servers_[static_cast<size_t>(worker_id)].get();
   while (true) {
     std::optional<Pending> pending = queue_.Pop();
     if (!pending) return;  // closed and drained
-    Complete(pending->state, Serve(server, worker_id, *pending));
+    Complete(pending->state, Serve(worker_id, *pending));
   }
 }
 
-Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
-                                         int worker_id,
+Result<ServiceReply> QueryService::Serve(int worker_id,
                                          const Pending& pending) {
   const std::shared_ptr<Ticket::State>& state = pending.state;
   Clock::time_point picked_up = Clock::now();
@@ -250,41 +245,56 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
   WallTimer execute_timer;
 
   obs::Span probe(obs::Stage::kCacheProbe);
-  std::shared_ptr<const volume::DataRegion> hit = cache_.Get(key);
-  probe.SetLabel(hit ? "hit" : "miss");
+  qbism::PipelineResult answer;
+  answer.data = cache_.Get(key);
+  probe.SetLabel(answer.data ? "hit" : "miss");
   probe.End();
-  if (hit) {
+  if (answer.data != nullptr) {
     // Shared-cache fast path: no SQL, no LFM I/O, no network model —
-    // only ImportVolume (and rendering, when asked) still run, exactly
-    // like the §5.2 DX cache but across all clients.
+    // the §5.2 DX cache, but across all clients.
     metrics_.AddCacheHit();
     reply.cache_hit = true;
-    qbism::StudyQueryResult& out = reply.result;
-    out.data = *hit;
-    out.result_runs = out.data.region().RunCount();
-    out.result_voxels = out.data.VoxelCount();
-    out.data_sql = "(served from the shared result cache)";
-    obs::Span import(obs::Stage::kImport);
-    viz::DxExecutive::ImportResult imported = server->dx()->ImportVolume(out.data);
-    import.End();
-    out.timing.import_cpu_seconds = imported.cpu_seconds;
-    if (pending.request.render) {
-      obs::Span render_span(obs::Stage::kRender);
-      viz::DxExecutive::RenderResult rendered =
-          server->dx()->Render(imported.dense, pending.request.camera);
-      out.timing.render_seconds = rendered.cpu_seconds;
-      out.image = std::move(rendered.image);
-    }
-    out.timing.total_seconds =
-        out.timing.import_cpu_seconds + out.timing.render_seconds;
-    reply.execute_seconds = execute_timer.Seconds();
-    return reply;
+    answer.data_sql = "(served from the shared result cache)";
+  } else {
+    if (cache_.enabled()) metrics_.AddCacheMiss();
+    QBISM_ASSIGN_OR_RETURN(answer, RunWithRetries(pending));
   }
-  if (cache_.enabled()) metrics_.AddCacheMiss();
 
-  // Full query path, with the deadline/cancel checkpoint installed so a
-  // slow query aborts between stages instead of wedging the worker.
-  server->set_interrupt([state]() -> Status {
+  reply.result = answer.Ship();
+  if (pending.request.render) {
+    qbism::ImportAndRender(/*render=*/true, pending.request.camera,
+                           &reply.result);
+  }
+  if (options_.io_wait_scale > 0.0) {
+    // A hit charges no modeled time, so only executed queries wait.
+    const qbism::TimingBreakdown& timing = reply.result.timing;
+    double modeled_wait = (timing.db_real_seconds - timing.db_cpu_seconds) +
+                          timing.network_seconds;
+    if (modeled_wait > 0.0) {
+      obs::Span wait(obs::Stage::kIoWait);
+      std::this_thread::sleep_for(std::chrono::duration<double>(
+          options_.io_wait_scale * modeled_wait));
+    }
+  }
+  reply.execute_seconds = execute_timer.Seconds();
+  // Fill only if no ingest of this study committed while the query ran;
+  // otherwise this (now stale) result would be inserted after the
+  // commit's invalidation swept the key. The cache keeps the result
+  // set's own object: the reply's copy above is the only one.
+  if (!reply.cache_hit &&
+      (options_.ingest == nullptr ||
+       options_.ingest->CommitVersion(spec.study_id) == ingest_version)) {
+    cache_.Put(key, std::move(answer.data));
+  }
+  return reply;
+}
+
+Result<qbism::PipelineResult> QueryService::RunWithRetries(
+    const Pending& pending) {
+  const std::shared_ptr<Ticket::State>& state = pending.state;
+  // The deadline/cancel checkpoint the pipeline polls between stages, so
+  // a slow query aborts instead of wedging the worker.
+  const std::function<Status()> interrupt = [state]() -> Status {
     if (state->cancelled.load(std::memory_order_relaxed)) {
       return Status::Cancelled("request cancelled mid-query");
     }
@@ -292,9 +302,9 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
       return Status::DeadlineExceeded("deadline expired mid-query");
     }
     return Status::OK();
-  });
-  Result<qbism::StudyQueryResult> result = server->RunStudyQuery(
-      spec, pending.request.render, pending.request.camera);
+  };
+  Result<qbism::PipelineResult> result =
+      pipeline_.Run(pending.request.spec, interrupt);
   // Transient-fault recovery: IOError is the retryable class (injected
   // disk faults; flaky media in the real world). Anything else — bad
   // specs, cancellation, deadline — fails immediately.
@@ -307,7 +317,6 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
       backoff = options_.retry_backoff_max_seconds;
     }
     if (state->cancelled.load(std::memory_order_relaxed)) {
-      server->set_interrupt(nullptr);
       return Status::Cancelled("request cancelled between retries");
     }
     if (state->has_deadline &&
@@ -324,40 +333,12 @@ Result<ServiceReply> QueryService::Serve(qbism::MedicalServer* server,
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
     metrics_.AddRetry();
-    result = server->RunStudyQuery(spec, pending.request.render,
-                                   pending.request.camera);
+    result = pipeline_.Run(pending.request.spec, interrupt);
   }
   if (!result.ok() && result.status().IsIOError()) {
     metrics_.AddGiveup();
   }
-  server->set_interrupt(nullptr);
-  // The per-worker DX cache would shadow the shared tier (and grow
-  // without bound under a streaming workload); the shared cache is the
-  // one source of reuse.
-  server->dx()->FlushCache();
-  if (!result.ok()) return result.status();
-
-  reply.result = result.MoveValue();
-  if (options_.io_wait_scale > 0.0) {
-    const qbism::TimingBreakdown& timing = reply.result.timing;
-    double modeled_wait = (timing.db_real_seconds - timing.db_cpu_seconds) +
-                          timing.network_seconds;
-    if (modeled_wait > 0.0) {
-      obs::Span wait(obs::Stage::kIoWait);
-      std::this_thread::sleep_for(std::chrono::duration<double>(
-          options_.io_wait_scale * modeled_wait));
-    }
-  }
-  reply.execute_seconds = execute_timer.Seconds();
-  // Fill only if no ingest of this study committed while the query ran;
-  // otherwise this (now stale) result would be inserted after the
-  // commit's invalidation swept the key.
-  if (options_.ingest == nullptr ||
-      options_.ingest->CommitVersion(spec.study_id) == ingest_version) {
-    cache_.Put(key,
-               std::make_shared<const volume::DataRegion>(reply.result.data));
-  }
-  return reply;
+  return result;
 }
 
 Status QueryService::RunIngest(const qbism::med::StudyRecord& record,

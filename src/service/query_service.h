@@ -13,7 +13,7 @@
 #include "common/task_pool.h"
 #include "net/channel.h"
 #include "obs/trace.h"
-#include "qbism/medical_server.h"
+#include "qbism/query_pipeline.h"
 #include "qbism/spatial_extension.h"
 #include "service/admission_queue.h"
 #include "service/metrics.h"
@@ -32,6 +32,9 @@ namespace qbism::service {
 /// deadline is measured from admission; 0 disables it.
 struct ServiceRequest {
   qbism::QuerySpec spec;
+  /// Import and render the answer after it ships (the DX executive's
+  /// half, §5.2); only then does the reply carry an image and import and
+  /// render times.
   bool render = false;
   viz::Camera camera;
   double deadline_seconds = 0.0;
@@ -63,7 +66,7 @@ class Ticket {
   Result<ServiceReply> Wait() const;
 
   /// Best-effort cancellation: a queued request completes Cancelled
-  /// when a worker reaches it; a running one aborts at the server's
+  /// when a worker reaches it; a running one aborts at the pipeline's
   /// next stage checkpoint.
   void Cancel();
 
@@ -78,9 +81,9 @@ class Ticket {
 
 /// Sizing and cost knobs for the service.
 struct ServiceOptions {
-  /// Fixed worker pool; each worker owns a full MedicalServer (private
-  /// SimulatedChannel + DxExecutive) over the shared extension. 0 is
-  /// allowed (nothing drains — used by admission-control tests).
+  /// Fixed worker pool; every worker runs the one shared QueryPipeline
+  /// over the shared extension. 0 is allowed (nothing drains — used by
+  /// admission-control tests).
   int num_workers = 4;
   /// Bounded admission queue; submissions beyond this are rejected
   /// immediately with ResourceExhausted.
@@ -115,7 +118,7 @@ struct ServiceOptions {
   int extract_helper_threads = -1;
   /// Optional tracing sink (not owned; must outlive the service). Each
   /// admitted request becomes one trace: a kQuery root span labeled by
-  /// query class, with queue wait, cache probe, the server's stage
+  /// query class, with queue wait, cache probe, the pipeline's stage
   /// spans, retries, and realized I/O waits as children. When null or
   /// disabled every instrumentation point costs one thread-local read
   /// and a branch. metrics().stages carries the per-stage summaries.
@@ -136,16 +139,16 @@ struct ServiceOptions {
 };
 
 /// The concurrent query-serving front end: a fixed pool of worker
-/// threads, each owning its own MedicalServer, over one shared
+/// threads running one stateless QueryPipeline over one shared
 /// read-mostly SpatialExtension/Database, fed by a bounded admission
-/// queue and fronted by a server-wide LRU result cache.
+/// queue and fronted by a server-wide LRU result cache. A cache hit and
+/// a pipeline run end the same way: one copy of the answer into the
+/// reply, then ImportVolume and rendering only when the request asks.
 ///
 ///   clients --Submit--> [admission queue] --> worker_0 .. worker_{N-1}
-///                              |                   |         |
-///                       (reject on full)     MedicalServer per worker
-///                                                  \         /
-///                                      shared SpatialExtension + DBMS
-///                                            shared ResultCache
+///                              |                        |
+///                       (reject on full)   shared ResultCache, else the
+///                                          shared QueryPipeline (DBMS)
 ///
 /// The extension/database must be fully loaded before the service
 /// starts; workers treat it as read-only.
@@ -202,20 +205,22 @@ class QueryService {
   };
 
   void WorkerLoop(int worker_id);
-  /// Serves `pending` on `server`, including the cache probe/fill.
-  Result<ServiceReply> Serve(qbism::MedicalServer* server, int worker_id,
-                             const Pending& pending);
+  /// Serves `pending`, including the cache probe/fill.
+  Result<ServiceReply> Serve(int worker_id, const Pending& pending);
+  /// Runs the pipeline for `pending` under its deadline/cancel
+  /// checkpoint, re-running it after IOErrors with capped backoff.
+  Result<qbism::PipelineResult> RunWithRetries(const Pending& pending);
   void Complete(const std::shared_ptr<Ticket::State>& state,
                 Result<ServiceReply> reply);
 
   qbism::SpatialExtension* ext_;
   ServiceOptions options_;
+  qbism::QueryPipeline pipeline_;
   ResultCache cache_;
   ServiceMetrics metrics_;
   std::unique_ptr<TaskPool> extract_pool_;  // may be null (helpers off)
   qbism::ExtractorStatsSnapshot extractor_baseline_;
   AdmissionQueue<Pending> queue_;
-  std::vector<std::unique_ptr<qbism::MedicalServer>> servers_;
   std::vector<std::thread> workers_;
   std::mutex shutdown_mu_;
   bool shut_down_ = false;  // guarded by shutdown_mu_

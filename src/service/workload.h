@@ -8,7 +8,7 @@
 
 #include "common/result.h"
 #include "common/rng.h"
-#include "qbism/medical_server.h"
+#include "qbism/query_pipeline.h"
 #include "qbism/spatial_extension.h"
 
 namespace qbism::service {

@@ -5,7 +5,7 @@
 namespace qbism::viz {
 
 DxExecutive::ImportResult DxExecutive::ImportVolume(
-    const volume::DataRegion& data) const {
+    const volume::DataRegion& data) {
   CpuTimer timer;
   ImportResult result;
   result.dense = data.ToDenseVolume(0);
@@ -14,7 +14,7 @@ DxExecutive::ImportResult DxExecutive::ImportVolume(
 }
 
 DxExecutive::RenderResult DxExecutive::Render(const volume::Volume& dense,
-                                              const Camera& camera) const {
+                                              const Camera& camera) {
   CpuTimer timer;
   RenderResult result;
   result.image = RenderMip(dense, camera);
@@ -24,7 +24,7 @@ DxExecutive::RenderResult DxExecutive::Render(const volume::Volume& dense,
 
 DxExecutive::RenderResult DxExecutive::RenderSurface(
     const TriangleMesh& mesh, const Camera& camera,
-    const region::GridSpec& grid, const volume::Volume* texture) const {
+    const region::GridSpec& grid, const volume::Volume* texture) {
   CpuTimer timer;
   RenderResult result;
   result.image = RenderMesh(mesh, camera, grid, texture);

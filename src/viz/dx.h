@@ -16,7 +16,8 @@ namespace qbism::viz {
 /// from the database into a renderable dense object), the renderer, and
 /// the query-result cache that lets users review recent results without
 /// a database reaccess. Each stage reports its own timing so the Table-3
-/// columns can be reassembled.
+/// columns can be reassembled. ImportVolume and the renderers are
+/// stateless; only the cache belongs to an instance.
 class DxExecutive {
  public:
   struct ImportResult {
@@ -30,15 +31,16 @@ class DxExecutive {
   };
 
   /// ImportVolume: densifies a DATA_REGION (background 0).
-  ImportResult ImportVolume(const volume::DataRegion& data) const;
+  static ImportResult ImportVolume(const volume::DataRegion& data);
 
   /// Renders an imported volume as a MIP.
-  RenderResult Render(const volume::Volume& dense, const Camera& camera) const;
+  static RenderResult Render(const volume::Volume& dense, const Camera& camera);
 
   /// Renders a surface mesh, optionally texture-mapped with a study.
-  RenderResult RenderSurface(const TriangleMesh& mesh, const Camera& camera,
-                             const region::GridSpec& grid,
-                             const volume::Volume* texture = nullptr) const;
+  static RenderResult RenderSurface(const TriangleMesh& mesh,
+                                    const Camera& camera,
+                                    const region::GridSpec& grid,
+                                    const volume::Volume* texture = nullptr);
 
   /// --- Query-result cache ----------------------------------------------
 

@@ -5,93 +5,63 @@
 namespace qbism::net {
 namespace {
 
-TEST(ChannelTest, ControlMessageCosts) {
+/// A model whose only cost is per-message overhead and bandwidth, so
+/// each test isolates one term of the charge.
+NetworkCostModel NoRtt() {
   NetworkCostModel model;
+  model.rtt_seconds = 0.0;
+  return model;
+}
+
+TEST(ChannelTest, ControlMessageCosts) {
+  NetworkCostModel model = NoRtt();
   model.per_message_seconds = 0.01;
   model.bandwidth_bytes_per_second = 1000.0;
-  SimulatedChannel channel(model);
-  channel.SendControl(500);
-  EXPECT_EQ(channel.stats().messages, 1u);
-  EXPECT_EQ(channel.stats().bytes, 500u);
-  EXPECT_NEAR(channel.stats().simulated_seconds, 0.01 + 0.5, 1e-12);
+  NetworkCharge charge = model.Charge(/*bulk_bytes=*/0, /*control_bytes=*/500);
+  EXPECT_EQ(charge.messages, 1u);
+  EXPECT_NEAR(charge.seconds, 0.01 + 0.5, 1e-12);
+  // A zero-byte control message is still one message.
+  EXPECT_EQ(model.Charge(0, 0).messages, 1u);
+  EXPECT_NEAR(model.Charge(0, 0).seconds, 0.01, 1e-12);
 }
 
 TEST(ChannelTest, BulkChunking) {
-  NetworkCostModel model;
+  NetworkCostModel model = NoRtt();
   model.chunk_bytes = 1024;
-  SimulatedChannel channel(model);
-  channel.SendBulk(2 * 1024 * 1024);  // the paper's 2 MB study
   // 2048 data messages, mirroring the paper's ~2103 for Q1.
-  EXPECT_EQ(channel.stats().messages, 2048u);
-  channel.ResetStats();
-  channel.SendBulk(1);
-  EXPECT_EQ(channel.stats().messages, 1u);
-  channel.ResetStats();
-  channel.SendBulk(1025);
-  EXPECT_EQ(channel.stats().messages, 2u);
-  channel.ResetStats();
-  channel.SendBulk(0);
-  EXPECT_EQ(channel.stats().messages, 0u);
-  EXPECT_EQ(channel.stats().simulated_seconds, 0.0);
+  EXPECT_EQ(model.Charge(2 * 1024 * 1024).messages, 2048u);
+  EXPECT_EQ(model.Charge(1).messages, 1u);
+  EXPECT_EQ(model.Charge(1025).messages, 2u);
+  EXPECT_EQ(model.Charge(0).messages, 0u);
+  EXPECT_EQ(model.Charge(0).seconds, 0.0);
+  // Bulk and control messages add up.
+  EXPECT_EQ(model.Charge(1025, 100).messages, 3u);
 }
 
 TEST(ChannelTest, CostScalesWithSize) {
-  SimulatedChannel channel;
-  channel.SendBulk(100000);
-  double small = channel.stats().simulated_seconds;
-  channel.ResetStats();
-  channel.SendBulk(2000000);
-  double large = channel.stats().simulated_seconds;
+  NetworkCostModel model;
+  double small = model.Charge(100000).seconds;
+  double large = model.Charge(2000000).seconds;
   EXPECT_GT(large, 10 * small);
 }
 
 TEST(ChannelTest, RoundTripAddsRtt) {
   NetworkCostModel model;
   model.rtt_seconds = 0.004;
-  SimulatedChannel channel(model);
-  channel.RoundTrip();
-  channel.RoundTrip();
-  EXPECT_NEAR(channel.stats().simulated_seconds, 0.008, 1e-12);
-  EXPECT_EQ(channel.stats().messages, 0u);
-}
-
-TEST(ChannelTest, StatsDeltaSubtraction) {
-  SimulatedChannel channel;
-  channel.SendBulk(5000);
-  ChannelStats before = channel.stats();
-  channel.SendBulk(3000);
-  ChannelStats delta = channel.stats() - before;
-  EXPECT_EQ(delta.bytes, 3000u);
-  EXPECT_GT(delta.simulated_seconds, 0.0);
-}
-
-TEST(ChannelTest, StatsDeltaSaturatesInsteadOfWrapping) {
-  // Regression: subtracting a larger "before" snapshot (taken prior to
-  // a reset) used to wrap the unsigned counters to ~2^64; the delta
-  // must clamp at zero instead.
-  ChannelStats before{/*messages=*/10, /*bytes=*/5000,
-                      /*simulated_seconds=*/1.0};
-  ChannelStats after{/*messages=*/3, /*bytes=*/200,
-                     /*simulated_seconds=*/0.25};
-  ChannelStats delta = after - before;
-  EXPECT_EQ(delta.messages, 0u);
-  EXPECT_EQ(delta.bytes, 0u);
-  EXPECT_EQ(delta.simulated_seconds, 0.0);
-  // Mixed direction clamps per field, not across fields.
-  ChannelStats mixed{/*messages=*/12, /*bytes=*/100,
-                     /*simulated_seconds=*/2.0};
-  ChannelStats mixed_delta = mixed - before;
-  EXPECT_EQ(mixed_delta.messages, 2u);
-  EXPECT_EQ(mixed_delta.bytes, 0u);
-  EXPECT_NEAR(mixed_delta.simulated_seconds, 1.0, 1e-12);
+  NetworkCharge charge = model.Charge(0);
+  EXPECT_NEAR(charge.seconds, 0.004, 1e-12);
+  EXPECT_EQ(charge.messages, 0u);
+  // Every exchange pays exactly one round trip on top of its messages.
+  NetworkCostModel no_rtt = model;
+  no_rtt.rtt_seconds = 0.0;
+  EXPECT_NEAR(model.Charge(5000, 64).seconds,
+              no_rtt.Charge(5000, 64).seconds + 0.004, 1e-12);
 }
 
 TEST(ChannelTest, DeterministicAcrossInstances) {
-  SimulatedChannel a, b;
-  a.SendBulk(123456);
-  b.SendBulk(123456);
-  EXPECT_EQ(a.stats().simulated_seconds, b.stats().simulated_seconds);
-  EXPECT_EQ(a.stats().messages, b.stats().messages);
+  NetworkCostModel a, b;
+  EXPECT_EQ(a.Charge(123456, 80).seconds, b.Charge(123456, 80).seconds);
+  EXPECT_EQ(a.Charge(123456, 80).messages, b.Charge(123456, 80).messages);
 }
 
 }  // namespace

@@ -241,7 +241,7 @@ TEST_F(ServiceTraceTest, FullStudyQueryYieldsOneWellFormedTraceTree) {
   for (Stage expected :
        {Stage::kQueueWait, Stage::kCacheProbe, Stage::kTranslate,
         Stage::kInfo, Stage::kData, Stage::kExtract, Stage::kPlan,
-        Stage::kShard, Stage::kIo, Stage::kShip, Stage::kImport}) {
+        Stage::kShard, Stage::kIo, Stage::kShip}) {
     EXPECT_TRUE(stages.count(expected) == 1)
         << "missing stage " << StageName(expected);
   }
@@ -249,6 +249,53 @@ TEST_F(ServiceTraceTest, FullStudyQueryYieldsOneWellFormedTraceTree) {
   // metrics() surfaces the same aggregation.
   std::vector<StageSummary> summaries = tracer.StageSummaries();
   EXPECT_FALSE(summaries.empty());
+}
+
+TEST_F(ServiceTraceTest, OnlyRenderRequestsImportAndRender) {
+  Tracer tracer;
+  ServiceOptions options = TracedOptions(&tracer);
+  options.cache_entries = 0;  // both requests run the whole pipeline
+  std::vector<SpanRecord> spans;
+  {
+    QueryService service(ext_, options);
+    ServiceRequest request;
+    request.spec.study_id = study_id_;
+    request.spec.box = geometry::Box3i{{2, 2, 2}, {40, 40, 40}};
+    request.render = true;
+    auto rendered = service.Execute(request);
+    ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
+    EXPECT_GT(rendered->result.image.NonBlackFraction(), 0.0);
+    EXPECT_GT(rendered->result.timing.render_seconds, 0.0);
+
+    request.render = false;
+    auto plain = service.Execute(request);
+    ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_EQ(plain->result.timing.import_cpu_seconds, 0.0);
+    EXPECT_EQ(plain->result.timing.render_seconds, 0.0);
+    EXPECT_EQ(plain->result.image.width(), 0);
+    EXPECT_EQ(plain->result.data.values(), rendered->result.data.values());
+    service.Shutdown();
+    spans = tracer.Spans();
+  }
+
+  // Root spans are recorded as each request completes, in order.
+  std::vector<uint64_t> traces;
+  for (const SpanRecord& s : spans) {
+    if (s.stage == Stage::kQuery) traces.push_back(s.trace_id);
+  }
+  ASSERT_EQ(traces.size(), 2u);
+  std::multiset<Stage> rendered_stages, plain_stages;
+  for (const SpanRecord& s : spans) {
+    if (s.trace_id == traces[0]) rendered_stages.insert(s.stage);
+    if (s.trace_id == traces[1]) plain_stages.insert(s.stage);
+  }
+  EXPECT_EQ(rendered_stages.count(Stage::kImport), 1u);
+  EXPECT_EQ(rendered_stages.count(Stage::kRender), 1u);
+  EXPECT_EQ(plain_stages.count(Stage::kImport), 0u);
+  EXPECT_EQ(plain_stages.count(Stage::kRender), 0u);
+  // Each reply's one answer copy happens inside its one ship span.
+  EXPECT_EQ(rendered_stages.count(Stage::kShip), 1u);
+  EXPECT_EQ(plain_stages.count(Stage::kShip), 1u);
 }
 
 TEST_F(ServiceTraceTest, RetriedQuerySpansNestUnderTheOwningTrace) {

@@ -14,6 +14,7 @@
 #include "med/loader.h"
 #include "med/schema.h"
 #include "obs/trace.h"
+#include "qbism/medical_server.h"
 #include "server/client.h"
 
 namespace qbism::server {
@@ -441,6 +442,39 @@ TEST_F(ServerTest, ShutdownSeversIdleConnections) {
   EXPECT_FALSE(client->Ping().ok());
   // Idempotent.
   server.Shutdown();
+}
+
+TEST_F(ServerTest, DestroyWhileConnectionsLeaveAndIdle) {
+  // A server torn down while half its clients are saying kBye and the
+  // other half sit idle, with a dialer allocating fresh descriptors in
+  // this process throughout. Each connection's fd must stay owned until
+  // its thread is joined, so Shutdown never touches a closed or reused
+  // descriptor. Repeated so the tsan preset sees many interleavings.
+  for (int round = 0; round < 20; ++round) {
+    std::vector<NetClient> leaving, idle;
+    std::vector<std::thread> threads;
+    std::atomic<bool> dialing{true};
+    {
+      QbismServer server(ext_, BaseOptions());
+      ASSERT_TRUE(server.Start().ok());
+      for (int i = 0; i < 6; ++i) {
+        auto client = NetClient::Connect("127.0.0.1", server.port());
+        ASSERT_TRUE(client.ok()) << client.status().ToString();
+        ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
+        (i % 2 == 0 ? leaving : idle).push_back(client.MoveValue());
+      }
+      for (NetClient& client : leaving) {
+        threads.emplace_back([&client] { client.Bye(); });
+      }
+      const uint16_t port = server.port();
+      threads.emplace_back([&dialing, port] {
+        while (dialing.load()) (void)NetClient::Connect("127.0.0.1", port);
+      });
+    }  // ~QbismServer runs while the byes and the dialer are in flight
+    dialing.store(false);
+    for (std::thread& t : threads) t.join();
+    for (NetClient& client : idle) EXPECT_FALSE(client.Ping().ok());
+  }
 }
 
 }  // namespace

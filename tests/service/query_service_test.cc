@@ -8,6 +8,7 @@
 
 #include "med/loader.h"
 #include "med/schema.h"
+#include "qbism/medical_server.h"
 #include "service/workload.h"
 
 namespace qbism::service {
