@@ -67,7 +67,6 @@ ConfigResult RunConfig(qbism::sql::Database* db, SpatialExtension* ext,
                        int max_retries, uint64_t fault_seed) {
   ServiceOptions options;
   options.num_workers = kWorkers;
-  options.queue_capacity = 64;
   options.cache_entries = 0;  // every request really performs I/O
   options.io_wait_scale = kIoWaitScale;
   options.max_retries = max_retries;

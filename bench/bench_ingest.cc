@@ -200,7 +200,6 @@ int main(int argc, char** argv) {
   std::shared_ptr<World> world = BuildWorld();
   ServiceOptions options;
   options.num_workers = 2;
-  options.queue_capacity = 256;
   options.cache_entries = 0;  // every read is a real extraction
   options.cost_model.sql_compile_seconds = 0.0;
   options.ingest = world->ingest.get();

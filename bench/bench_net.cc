@@ -12,9 +12,9 @@
 //             4x its solo p99, and the greedy surplus bounces as
 //             quota_rejected instead of queueing unboundedly.
 //   trace     a traced run; verifies every wire request produced one
-//             accept -> decode -> admit -> execute -> ship trace and
-//             that traced ship bytes == server ship stats == client
-//             receipts (the codec's accounting, end to end).
+//             request -> {accept, decode, query -> {queue, ...}, ship}
+//             trace and that traced ship bytes == server ship stats ==
+//             client receipts (the codec's accounting, end to end).
 //
 // `--smoke` shrinks the fleet and request counts so `ctest -L perf`
 // exercises every phase in seconds. Writes BENCH_net.json.
@@ -26,6 +26,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -128,7 +129,6 @@ ScaleResult RunScalePhase(LoadedDb* db, int target, int drivers) {
   options.max_connections = target + 64;
   options.listen_backlog = 1024;
   options.service.num_workers = 4;
-  options.service.queue_capacity = 256;
   options.service.io_wait_scale = 0.0;  // scale phase measures the wire
   options.service.cost_model.sql_compile_seconds = 0.0;
   QbismServer server(db->ext.get(), options);
@@ -332,7 +332,6 @@ int main(int argc, char** argv) {
                        Tenant("victim-b", 1.0, /*max_waiting=*/64)};
     options.max_connections = 256;
     options.service.num_workers = 8;
-    options.service.queue_capacity = 256;
     options.service.cache_entries = 0;  // every query does real work
     options.service.io_wait_scale = kIoWaitScale;
     options.service.cost_model.sql_compile_seconds = 0.0;
@@ -439,29 +438,39 @@ int main(int argc, char** argv) {
   uint64_t traced_ship_bytes = 0;
   for (const auto& span : spans) {
     if (span.stage != obs::Stage::kRequest) continue;
-    bool accept = false, decode = false, admit = false, query = false,
-         ship = false;
+    // The request's children: accept, decode, query and ship, once each;
+    // the admission wait is the query's kQueueWait child.
+    std::multiset<obs::Stage> children;
+    uint64_t query_span = 0, ship_bytes = 0;
     for (const auto& child : spans) {
       if (child.trace_id != span.trace_id ||
           child.parent_id != span.span_id) {
         continue;
       }
-      if (child.stage == obs::Stage::kAccept) accept = true;
-      if (child.stage == obs::Stage::kDecode) decode = true;
-      if (child.stage == obs::Stage::kAdmit) admit = true;
-      if (child.stage == obs::Stage::kQuery) query = true;
-      if (child.stage == obs::Stage::kShip) {
-        ship = true;
-        traced_ship_bytes += child.bytes;
+      children.insert(child.stage);
+      if (child.stage == obs::Stage::kQuery) query_span = child.span_id;
+      if (child.stage == obs::Stage::kShip) ship_bytes = child.bytes;
+    }
+    bool queue = false;
+    for (const auto& child : spans) {
+      if (child.trace_id == span.trace_id && child.parent_id == query_span &&
+          child.stage == obs::Stage::kQueueWait) {
+        queue = true;
       }
     }
-    if (accept && decode && admit && query && ship) ++complete_traces;
+    traced_ship_bytes += ship_bytes;
+    if (queue && children == std::multiset<obs::Stage>{
+                                 obs::Stage::kAccept, obs::Stage::kDecode,
+                                 obs::Stage::kQuery, obs::Stage::kShip}) {
+      ++complete_traces;
+    }
   }
   bool traces_ok = complete_traces == kTracedQueries &&
                    traced_ship_bytes == client_bytes &&
                    server_ship_bytes == client_bytes;
   std::printf(
-      "traces: %d/%d complete (accept->decode->admit->execute->ship)\n",
+      "traces: %d/%d complete (request -> accept, decode, query{queue}, "
+      "ship)\n",
       complete_traces, kTracedQueries);
   std::printf(
       "ship accounting: traced %llu B == server %llu B == client %llu B "

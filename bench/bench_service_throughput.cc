@@ -1,14 +1,22 @@
 // E14 — concurrent query service throughput: closed-loop load
 // generator over the mixed §6.1 workload (entire studies, rectangular
-// solids, atlas structures, stored bands), sweeping worker-pool size
-// {1, 2, 4, 8} with the shared result cache off and on. Reports QPS and
-// end-to-end latency percentiles per configuration, a scaling summary
-// (QPS vs 1 worker), and one JSON line per configuration for harnesses.
+// solids, atlas structures, stored bands), sweeping the service's
+// execution slots (`num_workers`) over {1, 2, 4, 8} with the shared
+// result cache off and on. Each client thread runs its requests itself
+// once the service admits it. Reports QPS and end-to-end latency
+// percentiles per configuration, a scaling summary (QPS vs 1 slot), and
+// one JSON line per configuration for harnesses.
 //
 // Every configuration replays the same deterministic request stream
 // (same workload seed), so rows differ only in service configuration.
+//
+// `--smoke` runs only the cache-off 1- and 4-slot arms over 128
+// requests and exits non-zero when 1 -> 4 slots scales QPS by less
+// than 2.5x (the full run gives ~3.6x on a 4-core host), so
+// `ctest -L perf` catches a serving path that stops overlapping work.
 
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -34,6 +42,8 @@ using qbism::service::WorkloadMix;
 namespace {
 
 constexpr int kRequestsPerConfig = 512;
+constexpr int kSmokeRequests = 128;
+constexpr double kSmokeMinScaling = 2.5;  // 1 -> 4 slots, cache off
 constexpr uint64_t kWorkloadSeed = 42;
 // Realize the deterministic 1993 I/O + network cost model as wall-clock
 // waits at 1/500 scale, so the pool's ability to overlap those waits —
@@ -51,14 +61,14 @@ struct ConfigResult {
 };
 
 /// Runs one configuration: `2 * workers` closed-loop clients (enough to
-/// keep every worker busy without queue rejections) replaying a static
-/// partition of the request stream.
+/// keep every slot busy; the surplus waits in the tenant's line, well
+/// under its 64 waiting places) replaying a static partition of the
+/// request stream.
 ConfigResult RunConfig(SpatialExtension* ext,
                        const std::vector<QuerySpec>& specs, int workers,
                        bool cache) {
   ServiceOptions options;
   options.num_workers = workers;
-  options.queue_capacity = 64;
   options.cache_entries = cache ? 128 : 0;
   options.io_wait_scale = kIoWaitScale;
   QueryService service(ext, options);
@@ -104,12 +114,12 @@ void PrintRow(const ConfigResult& r) {
               1e3 * r.metrics.queue_wait.p95, 100.0 * hit_rate);
 }
 
-void PrintJson(const ConfigResult& r) {
+void PrintJson(const ConfigResult& r, int requests) {
   std::printf(
       "JSON {\"experiment\":\"service_throughput\",\"workers\":%d,"
       "\"cache\":%s,\"requests\":%d,\"wall_seconds\":%.4f,\"qps\":%.2f,"
       "\"cache_entries\":%llu,\"cache_evictions\":%llu,\"metrics\":%s}\n",
-      r.workers, r.cache ? "true" : "false", kRequestsPerConfig,
+      r.workers, r.cache ? "true" : "false", requests,
       r.wall_seconds, r.qps,
       static_cast<unsigned long long>(r.cache_stats.entries),
       static_cast<unsigned long long>(r.cache_stats.evictions),
@@ -118,9 +128,16 @@ void PrintJson(const ConfigResult& r) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  bool smoke = false;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
+  }
+  const int requests = smoke ? kSmokeRequests : kRequestsPerConfig;
   std::printf(
-      "QBISM reproduction E14: concurrent query service throughput.\n");
+      "QBISM reproduction E14: concurrent query service throughput (%s "
+      "mode).\n",
+      smoke ? "smoke" : "full");
   std::printf("Loading database (3 PET studies, atlas, bands)...\n");
 
   qbism::sql::Database db;
@@ -138,18 +155,34 @@ int main() {
                                        WorkloadMix{}, kWorkloadSeed)
                  .MoveValue();
   std::vector<QuerySpec> specs;
-  specs.reserve(kRequestsPerConfig);
-  for (int i = 0; i < kRequestsPerConfig; ++i) specs.push_back(gen.Next());
+  specs.reserve(static_cast<size_t>(requests));
+  for (int i = 0; i < requests; ++i) specs.push_back(gen.Next());
   std::printf(
       "Workload: %d requests (mixed full-study/box/structure/band), "
       "%llu distinct specs possible.\n\n",
-      kRequestsPerConfig,
+      requests,
       static_cast<unsigned long long>(gen.DistinctSpecs()));
 
   std::printf("%7s %6s %9s %8s %9s %9s %9s %9s %8s\n", "workers", "cache",
               "wall(s)", "QPS", "p50(ms)", "p95(ms)", "p99(ms)",
               "qw95(ms)", "hits");
   std::vector<ConfigResult> results;
+  if (smoke) {
+    for (int workers : {1, 4}) {
+      results.push_back(RunConfig(ext.get(), specs, workers, false));
+      PrintRow(results.back());
+    }
+    double scaling = results[1].qps / results[0].qps;
+    uint64_t rejected =
+        results[0].metrics.quota_rejected + results[1].metrics.quota_rejected;
+    bool ok = scaling >= kSmokeMinScaling && rejected == 0;
+    std::printf(
+        "\n1 -> 4 workers (cache off): %.2fx QPS (floor %.1fx), %llu "
+        "rejected -> %s\n",
+        scaling, kSmokeMinScaling, static_cast<unsigned long long>(rejected),
+        ok ? "OK" : "FAILED");
+    return ok ? 0 : 1;
+  }
   for (bool cache : {false, true}) {
     for (int workers : {1, 2, 4, 8}) {
       results.push_back(RunConfig(ext.get(), specs, workers, cache));
@@ -178,6 +211,6 @@ int main() {
   std::printf("\n1 -> 4 workers (cache off): %.2fx QPS\n", off4 / off1);
   std::printf("cache on vs off at 4 workers: %.2fx QPS\n\n", on4 / off4);
 
-  for (const ConfigResult& r : results) PrintJson(r);
+  for (const ConfigResult& r : results) PrintJson(r, requests);
   return 0;
 }

@@ -1,8 +1,9 @@
-// Concurrent query service demo: stands up the thread-pooled front end
-// over a loaded database, fires a burst of mixed clinical queries from
-// several client threads, and prints the per-request accounting and the
-// service-wide metrics — admission control, the shared result cache,
-// and a deadline in action. See DESIGN.md ("Service layer").
+// Concurrent query service demo: stands up the query service over a
+// loaded database, fires a burst of mixed clinical queries from several
+// client threads (each runs its own requests once admitted), and prints
+// the per-request accounting and the service-wide metrics — the tenant
+// admission gate, the shared result cache, and a deadline in action.
+// See DESIGN.md ("Service layer").
 
 #include <cstdio>
 #include <thread>
@@ -16,7 +17,6 @@
 using qbism::service::QueryService;
 using qbism::service::ServiceOptions;
 using qbism::service::ServiceRequest;
-using qbism::service::Ticket;
 
 int main() {
   std::printf("QBISM service demo: loading 3 PET studies...\n");
@@ -32,14 +32,14 @@ int main() {
 
   ServiceOptions options;
   options.num_workers = 4;
-  options.queue_capacity = 16;
-  QueryService service(ext.get(), options);
-  std::printf("Service up: %d workers, queue capacity %zu.\n\n",
-              service.num_workers(), options.queue_capacity);
+  QueryService service(ext.get(), options);  // one tenant, 64 waiting places
+  std::printf("Service up: %d execution slots, %d waiting places.\n\n",
+              service.governor()->total_slots(),
+              qbism::service::TenantQuota{}.max_waiting);
 
   // A small clinical review session: each client repeatedly asks for a
   // structure restriction of its study — the second round of each is
-  // served by the shared cache no matter which worker picks it up.
+  // served by the shared cache, whichever client filled it.
   std::vector<std::thread> clients;
   for (int c = 0; c < 3; ++c) {
     clients.emplace_back([&service, &dataset, c] {
@@ -51,12 +51,12 @@ int main() {
         QBISM_CHECK(reply.ok());
         std::printf(
             "client %d round %d: study %d/%s -> %llu voxels "
-            "(worker %d, %s, %.1f ms)\n",
+            "(%s, waited %.2f ms, %.1f ms total)\n",
             c, round, request.spec.study_id,
             dataset.structure_names[c].c_str(),
             static_cast<unsigned long long>(reply->result.result_voxels),
-            reply->worker_id, reply->cache_hit ? "cache hit" : "executed",
-            1e3 * reply->total_seconds);
+            reply->cache_hit ? "cache hit" : "executed",
+            1e3 * reply->queue_wait_seconds, 1e3 * reply->total_seconds);
       }
     });
   }

@@ -61,7 +61,6 @@ const char* StageName(Stage stage) {
     case Stage::kIoWait: return "io_wait";
     case Stage::kRequest: return "request";
     case Stage::kAccept: return "accept";
-    case Stage::kAdmit: return "admit";
     case Stage::kIngest: return "ingest";
     case Stage::kWalSync: return "wal_sync";
     case Stage::kVacuum: return "vacuum";

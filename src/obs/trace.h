@@ -21,8 +21,8 @@ namespace qbism::obs {
 /// REGION/DATA_REGION unmarshalling). docs/OBSERVABILITY.md is the
 /// reference for what each stage covers.
 enum class Stage : uint8_t {
-  kQuery = 0,   // whole request, admission -> reply (root span)
-  kQueueWait,   // admission queue residence (recorded retroactively)
+  kQuery = 0,   // whole request, Execute -> reply (root span)
+  kQueueWait,   // tenant admission wait for a slot (recorded retroactively)
   kCacheProbe,  // shared result-cache probe (hit or miss)
   kTranslate,   // QuerySpec -> the two §3.4 SQL statements
   kInfo,        // the atlas/info query (the paper's "other" phase)
@@ -40,7 +40,6 @@ enum class Stage : uint8_t {
   kIoWait,      // realized modeled I/O+network wait (io_wait_scale)
   kRequest,     // one wire request on the socket server (root span)
   kAccept,      // reading the request frame off the socket
-  kAdmit,       // tenant fair-share admission wait (socket server)
   kIngest,      // one online study ingest (warp + band + store, logged)
   kWalSync,     // write-ahead-log page flush (the commit fsync)
   kVacuum,      // reclamation of dead long-field extents
@@ -49,7 +48,7 @@ enum class Stage : uint8_t {
   kIndexBuild,  // cross-study spatial index pack/rebuild (src/index)
   kIndexProbe,  // one R-tree + bitmap candidate probe
 };
-inline constexpr int kNumStages = 27;
+inline constexpr int kNumStages = 26;
 
 /// Stable lower-case stage name ("query", "queue", "io", ...).
 const char* StageName(Stage stage);
@@ -171,10 +170,11 @@ class StageHistogram {
 
 /// The tracing sink: hands out trace/span ids, stores finished spans in
 /// a bounded lock-free buffer, and aggregates per-stage histograms.
-/// One Tracer is shared by a whole service (all workers and helper
-/// threads); recording is wait-free. When disabled (or when no tracer
-/// is installed in the current context) every Span is inert: the cost
-/// of an instrumentation point is one thread-local read and a branch.
+/// One Tracer is shared by a whole service (every request thread and
+/// helper thread); recording is wait-free. When disabled (or when no
+/// tracer is installed in the current context) every Span is inert: the
+/// cost of an instrumentation point is one thread-local read and a
+/// branch.
 ///
 /// Reset() and the dump accessors may run concurrently with recording
 /// (they see a consistent prefix), but Reset() concurrent with

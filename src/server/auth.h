@@ -10,24 +10,17 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "service/admission.h"
 
 namespace qbism::server {
 
-/// One tenant the server will serve: credentials plus the quota and
-/// fair-share knobs the admission layer enforces. docs/NETWORK.md
+/// One tenant the server will serve: credentials and a session cap on
+/// top of the query service's fair-share quota (weight, max_waiting),
+/// which the service's admission gate enforces. docs/NETWORK.md
 /// documents the semantics.
-struct TenantConfig {
+struct TenantConfig : service::TenantQuota {
   std::string name;
   std::string secret;
-  /// Fair-share weight: tenant t may hold up to
-  /// max(1, floor(total_slots * weight_t / sum(weights))) execution
-  /// slots at once (unless max_inflight overrides it).
-  double weight = 1.0;
-  /// Explicit in-flight cap; 0 derives it from the weight.
-  int max_inflight = 0;
-  /// Requests allowed to *wait* for this tenant's slots at once;
-  /// arrivals beyond this are rejected immediately (quota_rejected).
-  int max_waiting = 64;
   /// Concurrent sessions the tenant may hold; further HELLOs are
   /// rejected as quota_rejected until sessions expire or log out.
   int max_sessions = 1 << 16;

@@ -153,7 +153,6 @@ std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header) {
   w.PutU32(header.chunk_count);
   w.PutU32(header.chunk_bytes);
   w.PutU8(header.cache_hit ? 1 : 0);
-  w.PutI32(header.worker_id);
   PutTiming(&w, header.timing);
   w.PutString(header.info_sql);
   w.PutString(header.data_sql);
@@ -170,7 +169,6 @@ Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload) {
   QBISM_ASSIGN_OR_RETURN(out.chunk_bytes, r.GetU32());
   QBISM_ASSIGN_OR_RETURN(uint8_t hit, r.GetU8());
   out.cache_hit = hit != 0;
-  QBISM_ASSIGN_OR_RETURN(out.worker_id, r.GetI32());
   QBISM_RETURN_NOT_OK(GetTiming(&r, &out.timing));
   QBISM_ASSIGN_OR_RETURN(out.info_sql, r.GetString(kMaxSqlBytes));
   QBISM_ASSIGN_OR_RETURN(out.data_sql, r.GetString(kMaxSqlBytes));

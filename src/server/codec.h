@@ -48,7 +48,6 @@ struct ResultHeader {
   uint32_t chunk_count = 0;
   uint32_t chunk_bytes = 0;
   bool cache_hit = false;
-  int32_t worker_id = -1;
   qbism::TimingBreakdown timing;
   std::string info_sql;
   std::string data_sql;

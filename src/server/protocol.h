@@ -30,7 +30,7 @@ namespace qbism::server {
 /// is detected before the payload is interpreted. docs/NETWORK.md is
 /// the protocol reference.
 inline constexpr uint32_t kMagic = 0x4D534251u;  // "QBSM"
-inline constexpr uint16_t kProtocolVersion = 1;
+inline constexpr uint16_t kProtocolVersion = 2;
 inline constexpr size_t kHeaderBytes = 36;
 
 /// Hard ceiling a reader enforces on `payload_bytes` before allocating
@@ -61,9 +61,9 @@ enum class ErrorReason : uint16_t {
   kNone = 0,
   kUnauthorized = 1,    // bad credentials or unknown session token
   kSessionExpired = 2,  // session past its idle TTL; re-HELLO
-  kQuotaRejected = 3,   // per-tenant quota / fair-share bound hit
+  kQuotaRejected = 3,   // tenant's waiting line or session cap full
   kProtocol = 4,        // malformed frame or payload
-  kServerBusy = 5,      // connection cap or admission queue full
+  kServerBusy = 5,      // connection cap reached
   kShutdown = 6,        // server is stopping
   kQueryFailed = 7,     // the query itself failed (status code says why)
 };

@@ -59,10 +59,10 @@ Status QbismServer::Start() {
 
   auth_ = std::make_unique<AuthManager>(
       options_.tenants, options_.session_ttl_seconds, options_.auth_seed);
-  service_ =
-      std::make_unique<service::QueryService>(ext_, options_.service);
-  governor_ = std::make_unique<TenantGovernor>(options_.tenants,
-                                               service_->num_workers());
+  service_ = std::make_unique<service::QueryService>(
+      ext_, options_.service,
+      std::vector<service::TenantQuota>(options_.tenants.begin(),
+                                        options_.tenants.end()));
   per_tenant_.clear();
   for (size_t i = 0; i < options_.tenants.size(); ++i) {
     per_tenant_.push_back(std::make_unique<PerTenant>());
@@ -321,39 +321,30 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
                      query.status());
   }
 
-  // Fair-share admission: this is where a greedy tenant's surplus waits
-  // (or bounces) while other tenants' reserved slots stay reachable.
-  obs::Span admit(request_span.context(), obs::Stage::kAdmit);
-  Result<AdmissionSlot> slot = governor_->Admit(tenant);
-  admit.End();
-  if (!slot.ok()) {
-    request_span.SetFailed();
-    if (slot.status().IsResourceExhausted()) {
-      service_->NoteQuotaRejected();
-      tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
-      PenalizeQuota();
-      return SendError(conn, header.request_id, ErrorReason::kQuotaRejected,
-                       slot.status());
-    }
-    return SendError(conn, header.request_id, ErrorReason::kShutdown,
-                     slot.status());
-  }
-
+  // The service admits the request on this thread (a greedy tenant's
+  // surplus waits or bounces there) and runs it in the same call.
   service::ServiceRequest request;
   request.spec = query->spec;
+  request.tenant = tenant;
   request.render = query->render;
   request.deadline_seconds = query->deadline_seconds;
   request.trace_parent = request_span.context();
   Result<service::ServiceReply> reply = service_->Execute(request);
-  slot->Release();
   if (!reply.ok()) {
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
     request_span.SetFailed();
-    ErrorReason reason = reply.status().IsResourceExhausted()
-                             ? ErrorReason::kServerBusy
-                             : ErrorReason::kQueryFailed;
-    return SendError(conn, header.request_id, reason, reply.status());
+    tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
+    if (reply.status().IsResourceExhausted()) {
+      PenalizeQuota();
+      return SendError(conn, header.request_id, ErrorReason::kQuotaRejected,
+                       reply.status());
+    }
+    if (reply.status().IsCancelled()) {
+      return SendError(conn, header.request_id, ErrorReason::kShutdown,
+                       reply.status());
+    }
+    queries_failed_.fetch_add(1, std::memory_order_relaxed);
+    return SendError(conn, header.request_id, ErrorReason::kQueryFailed,
+                     reply.status());
   }
 
   // Ship the region in the extension's configured encoding (the codec
@@ -381,7 +372,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   rh.chunk_count = chunks;
   rh.chunk_bytes = chunk_bytes;
   rh.cache_hit = reply->cache_hit;
-  rh.worker_id = reply->worker_id;
   rh.timing = reply->result.timing;
   rh.info_sql = reply->result.info_sql;
   rh.data_sql = reply->result.data_sql;
@@ -452,9 +442,10 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
 void QbismServer::Shutdown() {
   if (!running_.exchange(false)) return;
   stopping_.store(true);
-  // Wake admission waiters first so no connection thread is parked in
-  // the governor when we sever its socket.
-  if (governor_ != nullptr) governor_->Close();
+  // Drain the service first: connection threads parked in its admission
+  // gate wake with Cancelled, and running queries finish, before any
+  // socket is severed.
+  if (service_ != nullptr) service_->Shutdown();
   // Wake the accept loop and join it before releasing the listening fd
   // it reads; each connection's fd likewise outlives its thread's join.
   listener_.ShutdownBoth();
@@ -474,7 +465,6 @@ void QbismServer::Shutdown() {
     }
     if (conn->thread.joinable()) conn->thread.join();
   }
-  if (service_ != nullptr) service_->Shutdown();
 }
 
 ServerStats QbismServer::stats() const {
@@ -509,7 +499,9 @@ TenantWireStats QbismServer::tenant_stats(int tenant) const {
   out.queries_failed = t.queries_failed.load(std::memory_order_relaxed);
   out.ship_bytes = t.ship_bytes.load(std::memory_order_relaxed);
   out.latency = t.latency.Summarize();
-  if (governor_ != nullptr) out.admission = governor_->tenant_stats(tenant);
+  if (service_ != nullptr) {
+    out.admission = service_->governor()->tenant_stats(tenant);
+  }
   return out;
 }
 

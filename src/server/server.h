@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "net/channel.h"
-#include "server/admission.h"
 #include "server/auth.h"
 #include "server/codec.h"
 #include "server/socket_io.h"
@@ -19,8 +18,9 @@
 
 namespace qbism::server {
 
-/// Socket front-end sizing and policy. The inner pool (workers, queue,
-/// cache, retries, tracer) is configured through `service`.
+/// Socket front-end sizing and policy. The inner service (execution
+/// slots, cache, retries, tracer) is configured through `service`; its
+/// tenant quotas come from `tenants`.
 struct ServerOptions {
   /// 0 binds a kernel-assigned localhost port; port() reports it.
   uint16_t port = 0;
@@ -37,7 +37,7 @@ struct ServerOptions {
   double session_ttl_seconds = 300.0;
   uint64_t auth_seed = 0;  // extra entropy for session tokens
   /// Throttle on rejected work: a connection that just drew a quota
-  /// rejection (admission bounce or session cap) has its error reply
+  /// rejection (tenant-quota bounce or session cap) has its error reply
   /// delayed by this much. Rejections are cheap for the server but a
   /// zero-think-time retry loop turns them into a CPU attack — tens of
   /// thousands of reject round-trips per second starve other tenants'
@@ -81,29 +81,31 @@ struct ServerStats {
   double modeled_egress_seconds = 0.0;
 };
 
-/// Per-tenant wire accounting (admission stats live on the governor).
+/// Per-tenant wire accounting plus the service governor's admission
+/// stats for the tenant.
 struct TenantWireStats {
   std::string name;
   uint64_t queries_ok = 0;
   uint64_t queries_failed = 0;
   uint64_t ship_bytes = 0;
   service::LatencySummary latency;  // request read -> last byte shipped
-  TenantAdmissionStats admission;
+  service::TenantAdmissionStats admission;
 };
 
 /// The real network front end (ROADMAP item 1): a TCP listener on
 /// localhost speaking the framed binary protocol of server/protocol.h,
 /// thread-per-connection with a connection cap, token-based sessions
-/// (AuthManager), per-tenant fair-share admission (TenantGovernor)
-/// layered on the QueryService pool, and chunked streaming of query
-/// answers. When the service is traced, every wire request becomes one
-/// trace: kRequest root -> kAccept (frame receive) / kDecode / kAdmit /
-/// kQuery (the service's stage tree) / kShip (socket writes).
+/// (AuthManager), and chunked streaming of query answers. Each query
+/// runs on its connection's thread through QueryService::Execute, whose
+/// per-tenant fair-share governor is the one admission gate. When the
+/// service is traced, every wire request becomes one trace: kRequest
+/// root -> kAccept (frame receive) / kDecode / kQuery (the service's
+/// stage tree, admission wait first) / kShip (socket writes).
 ///
 ///   clients ==TCP== accept loop -> connection threads
 ///                      |  HELLO -> AuthManager (sessions, tokens)
-///                      |  QUERY -> TenantGovernor (fair share, quotas)
-///                      |            -> QueryService pool -> chunked ship
+///                      |  QUERY -> QueryService::Execute (tenant
+///                      |           governor, then pipeline) -> chunked ship
 ///
 /// The extension must be fully loaded before Start(); the server treats
 /// it as read-only, exactly like QueryService.
@@ -133,7 +135,6 @@ class QbismServer {
 
   service::QueryService* service() { return service_.get(); }
   AuthManager* auth() { return auth_.get(); }
-  TenantGovernor* governor() { return governor_.get(); }
 
  private:
   struct Connection {
@@ -168,7 +169,6 @@ class QbismServer {
   ServerOptions options_;
   std::unique_ptr<service::QueryService> service_;
   std::unique_ptr<AuthManager> auth_;
-  std::unique_ptr<TenantGovernor> governor_;
   std::vector<std::unique_ptr<PerTenant>> per_tenant_;
 
   FrameSocket listener_;

@@ -41,7 +41,6 @@ LatencySummary LatencyRecorder::Summarize() const {
 MetricsSnapshot ServiceMetrics::Snapshot() const {
   MetricsSnapshot out;
   out.submitted = submitted_.load(std::memory_order_relaxed);
-  out.rejected_queue_full = rejected_queue_full_.load(std::memory_order_relaxed);
   out.deadline_expired = deadline_expired_.load(std::memory_order_relaxed);
   out.cancelled = cancelled_.load(std::memory_order_relaxed);
   out.failed = failed_.load(std::memory_order_relaxed);
@@ -69,7 +68,7 @@ std::string MetricsSnapshot::ToJson() const {
   char buf[1536];
   std::snprintf(
       buf, sizeof(buf),
-      "{\"submitted\":%llu,\"rejected_queue_full\":%llu,"
+      "{\"submitted\":%llu,"
       "\"deadline_expired\":%llu,\"cancelled\":%llu,\"failed\":%llu,"
       "\"completed\":%llu,\"retries\":%llu,\"giveups\":%llu,"
       "\"unauthorized\":%llu,\"quota_rejected\":%llu,"
@@ -86,7 +85,6 @@ std::string MetricsSnapshot::ToJson() const {
       "\"latency\":{\"count\":%llu,\"mean\":%.6f,\"p50\":%.6f,"
       "\"p95\":%.6f,\"p99\":%.6f,\"max\":%.6f}}",
       static_cast<unsigned long long>(submitted),
-      static_cast<unsigned long long>(rejected_queue_full),
       static_cast<unsigned long long>(deadline_expired),
       static_cast<unsigned long long>(cancelled),
       static_cast<unsigned long long>(failed),

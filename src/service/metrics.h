@@ -82,18 +82,17 @@ class LatencyRecorder {
 /// Point-in-time copy of the service counters, safe to read and print.
 struct MetricsSnapshot {
   uint64_t submitted = 0;
-  uint64_t rejected_queue_full = 0;
-  uint64_t deadline_expired = 0;  // expired in queue or between stages
-  uint64_t cancelled = 0;
+  uint64_t deadline_expired = 0;  // expired waiting or between stages
+  uint64_t cancelled = 0;         // waiting when the service shut down
   uint64_t failed = 0;     // non-OK from the query path itself
   uint64_t completed = 0;  // OK replies
   uint64_t retries = 0;    // transient-fault re-executions of a query
   uint64_t giveups = 0;    // requests failed with the retry budget spent
-  /// Front-end rejections (the socket server's admission edge; see
-  /// docs/NETWORK.md). Counted alongside rejected_queue_full so one
-  /// snapshot covers every way a request can bounce before execution.
+  /// Rejections before execution (see docs/NETWORK.md): the service's
+  /// own tenant-quota bounces plus those the socket server counts at its
+  /// edge, so one snapshot covers every way a request can bounce.
   uint64_t unauthorized = 0;     // bad credentials / bad session token
-  uint64_t quota_rejected = 0;   // per-tenant quota or fair-share bound
+  uint64_t quota_rejected = 0;   // tenant waiting line or session cap full
   uint64_t session_expired = 0;  // request on a session past its TTL
   uint64_t cache_hits = 0;
   uint64_t cache_misses = 0;
@@ -106,7 +105,7 @@ struct MetricsSnapshot {
   uint64_t lfm_pages = 0;
   double network_seconds = 0.0;
   double queue_wait_seconds = 0.0;  // summed across requests
-  LatencySummary latency;           // end-to-end (admission to reply)
+  LatencySummary latency;           // end-to-end (Execute to reply)
   LatencySummary queue_wait;
 
   /// Extraction fast-path counters, merged in by the service from its
@@ -127,15 +126,12 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// Shared service-wide counters, aggregated across workers via atomics;
+/// Shared service-wide counters, aggregated across callers via atomics;
 /// doubles totaled via compare-exchange loops (no double fetch_add until
 /// C++20 libstdc++ catches up everywhere).
 class ServiceMetrics {
  public:
   void AddSubmitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
-  void AddRejectedQueueFull() {
-    rejected_queue_full_.fetch_add(1, std::memory_order_relaxed);
-  }
   void AddDeadlineExpired() {
     deadline_expired_.fetch_add(1, std::memory_order_relaxed);
   }
@@ -186,7 +182,6 @@ class ServiceMetrics {
   }
 
   std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> rejected_queue_full_{0};
   std::atomic<uint64_t> deadline_expired_{0};
   std::atomic<uint64_t> cancelled_{0};
   std::atomic<uint64_t> failed_{0};

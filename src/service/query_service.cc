@@ -1,10 +1,11 @@
 #include "service/query_service.h"
 
-#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "common/macros.h"
@@ -15,51 +16,29 @@ namespace qbism::service {
 
 using Clock = std::chrono::steady_clock;
 
-/// Completion state shared between the submitting client, the worker,
-/// and any Cancel() caller.
-struct Ticket::State {
-  std::mutex mu;
-  std::condition_variable cv;
-  std::optional<Result<ServiceReply>> reply;  // guarded by mu
-
-  std::atomic<bool> cancelled{false};
-  Clock::time_point submitted;
-  Clock::time_point deadline;  // time_point::max() = none
-  bool has_deadline = false;
+/// One request's state on its caller's stack: the clock Execute starts,
+/// the deadline measured from it, and the request's trace.
+struct QueryService::Call {
+  Clock::time_point start = Clock::now();
+  Clock::time_point deadline = Clock::time_point::max();  // max() = none
 
   /// Tracing: the request's root context (span_id is the kQuery root
   /// span, recorded retroactively at completion), the tracer clock at
-  /// admission, and the query-class label. All-zero when tracing is off.
+  /// Execute, and the query-class label. All-zero when tracing is off.
   obs::TraceContext trace;
   uint64_t root_parent = 0;  // parent span when joining a front-end trace
   double trace_start = 0.0;
   char trace_label[16] = {0};
 };
 
-Result<ServiceReply> Ticket::Wait() const {
-  if (!state_) return Status::InvalidArgument("Ticket::Wait: empty ticket");
-  std::unique_lock<std::mutex> lock(state_->mu);
-  state_->cv.wait(lock, [&] { return state_->reply.has_value(); });
-  return *state_->reply;
-}
-
-void Ticket::Cancel() {
-  if (state_) state_->cancelled.store(true, std::memory_order_relaxed);
-}
-
-bool Ticket::Done() const {
-  if (!state_) return false;
-  std::lock_guard<std::mutex> lock(state_->mu);
-  return state_->reply.has_value();
-}
-
 QueryService::QueryService(qbism::SpatialExtension* ext,
-                           ServiceOptions options)
+                           ServiceOptions options,
+                           const std::vector<TenantQuota>& tenants)
     : ext_(ext),
       options_(options),
       pipeline_(ext, options.net_model, options.cost_model),
       cache_(options.cache_entries, options.cache_bytes),
-      queue_(options.queue_capacity) {
+      governor_(tenants, options.num_workers) {
   extractor_baseline_ = ext_->extractor()->stats();
   int helper_threads = options_.extract_helper_threads < 0
                            ? options_.num_workers
@@ -86,146 +65,132 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
           }
         });
   }
-  for (int i = 0; i < options_.num_workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
-  }
 }
 
 QueryService::~QueryService() { Shutdown(); }
 
-Result<Ticket> QueryService::Submit(const ServiceRequest& request) {
+Result<ServiceReply> QueryService::Execute(const ServiceRequest& request) {
+  Call call;  // the request's clock starts now: the deadline covers admission
   metrics_.AddSubmitted();
   {
     std::lock_guard<std::mutex> lock(shutdown_mu_);
     if (shut_down_) {
       return Status::Cancelled("QueryService: service is shut down");
     }
+    ++callers_;
   }
-  auto state = std::make_shared<Ticket::State>();
-  state->submitted = Clock::now();
+  Result<ServiceReply> reply = AdmitAndServe(call, request);
+  {
+    // Notified under the lock: Shutdown may destroy the service as soon
+    // as it sees the count reach zero.
+    std::lock_guard<std::mutex> lock(shutdown_mu_);
+    if (--callers_ == 0) idle_.notify_all();
+  }
+  return reply;
+}
+
+Result<ServiceReply> QueryService::AdmitAndServe(
+    Call& call, const ServiceRequest& request) {
+  if (request.deadline_seconds > 0.0) {
+    call.deadline = call.start + std::chrono::duration_cast<Clock::duration>(
+                                     std::chrono::duration<double>(
+                                         request.deadline_seconds));
+  }
   if (options_.tracer != nullptr && options_.tracer->enabled()) {
     if (request.trace_parent.tracer == options_.tracer) {
       // Join the front end's trace: the kQuery root becomes a child of
       // the server's per-request span instead of a fresh trace root.
-      state->trace = request.trace_parent;
-      state->root_parent = request.trace_parent.span_id;
+      call.trace = request.trace_parent;
+      call.root_parent = request.trace_parent.span_id;
     } else {
-      state->trace = options_.tracer->StartTrace();
+      call.trace = options_.tracer->StartTrace();
     }
-    state->trace.span_id = options_.tracer->NextSpanId();  // root span id
-    state->trace_start = options_.tracer->NowSeconds();
+    call.trace.span_id = options_.tracer->NextSpanId();  // root span id
+    call.trace_start = options_.tracer->NowSeconds();
     const qbism::QuerySpec& spec = request.spec;
     const char* label = spec.intensity_range            ? "intensity"
                         : spec.box || spec.structure_name ? "region"
                                                           : "full";
-    std::strncpy(state->trace_label, label, sizeof(state->trace_label) - 1);
+    std::strncpy(call.trace_label, label, sizeof(call.trace_label) - 1);
   }
-  if (request.deadline_seconds > 0.0) {
-    state->has_deadline = true;
-    state->deadline =
-        state->submitted +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(request.deadline_seconds));
-  } else {
-    state->deadline = Clock::time_point::max();
+
+  Result<AdmissionSlot> slot = governor_.Admit(request.tenant, call.deadline);
+  if (!slot.ok() && slot.status().IsResourceExhausted()) {
+    // A bounce neither waited nor ran: it counts once, as the tenant's
+    // quota rejection.
+    metrics_.AddQuotaRejected();
+    return slot.status();
   }
-  if (!queue_.TryPush(Pending{request, state})) {
-    metrics_.AddRejectedQueueFull();
-    return Status::ResourceExhausted(
-        "QueryService: admission queue full (" +
-        std::to_string(queue_.capacity()) + " pending); retry with backoff");
+  double queue_wait =
+      std::chrono::duration<double>(Clock::now() - call.start).count();
+  metrics_.RecordQueueWait(queue_wait);
+
+  // Everything this thread (and any donated helper) does for the
+  // request now runs under its trace.
+  obs::ScopedTraceContext trace_ctx(call.trace);
+  if (call.trace.tracer != nullptr) {
+    // The admission wait, recorded retroactively (it already happened).
+    obs::SpanRecord qw;
+    qw.trace_id = call.trace.trace_id;
+    qw.span_id = call.trace.tracer->NextSpanId();
+    qw.parent_id = call.trace.span_id;
+    qw.stage = obs::Stage::kQueueWait;
+    qw.ok = slot.ok();
+    qw.start_seconds = call.trace_start;
+    qw.duration_seconds = queue_wait;
+    call.trace.tracer->Record(qw);
   }
-  Ticket ticket;
-  ticket.state_ = std::move(state);
-  return ticket;
+  Result<ServiceReply> reply =
+      slot.ok() ? Serve(call, request, queue_wait)
+                : Result<ServiceReply>(slot.status());
+  if (slot.ok()) slot->Release();
+  Complete(call, &reply);
+  return reply;
 }
 
-Result<ServiceReply> QueryService::Execute(const ServiceRequest& request) {
-  QBISM_ASSIGN_OR_RETURN(Ticket ticket, Submit(request));
-  return ticket.Wait();
-}
-
-void QueryService::Complete(const std::shared_ptr<Ticket::State>& state,
-                            Result<ServiceReply> reply) {
+void QueryService::Complete(const Call& call, Result<ServiceReply>* reply) {
   double latency =
-      std::chrono::duration<double>(Clock::now() - state->submitted).count();
-  if (reply.ok()) {
+      std::chrono::duration<double>(Clock::now() - call.start).count();
+  if (reply->ok()) {
     metrics_.AddCompleted();
-    metrics_.AddLfmPages(reply->result.timing.lfm_pages);
-    metrics_.AddNetworkSeconds(reply->result.timing.network_seconds);
-    reply->total_seconds = latency;
-  } else if (reply.status().IsDeadlineExceeded()) {
+    metrics_.AddLfmPages((*reply)->result.timing.lfm_pages);
+    metrics_.AddNetworkSeconds((*reply)->result.timing.network_seconds);
+    (*reply)->total_seconds = latency;
+  } else if (reply->status().IsDeadlineExceeded()) {
     metrics_.AddDeadlineExpired();
-  } else if (reply.status().IsCancelled()) {
+  } else if (reply->status().IsCancelled()) {
     metrics_.AddCancelled();
   } else {
     metrics_.AddFailed();
   }
   metrics_.RecordLatency(latency);
-  if (state->trace.tracer != nullptr) {
-    // The root span, recorded retroactively so it covers admission to
+  if (call.trace.tracer != nullptr) {
+    // The root span, recorded retroactively so it covers Execute to
     // reply (its children were recorded live as the request executed).
     obs::SpanRecord root;
-    root.trace_id = state->trace.trace_id;
-    root.span_id = state->trace.span_id;
-    root.parent_id = state->root_parent;
+    root.trace_id = call.trace.trace_id;
+    root.span_id = call.trace.span_id;
+    root.parent_id = call.root_parent;
     root.stage = obs::Stage::kQuery;
-    root.ok = reply.ok();
-    root.start_seconds = state->trace_start;
-    root.duration_seconds =
-        state->trace.tracer->NowSeconds() - state->trace_start;
-    std::memcpy(root.label, state->trace_label, sizeof(root.label));
-    state->trace.tracer->Record(root);
-  }
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    state->reply = std::move(reply);
-  }
-  state->cv.notify_all();
-}
-
-void QueryService::WorkerLoop(int worker_id) {
-  while (true) {
-    std::optional<Pending> pending = queue_.Pop();
-    if (!pending) return;  // closed and drained
-    Complete(pending->state, Serve(worker_id, *pending));
+    root.ok = reply->ok();
+    root.start_seconds = call.trace_start;
+    root.duration_seconds = call.trace.tracer->NowSeconds() - call.trace_start;
+    std::memcpy(root.label, call.trace_label, sizeof(root.label));
+    call.trace.tracer->Record(root);
   }
 }
 
-Result<ServiceReply> QueryService::Serve(int worker_id,
-                                         const Pending& pending) {
-  const std::shared_ptr<Ticket::State>& state = pending.state;
-  Clock::time_point picked_up = Clock::now();
-  double queue_wait =
-      std::chrono::duration<double>(picked_up - state->submitted).count();
-  metrics_.RecordQueueWait(queue_wait);
-
-  // Everything this worker (and any donated helper) does for the
-  // request now runs under its trace.
-  obs::ScopedTraceContext trace_ctx(state->trace);
-  if (state->trace.tracer != nullptr) {
-    // Queue residence, recorded retroactively (it already happened).
-    obs::SpanRecord qw;
-    qw.trace_id = state->trace.trace_id;
-    qw.span_id = state->trace.tracer->NextSpanId();
-    qw.parent_id = state->trace.span_id;
-    qw.stage = obs::Stage::kQueueWait;
-    qw.start_seconds = state->trace_start;
-    qw.duration_seconds = queue_wait;
-    state->trace.tracer->Record(qw);
+Result<ServiceReply> QueryService::Serve(const Call& call,
+                                         const ServiceRequest& request,
+                                         double queue_wait) {
+  // Admission-to-execution gate: a request whose deadline ran out while
+  // it waited never touches the database, so a burst of doomed work
+  // drains at checkpoint speed instead of query speed.
+  if (Clock::now() >= call.deadline) {
+    return Status::DeadlineExceeded("deadline expired before execution");
   }
 
-  // Admission-to-execution gate: requests that died in the queue never
-  // touch the database, so a burst of doomed work drains at checkpoint
-  // speed instead of query speed.
-  if (state->cancelled.load(std::memory_order_relaxed)) {
-    return Status::Cancelled("request cancelled while queued");
-  }
-  if (state->has_deadline && picked_up >= state->deadline) {
-    return Status::DeadlineExceeded("deadline expired in admission queue");
-  }
-
-  const qbism::QuerySpec& spec = pending.request.spec;
+  const qbism::QuerySpec& spec = request.spec;
   // Visibility gate, checked before the cache probe: a study mid-ingest
   // or quarantined by a failed replace must not be served at all — not
   // even from cache.
@@ -240,7 +205,6 @@ Result<ServiceReply> QueryService::Serve(int worker_id,
           : 0;
   std::string key = spec.Describe();
   ServiceReply reply;
-  reply.worker_id = worker_id;
   reply.queue_wait_seconds = queue_wait;
   WallTimer execute_timer;
 
@@ -257,13 +221,12 @@ Result<ServiceReply> QueryService::Serve(int worker_id,
     answer.data_sql = "(served from the shared result cache)";
   } else {
     if (cache_.enabled()) metrics_.AddCacheMiss();
-    QBISM_ASSIGN_OR_RETURN(answer, RunWithRetries(pending));
+    QBISM_ASSIGN_OR_RETURN(answer, RunWithRetries(call, spec));
   }
 
   reply.result = answer.Ship();
-  if (pending.request.render) {
-    qbism::ImportAndRender(/*render=*/true, pending.request.camera,
-                           &reply.result);
+  if (request.render) {
+    qbism::ImportAndRender(/*render=*/true, request.camera, &reply.result);
   }
   if (options_.io_wait_scale > 0.0) {
     // A hit charges no modeled time, so only executed queries wait.
@@ -290,24 +253,20 @@ Result<ServiceReply> QueryService::Serve(int worker_id,
 }
 
 Result<qbism::PipelineResult> QueryService::RunWithRetries(
-    const Pending& pending) {
-  const std::shared_ptr<Ticket::State>& state = pending.state;
-  // The deadline/cancel checkpoint the pipeline polls between stages, so
-  // a slow query aborts instead of wedging the worker.
-  const std::function<Status()> interrupt = [state]() -> Status {
-    if (state->cancelled.load(std::memory_order_relaxed)) {
-      return Status::Cancelled("request cancelled mid-query");
-    }
-    if (state->has_deadline && Clock::now() >= state->deadline) {
+    const Call& call, const qbism::QuerySpec& spec) {
+  // The deadline checkpoint the pipeline polls between stages, so a
+  // slow query aborts instead of holding its slot past the deadline.
+  const Clock::time_point deadline = call.deadline;
+  const std::function<Status()> interrupt = [deadline]() -> Status {
+    if (Clock::now() >= deadline) {
       return Status::DeadlineExceeded("deadline expired mid-query");
     }
     return Status::OK();
   };
-  Result<qbism::PipelineResult> result =
-      pipeline_.Run(pending.request.spec, interrupt);
+  Result<qbism::PipelineResult> result = pipeline_.Run(spec, interrupt);
   // Transient-fault recovery: IOError is the retryable class (injected
   // disk faults; flaky media in the real world). Anything else — bad
-  // specs, cancellation, deadline — fails immediately.
+  // specs, deadline — fails immediately.
   for (int attempt = 0;
        !result.ok() && result.status().IsIOError() &&
        attempt < options_.max_retries;
@@ -316,13 +275,9 @@ Result<qbism::PipelineResult> QueryService::RunWithRetries(
     if (backoff > options_.retry_backoff_max_seconds) {
       backoff = options_.retry_backoff_max_seconds;
     }
-    if (state->cancelled.load(std::memory_order_relaxed)) {
-      return Status::Cancelled("request cancelled between retries");
-    }
-    if (state->has_deadline &&
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
+    if (Clock::now() + std::chrono::duration_cast<Clock::duration>(
                            std::chrono::duration<double>(backoff)) >=
-            state->deadline) {
+        deadline) {
       break;  // the backoff alone would blow the deadline; give up
     }
     if (backoff > 0.0) {
@@ -333,7 +288,7 @@ Result<qbism::PipelineResult> QueryService::RunWithRetries(
       std::this_thread::sleep_for(std::chrono::duration<double>(backoff));
     }
     metrics_.AddRetry();
-    result = pipeline_.Run(pending.request.spec, interrupt);
+    result = pipeline_.Run(spec, interrupt);
   }
   if (!result.ok() && result.status().IsIOError()) {
     metrics_.AddGiveup();
@@ -367,13 +322,13 @@ void QueryService::Shutdown() {
     options_.ingest->RemoveCommitListener(ingest_listener_token_);
     ingest_listener_token_ = 0;
   }
-  queue_.Close();
-  // Fail pending work fast instead of letting workers run it down.
-  for (Pending& pending : queue_.DrainNow()) {
-    Complete(pending.state,
-             Status::Cancelled("QueryService: shut down before execution"));
+  // Waiting callers leave with Cancelled; running ones finish their
+  // request (or hit its deadline) and release their slots.
+  governor_.Close();
+  {
+    std::unique_lock<std::mutex> lock(shutdown_mu_);
+    idle_.wait(lock, [&] { return callers_ == 0; });
   }
-  for (std::thread& worker : workers_) worker.join();
   // Detach and drain the helper pool only if it is still ours — a later
   // service sharing the extension may have installed its own.
   if (extract_pool_ != nullptr) {

@@ -1,12 +1,9 @@
 #ifndef QBISM_SERVICE_QUERY_SERVICE_H_
 #define QBISM_SERVICE_QUERY_SERVICE_H_
 
-#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <optional>
-#include <thread>
 #include <vector>
 
 #include "common/result.h"
@@ -15,7 +12,7 @@
 #include "obs/trace.h"
 #include "qbism/query_pipeline.h"
 #include "qbism/spatial_extension.h"
-#include "service/admission_queue.h"
+#include "service/admission.h"
 #include "service/metrics.h"
 #include "service/result_cache.h"
 
@@ -28,20 +25,24 @@ struct StudyRecord;
 
 namespace qbism::service {
 
-/// One client request: a query spec plus service-level controls. The
-/// deadline is measured from admission; 0 disables it.
+/// One client request: a query spec plus service-level controls.
 struct ServiceRequest {
   qbism::QuerySpec spec;
+  /// Index into the service's tenant quotas: the request waits for, and
+  /// holds, one of this tenant's execution slots.
+  int tenant = 0;
   /// Import and render the answer after it ships (the DX executive's
   /// half, §5.2); only then does the reply carry an image and import and
   /// render times.
   bool render = false;
   viz::Camera camera;
+  /// Measured from the call to Execute, so it covers the admission wait
+  /// as well as the query; 0 disables it.
   double deadline_seconds = 0.0;
   /// When set (and its tracer is the service's), the request joins this
   /// trace instead of starting a fresh one: the kQuery root span hangs
   /// under trace_parent.span_id, so a front end (the socket server) can
-  /// stitch accept -> decode -> admit -> execute -> ship into one tree.
+  /// stitch accept -> decode -> query -> ship into one tree.
   obs::TraceContext trace_parent;
 };
 
@@ -50,62 +51,38 @@ struct ServiceRequest {
 struct ServiceReply {
   qbism::StudyQueryResult result;
   bool cache_hit = false;
-  int worker_id = -1;
-  double queue_wait_seconds = 0.0;  // admission -> picked up by a worker
-  double execute_seconds = 0.0;     // worker time (cache probe + query)
-  double total_seconds = 0.0;       // admission -> reply, real wall time
-};
-
-/// Handle to an in-flight request. Cheap to copy (shared state).
-class Ticket {
- public:
-  Ticket() = default;
-
-  /// Blocks until the request completes (workers enforce deadlines, so
-  /// this terminates as long as the service is running or shut down).
-  Result<ServiceReply> Wait() const;
-
-  /// Best-effort cancellation: a queued request completes Cancelled
-  /// when a worker reaches it; a running one aborts at the pipeline's
-  /// next stage checkpoint.
-  void Cancel();
-
-  bool Done() const;
-  bool Valid() const { return state_ != nullptr; }
-
- private:
-  friend class QueryService;
-  struct State;
-  std::shared_ptr<State> state_;
+  double queue_wait_seconds = 0.0;  // Execute -> execution slot granted
+  double execute_seconds = 0.0;     // slot held (cache probe + query)
+  double total_seconds = 0.0;       // Execute -> reply, real wall time
 };
 
 /// Sizing and cost knobs for the service.
 struct ServiceOptions {
-  /// Fixed worker pool; every worker runs the one shared QueryPipeline
-  /// over the shared extension. 0 is allowed (nothing drains — used by
-  /// admission-control tests).
+  /// Execution slots: at most this many requests run the shared
+  /// QueryPipeline at once, each on the thread that called Execute. The
+  /// tenant governor shares the slots by weight; values below 1 count
+  /// as 1.
   int num_workers = 4;
-  /// Bounded admission queue; submissions beyond this are rejected
-  /// immediately with ResourceExhausted.
-  size_t queue_capacity = 64;
   /// Shared LRU result cache; 0 entries disables it.
   size_t cache_entries = 128;
   uint64_t cache_bytes = 512ull << 20;
   /// When > 0, each executed query's modeled wait time — the simulated
   /// LFM/relational I/O stall plus network shipping time that the cost
   /// models charge but never spend — is realized as a real wall-clock
-  /// wait of `io_wait_scale` x that many seconds. Workers overlap these
-  /// waits exactly the way the 1993 system overlapped disk and RPC, so
-  /// throughput benchmarks see the pool's concurrency benefit on any
-  /// host. Cache hits perform no I/O and therefore never wait. 0 = off.
+  /// wait of `io_wait_scale` x that many seconds. Concurrent requests
+  /// overlap these waits exactly the way the 1993 system overlapped
+  /// disk and RPC, so throughput benchmarks see the slots' concurrency
+  /// benefit on any host. Cache hits perform no I/O and therefore never
+  /// wait. The wait holds the request's slot, like the disk arm it
+  /// stands for. 0 = off.
   double io_wait_scale = 0.0;
   /// Transient-fault handling: a query that fails with IOError (the
   /// code injected disk faults and, on real hardware, flaky media
   /// surface as) is re-executed up to `max_retries` times per request,
   /// sleeping a capped exponential backoff between attempts
   /// (base * 2^attempt, clamped to the max). Retries never outlive the
-  /// request's deadline or a cancellation, and every retry / exhausted
-  /// budget is counted in ServiceMetrics (retries, giveups). 0 disables.
+  /// request's deadline, and every retry / exhausted budget is counted
+  /// in ServiceMetrics (retries, giveups). 0 disables.
   int max_retries = 2;
   double retry_backoff_seconds = 0.001;
   double retry_backoff_max_seconds = 0.050;
@@ -114,12 +91,13 @@ struct ServiceOptions {
   /// extension's ParallelExtractor, so a large EXTRACT_DATA borrows idle
   /// capacity while the pool's fair-share cap keeps one query from
   /// monopolizing it. -1 sizes the pool to num_workers; 0 disables
-  /// (extractions run inline on their worker).
+  /// (extractions run inline on the calling thread).
   int extract_helper_threads = -1;
   /// Optional tracing sink (not owned; must outlive the service). Each
   /// admitted request becomes one trace: a kQuery root span labeled by
-  /// query class, with queue wait, cache probe, the pipeline's stage
-  /// spans, retries, and realized I/O waits as children. When null or
+  /// query class, with the admission wait (kQueueWait), cache probe,
+  /// the pipeline's stage spans, retries, and realized I/O waits as
+  /// children. When null or
   /// disabled every instrumentation point costs one thread-local read
   /// and a branch. metrics().stages carries the per-stage summaries.
   obs::Tracer* tracer = nullptr;
@@ -138,34 +116,40 @@ struct ServiceOptions {
   qbism::ServerCostModel cost_model;
 };
 
-/// The concurrent query-serving front end: a fixed pool of worker
-/// threads running one stateless QueryPipeline over one shared
-/// read-mostly SpatialExtension/Database, fed by a bounded admission
-/// queue and fronted by a server-wide LRU result cache. A cache hit and
-/// a pipeline run end the same way: one copy of the answer into the
-/// reply, then ImportVolume and rendering only when the request asks.
+/// The concurrent query-serving front end: one stateless QueryPipeline
+/// over one shared read-mostly SpatialExtension/Database, fronted by a
+/// server-wide LRU result cache. Each request runs on the thread that
+/// calls Execute, after the per-tenant fair-share governor grants it one
+/// of `num_workers` execution slots — the service's only admission
+/// gate. A cache hit and a pipeline run end the same way: one copy of
+/// the answer into the reply, then ImportVolume and rendering only when
+/// the request asks.
 ///
-///   clients --Submit--> [admission queue] --> worker_0 .. worker_{N-1}
-///                              |                        |
-///                       (reject on full)   shared ResultCache, else the
-///                                          shared QueryPipeline (DBMS)
+///   callers --Execute--> TenantGovernor --slot--> shared ResultCache,
+///                          |  (FIFO per tenant,    else the shared
+///                          |   deadline-bounded)   QueryPipeline (DBMS)
+///                    (reject when the tenant's line is full)
 ///
 /// The extension/database must be fully loaded before the service
-/// starts; workers treat it as read-only.
+/// starts; requests treat it as read-only.
 class QueryService {
  public:
-  QueryService(qbism::SpatialExtension* ext, ServiceOptions options);
+  /// `tenants` are the quotas ServiceRequest::tenant indexes; the
+  /// default is one tenant that may use every slot.
+  QueryService(qbism::SpatialExtension* ext, ServiceOptions options,
+               const std::vector<TenantQuota>& tenants = {TenantQuota{}});
   ~QueryService();
 
   QueryService(const QueryService&) = delete;
   QueryService& operator=(const QueryService&) = delete;
 
-  /// Admits a request or rejects it without blocking:
-  /// ResourceExhausted when the queue is full, Cancelled after
-  /// Shutdown.
-  Result<Ticket> Submit(const ServiceRequest& request);
-
-  /// Convenience: Submit + Wait (the closed-loop client pattern).
+  /// Serves one request on the calling thread: waits for an execution
+  /// slot of request.tenant (FIFO, bounded by the deadline), then probes
+  /// the cache or runs the pipeline while holding it.
+  ///   ResourceExhausted  the tenant's waiting line is full (counted as
+  ///                      quota_rejected)
+  ///   DeadlineExceeded   the deadline passed waiting or mid-query
+  ///   Cancelled          the service shut down before a slot came free
   Result<ServiceReply> Execute(const ServiceRequest& request);
 
   /// Online ingest through the service (requires options.ingest):
@@ -174,8 +158,9 @@ class QueryService {
   /// Counted in metrics().ingests / ingest_failures.
   Status RunIngest(const qbism::med::StudyRecord& record, bool replace);
 
-  /// Stops admissions, fails everything still queued with Cancelled,
-  /// and joins the workers. Idempotent; the destructor calls it.
+  /// Stops admissions, wakes every waiting caller with Cancelled, and
+  /// returns once no caller is inside Execute, so the service may be
+  /// destroyed right after. Idempotent; the destructor calls it.
   void Shutdown();
 
   /// Service counters plus the extraction fast-path counters accrued on
@@ -185,7 +170,7 @@ class QueryService {
 
   /// Front-end rejection accounting: a server sitting in front of the
   /// service (src/server) counts the requests it bounces before they
-  /// reach Submit, so one MetricsSnapshot covers the whole edge.
+  /// reach Execute, so one MetricsSnapshot covers the whole edge.
   void NoteUnauthorized() { metrics_.AddUnauthorized(); }
   void NoteQuotaRejected() { metrics_.AddQuotaRejected(); }
   void NoteSessionExpired() { metrics_.AddSessionExpired(); }
@@ -195,34 +180,36 @@ class QueryService {
   bool CacheContains(const std::string& key) const {
     return cache_.Contains(key);
   }
-  size_t queue_depth() const { return queue_.Size(); }
-  int num_workers() const { return static_cast<int>(workers_.size()); }
+  /// The admission gate: per-tenant accounting, and a handle tests use
+  /// to hold slots.
+  TenantGovernor* governor() { return &governor_; }
 
  private:
-  struct Pending {
-    ServiceRequest request;
-    std::shared_ptr<Ticket::State> state;
-  };
+  struct Call;
 
-  void WorkerLoop(int worker_id);
-  /// Serves `pending`, including the cache probe/fill.
-  Result<ServiceReply> Serve(int worker_id, const Pending& pending);
-  /// Runs the pipeline for `pending` under its deadline/cancel
-  /// checkpoint, re-running it after IOErrors with capped backoff.
-  Result<qbism::PipelineResult> RunWithRetries(const Pending& pending);
-  void Complete(const std::shared_ptr<Ticket::State>& state,
-                Result<ServiceReply> reply);
+  /// Admits `request` and serves it; Execute wraps this in the caller
+  /// count Shutdown waits on.
+  Result<ServiceReply> AdmitAndServe(Call& call, const ServiceRequest& request);
+  /// Serves an admitted request, including the cache probe/fill.
+  Result<ServiceReply> Serve(const Call& call, const ServiceRequest& request,
+                             double queue_wait);
+  /// Runs the pipeline under the request's deadline checkpoint,
+  /// re-running it after IOErrors with capped backoff.
+  Result<qbism::PipelineResult> RunWithRetries(const Call& call,
+                                               const qbism::QuerySpec& spec);
+  void Complete(const Call& call, Result<ServiceReply>* reply);
 
   qbism::SpatialExtension* ext_;
   ServiceOptions options_;
   qbism::QueryPipeline pipeline_;
   ResultCache cache_;
   ServiceMetrics metrics_;
+  TenantGovernor governor_;
   std::unique_ptr<TaskPool> extract_pool_;  // may be null (helpers off)
   qbism::ExtractorStatsSnapshot extractor_baseline_;
-  AdmissionQueue<Pending> queue_;
-  std::vector<std::thread> workers_;
   std::mutex shutdown_mu_;
+  std::condition_variable idle_;
+  int callers_ = 0;         // inside Execute; guarded by shutdown_mu_
   bool shut_down_ = false;  // guarded by shutdown_mu_
   uint64_t ingest_listener_token_ = 0;  // set once in the constructor
 };

@@ -30,7 +30,7 @@ void ResultCache::Put(const std::string& key,
   std::lock_guard<std::mutex> lock(mu_);
   auto it = index_.find(key);
   if (it != index_.end()) {
-    // Refresh: same key recomputed (e.g. two workers raced on a miss).
+    // Refresh: same key recomputed (e.g. two requests raced on a miss).
     bytes_ -= it->second->bytes;
     bytes_ += bytes;
     it->second->value = std::move(value);

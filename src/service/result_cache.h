@@ -25,12 +25,11 @@ struct ResultCacheStats {
 };
 
 /// Server-wide shared LRU result cache: the §5.2 per-DX-executive
-/// result cache promoted to a tier shared by every worker, so one
-/// client's expensive extraction serves later clients regardless of
-/// which worker they land on. Keyed by the canonicalized
-/// QuerySpec::Describe() string; values are immutable DATA_REGIONs
-/// behind shared_ptr, so a hit never copies voxels and an eviction
-/// never invalidates a reply already handed out.
+/// result cache promoted to a tier shared by every request, so one
+/// client's expensive extraction serves every later client. Keyed by
+/// the canonicalized QuerySpec::Describe() string; values are immutable
+/// DATA_REGIONs behind shared_ptr, so a hit never copies voxels and an
+/// eviction never invalidates a reply already handed out.
 ///
 /// Bounded by entry count and by an approximate byte budget (whichever
 /// trips first evicts from the LRU tail). Thread-safe.

@@ -91,7 +91,6 @@ TEST(CodecTest, ResultHeaderRoundTrip) {
   rh.chunk_count = 2;
   rh.chunk_bytes = 65536;
   rh.cache_hit = true;
-  rh.worker_id = 3;
   rh.timing.total_seconds = 1.5;
   rh.timing.lfm_pages = 42;
   rh.timing.network_messages = 7;
@@ -104,7 +103,6 @@ TEST(CodecTest, ResultHeaderRoundTrip) {
   EXPECT_EQ(decoded->payload_bytes, rh.payload_bytes);
   EXPECT_EQ(decoded->chunk_count, rh.chunk_count);
   EXPECT_EQ(decoded->cache_hit, true);
-  EXPECT_EQ(decoded->worker_id, 3);
   EXPECT_EQ(decoded->timing.lfm_pages, 42u);
   EXPECT_EQ(decoded->info_sql, rh.info_sql);
   EXPECT_EQ(decoded->data_sql, rh.data_sql);

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <chrono>
 #include <functional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -201,21 +202,22 @@ TEST_F(ServerTest, SessionQuotaCountsQuotaRejected) {
 
 TEST_F(ServerTest, QuotaBouncesArePenaltyPaced) {
   ServerOptions options = BaseOptions();
-  options.tenants[0].max_inflight = 1;
+  options.service.num_workers = 1;
   options.tenants[0].max_waiting = 1;
   options.quota_penalty_seconds = 0.05;
   QbismServer server(ext_, options);
   ASSERT_TRUE(server.Start().ok());
+  service::TenantGovernor* governor = server.service()->governor();
 
   // Hold the tenant's only slot, then park one query so the waiting
   // line is full: every further query must bounce as quota_rejected.
-  auto held = server.governor()->Admit(0);
+  auto held = governor->Admit(0);
   ASSERT_TRUE(held.ok());
   auto waiter = NetClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(waiter.ok());
   ASSERT_TRUE(waiter->Login("clinic", "clinic-secret").ok());
   std::thread parked([&] { (void)waiter->RunQuery(StructureSpec()); });
-  WaitUntil([&] { return server.governor()->tenant_stats(0).waiting == 1; });
+  WaitUntil([&] { return governor->tenant_stats(0).waiting == 1; });
 
   // A zero-think-time retry loop is paced to ~1/penalty per second:
   // each bounce's reply is delayed by the full penalty.
@@ -236,11 +238,48 @@ TEST_F(ServerTest, QuotaBouncesArePenaltyPaced) {
   EXPECT_GE(server.stats().quota_penalties, static_cast<uint64_t>(kBounces));
   EXPECT_GE(server.stats().quota_penalty_seconds,
             kBounces * options.quota_penalty_seconds);
+  // The service counted each bounce once; nothing else did.
+  EXPECT_EQ(server.metrics().quota_rejected, static_cast<uint64_t>(kBounces));
+  EXPECT_EQ(governor->tenant_stats(0).rejected_quota,
+            static_cast<uint64_t>(kBounces));
 
   // Freeing the slot lets the parked query run to completion.
   held->Release();
   parked.join();
   EXPECT_EQ(server.stats().queries_ok, 1u);
+  server.Shutdown();
+}
+
+TEST_F(ServerTest, DeadlineCoversAdmissionWait) {
+  ServerOptions options = BaseOptions();
+  options.service.num_workers = 1;
+  QbismServer server(ext_, options);
+  ASSERT_TRUE(server.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
+
+  // The tenant's only slot is busy for 600 ms; a query with a 50 ms
+  // deadline must get its error reply long before the slot frees.
+  auto held = server.service()->governor()->Admit(0);
+  ASSERT_TRUE(held.ok());
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    held->Release();
+  });
+  auto start = std::chrono::steady_clock::now();
+  auto outcome = client->RunQuery(StructureSpec(), /*deadline_seconds=*/0.050);
+  double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  releaser.join();
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().IsDeadlineExceeded())
+      << outcome.status().ToString();
+  EXPECT_EQ(client->last_error_reason(), ErrorReason::kQueryFailed);
+  EXPECT_LT(elapsed, 0.400) << "the deadline did not bound the wait";
+  EXPECT_EQ(server.metrics().deadline_expired, 1u);
+  EXPECT_EQ(server.stats().queries_ok, 0u);
   server.Shutdown();
 }
 
@@ -350,7 +389,8 @@ TEST_F(ServerTest, TraceStitchesAcceptToShip) {
   server.Shutdown();
 
   // One trace per wire request: the kRequest root with accept, decode,
-  // admit, the service's kQuery subtree, and ship all under it.
+  // the service's kQuery subtree (admission wait first), and ship all
+  // under it.
   std::vector<obs::SpanRecord> spans = tracer.Spans();
   uint64_t trace_id = 0, request_span = 0;
   for (const auto& span : spans) {
@@ -360,27 +400,25 @@ TEST_F(ServerTest, TraceStitchesAcceptToShip) {
     }
   }
   ASSERT_NE(request_span, 0u);
-  bool saw_accept = false, saw_decode = false, saw_admit = false,
-       saw_query = false, saw_ship = false;
-  uint64_t ship_bytes = 0;
+  std::multiset<obs::Stage> children;
+  uint64_t query_span = 0, ship_bytes = 0;
   for (const auto& span : spans) {
-    if (span.trace_id != trace_id) continue;
-    if (span.parent_id == request_span) {
-      if (span.stage == obs::Stage::kAccept) saw_accept = true;
-      if (span.stage == obs::Stage::kDecode) saw_decode = true;
-      if (span.stage == obs::Stage::kAdmit) saw_admit = true;
-      if (span.stage == obs::Stage::kQuery) saw_query = true;
-      if (span.stage == obs::Stage::kShip) {
-        saw_ship = true;
-        ship_bytes = span.bytes;
-      }
+    if (span.trace_id != trace_id || span.parent_id != request_span) continue;
+    children.insert(span.stage);
+    if (span.stage == obs::Stage::kQuery) query_span = span.span_id;
+    if (span.stage == obs::Stage::kShip) ship_bytes = span.bytes;
+  }
+  EXPECT_EQ(children,
+            (std::multiset<obs::Stage>{obs::Stage::kAccept, obs::Stage::kDecode,
+                                       obs::Stage::kQuery, obs::Stage::kShip}));
+  int queue_spans = 0;
+  for (const auto& span : spans) {
+    if (span.trace_id == trace_id && span.parent_id == query_span &&
+        span.stage == obs::Stage::kQueueWait) {
+      ++queue_spans;
     }
   }
-  EXPECT_TRUE(saw_accept);
-  EXPECT_TRUE(saw_decode);
-  EXPECT_TRUE(saw_admit);
-  EXPECT_TRUE(saw_query);
-  EXPECT_TRUE(saw_ship);
+  EXPECT_EQ(queue_spans, 1);
   // The traced ship span carries exactly the codec's accounting.
   EXPECT_EQ(ship_bytes, outcome->header.payload_bytes);
 }

@@ -2,8 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <functional>
 #include <map>
+#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "med/loader.h"
@@ -60,6 +66,13 @@ SpatialExtension* QueryServiceTest::ext_ = nullptr;
 std::vector<int>* QueryServiceTest::study_ids_ = nullptr;
 std::vector<std::string>* QueryServiceTest::structures_ = nullptr;
 
+void WaitUntil(const std::function<bool()>& pred) {
+  for (int i = 0; i < 5000 && !pred(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(pred());
+}
+
 TEST_F(QueryServiceTest, ConcurrentMixedWorkloadMatchesSerialExecution) {
   auto gen = WorkloadGenerator::Create(ext_, *study_ids_, *structures_,
                                        WorkloadMix{}, /*seed=*/2026);
@@ -77,27 +90,33 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadMatchesSerialExecution) {
     expected.emplace(spec.Describe(), result.MoveValue());
   }
 
+  // Eight caller threads over four slots: half of them wait at any
+  // moment, and each runs its requests on its own thread once admitted.
   QueryService service(ext_, FastOptions(4));
-  std::vector<Ticket> tickets;
-  for (const QuerySpec& spec : specs) {
-    ServiceRequest request;
-    request.spec = spec;
-    auto ticket = service.Submit(request);
-    ASSERT_TRUE(ticket.ok()) << ticket.status().ToString();
-    tickets.push_back(ticket.MoveValue());
+  const size_t kCallers = 8;
+  std::vector<Result<ServiceReply>> replies(specs.size(),
+                                            Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  for (size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&, c] {
+      for (size_t i = c; i < specs.size(); i += kCallers) {
+        ServiceRequest request;
+        request.spec = specs[i];
+        replies[i] = service.Execute(request);
+      }
+    });
   }
-  for (size_t i = 0; i < tickets.size(); ++i) {
-    auto reply = tickets[i].Wait();
+  for (std::thread& caller : callers) caller.join();
+  for (size_t i = 0; i < replies.size(); ++i) {
+    const Result<ServiceReply>& reply = replies[i];
     ASSERT_TRUE(reply.ok()) << specs[i].Describe() << ": "
                             << reply.status().ToString();
     const StudyQueryResult& truth = expected.at(specs[i].Describe());
-    // Bit-identical payload regardless of worker, ordering, or whether
+    // Bit-identical payload regardless of thread, ordering, or whether
     // the shared cache served it.
     EXPECT_EQ(reply->result.data.values(), truth.data.values());
     EXPECT_EQ(reply->result.result_voxels, truth.result_voxels);
     EXPECT_EQ(reply->result.result_runs, truth.result_runs);
-    EXPECT_GE(reply->worker_id, 0);
-    EXPECT_LT(reply->worker_id, 4);
     if (!reply->cache_hit) {
       // A fresh execution must also reproduce the serial I/O footprint.
       EXPECT_EQ(reply->result.timing.lfm_pages, truth.timing.lfm_pages);
@@ -108,9 +127,10 @@ TEST_F(QueryServiceTest, ConcurrentMixedWorkloadMatchesSerialExecution) {
   MetricsSnapshot metrics = service.metrics();
   EXPECT_EQ(metrics.submitted, specs.size());
   EXPECT_EQ(metrics.completed, specs.size());
-  EXPECT_EQ(metrics.rejected_queue_full, 0u);
+  EXPECT_EQ(metrics.quota_rejected, 0u);
   EXPECT_EQ(metrics.cache_hits + metrics.cache_misses, specs.size());
   EXPECT_EQ(metrics.latency.count, specs.size());
+  EXPECT_EQ(service.governor()->tenant_stats(0).admitted, specs.size());
   service.Shutdown();
 }
 
@@ -161,43 +181,47 @@ TEST_F(QueryServiceTest, CacheOffAlwaysExecutes) {
 }
 
 TEST_F(QueryServiceTest, FullQueueRejectsWithResourceExhausted) {
-  // Zero workers: nothing drains, so admission control is deterministic.
-  ServiceOptions options = FastOptions(0);
-  options.queue_capacity = 2;
-  QueryService service(ext_, options);
+  // One slot, one waiting place: with the slot held and one caller in
+  // line, the tenant's waiting line is full.
+  QueryService service(ext_, FastOptions(1),
+                       {TenantQuota{/*weight=*/1.0, /*max_waiting=*/1}});
+  auto held = service.governor()->Admit(0);
+  ASSERT_TRUE(held.ok());
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
+  Status waiter_status;
+  std::thread waiter(
+      [&] { waiter_status = service.Execute(request).status(); });
+  WaitUntil([&] { return service.governor()->tenant_stats(0).waiting == 1; });
 
-  auto first = service.Submit(request);
-  auto second = service.Submit(request);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(service.queue_depth(), 2u);
+  auto bounced = service.Execute(request);
+  ASSERT_FALSE(bounced.ok());
+  EXPECT_TRUE(bounced.status().IsResourceExhausted())
+      << bounced.status().ToString();
+  MetricsSnapshot metrics = service.metrics();
+  EXPECT_EQ(metrics.quota_rejected, 1u);  // counted once, as the quota
+  EXPECT_EQ(metrics.failed, 0u);
+  EXPECT_EQ(service.governor()->tenant_stats(0).rejected_quota, 1u);
 
-  auto third = service.Submit(request);
-  ASSERT_FALSE(third.ok());
-  EXPECT_TRUE(third.status().IsResourceExhausted())
-      << third.status().ToString();
-  EXPECT_EQ(service.metrics().rejected_queue_full, 1u);
-  EXPECT_FALSE(first->Done());
-
-  // Shutdown fails the queued work fast rather than abandoning callers.
+  // Shutdown wakes the waiting caller with Cancelled rather than
+  // abandoning it.
   service.Shutdown();
-  auto reply = first->Wait();
-  EXPECT_TRUE(reply.status().IsCancelled()) << reply.status().ToString();
-  EXPECT_TRUE(second->Wait().status().IsCancelled());
-  EXPECT_EQ(service.metrics().cancelled, 2u);
+  waiter.join();
+  EXPECT_TRUE(waiter_status.IsCancelled()) << waiter_status.ToString();
+  EXPECT_EQ(service.metrics().cancelled, 1u);
+  EXPECT_EQ(service.metrics().completed, 0u);
+  held->Release();
 
-  // And post-shutdown submissions are turned away immediately.
-  EXPECT_TRUE(service.Submit(request).status().IsCancelled());
+  // And post-shutdown calls are turned away immediately.
+  EXPECT_TRUE(service.Execute(request).status().IsCancelled());
 }
 
 TEST_F(QueryServiceTest, ExpiredDeadlineSkipsExecution) {
   QueryService service(ext_, FastOptions(1));
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
-  // A deadline below the clock tick expires at admission time, so the
-  // worker must refuse it at pickup without touching the database.
+  // A deadline below the clock tick has expired by the time the slot is
+  // granted, so the request is refused without touching the database.
   request.deadline_seconds = 1e-12;
   auto reply = service.Execute(request);
   ASSERT_FALSE(reply.ok());
@@ -209,42 +233,111 @@ TEST_F(QueryServiceTest, ExpiredDeadlineSkipsExecution) {
   EXPECT_EQ(metrics.cache_misses, 0u);  // never reached the cache probe
 }
 
-TEST_F(QueryServiceTest, CancelledTicketsAreReportedCancelled) {
+TEST_F(QueryServiceTest, DeadlineCoversAdmissionWait) {
   QueryService service(ext_, FastOptions(1));
-  // A full-study blocker occupies the lone worker while we cancel the
-  // queue behind it.
-  ServiceRequest blocker;
-  blocker.spec.study_id = (*study_ids_)[0];
-  auto blocker_ticket = service.Submit(blocker);
-  ASSERT_TRUE(blocker_ticket.ok());
-
+  auto held = service.governor()->Admit(0);  // the only slot, for 600 ms
+  ASSERT_TRUE(held.ok());
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(600));
+    held->Release();
+  });
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
-  request.spec.intensity_range = {224, 255};
-  std::vector<Ticket> tickets;
-  for (int i = 0; i < 5; ++i) {
-    auto ticket = service.Submit(request);
-    ASSERT_TRUE(ticket.ok());
-    tickets.push_back(ticket.MoveValue());
-  }
-  for (Ticket& ticket : tickets) ticket.Cancel();
-
-  EXPECT_TRUE(blocker_ticket->Wait().ok());
-  uint64_t cancelled = 0;
-  for (Ticket& ticket : tickets) {
-    auto reply = ticket.Wait();
-    if (reply.ok()) continue;  // won the race to a worker before Cancel
-    EXPECT_TRUE(reply.status().IsCancelled()) << reply.status().ToString();
-    ++cancelled;
-  }
-  EXPECT_GE(cancelled, 1u);  // the blocker pinned the worker long enough
+  request.deadline_seconds = 0.050;
+  auto start = std::chrono::steady_clock::now();
+  auto reply = service.Execute(request);
+  double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
+  releaser.join();
+  ASSERT_FALSE(reply.ok());
+  EXPECT_TRUE(reply.status().IsDeadlineExceeded())
+      << reply.status().ToString();
+  EXPECT_GE(elapsed, 0.050);
+  EXPECT_LT(elapsed, 0.400) << "the deadline did not bound the wait";
   MetricsSnapshot metrics = service.metrics();
-  EXPECT_EQ(metrics.cancelled, cancelled);
-  EXPECT_EQ(metrics.completed + metrics.cancelled, 6u);
-  service.Shutdown();
+  EXPECT_EQ(metrics.deadline_expired, 1u);
+  EXPECT_EQ(metrics.cache_misses, 0u);
+  EXPECT_EQ(service.governor()->tenant_stats(0).waiting, 0);
 }
 
-TEST_F(QueryServiceTest, ShutdownIsIdempotentAndTicketsStayValid) {
+TEST_F(QueryServiceTest, InflightNeverExceedsSlotsAcrossTenants) {
+  // Five tenants with one slot each by weight, sharing four slots: the
+  // slot count, not the sum of the caps, bounds the work in flight.
+  ServiceOptions options = FastOptions(4);
+  options.cache_entries = 0;
+  options.io_wait_scale = 1.0 / 200.0;  // keep requests in flight a while
+  QueryService service(ext_, options, std::vector<TenantQuota>(5));
+  TenantGovernor* governor = service.governor();
+  std::atomic<bool> done{false};
+  int peak_inflight = 0;
+  std::thread sampler([&] {
+    while (!done.load()) {
+      int inflight = 0;
+      for (int t = 0; t < 5; ++t) {
+        inflight += governor->tenant_stats(t).inflight;
+      }
+      peak_inflight = std::max(peak_inflight, inflight);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  std::atomic<int> failures{0};
+  std::vector<std::thread> callers;
+  for (int c = 0; c < 10; ++c) {
+    callers.emplace_back([&, c] {
+      for (int i = 0; i < 6; ++i) {
+        ServiceRequest request;
+        request.tenant = c % 5;
+        request.spec.study_id =
+            (*study_ids_)[static_cast<size_t>(c + i) % study_ids_->size()];
+        request.spec.intensity_range = {224, 255};
+        if (!service.Execute(request).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (std::thread& caller : callers) caller.join();
+  done.store(true);
+  sampler.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_LE(peak_inflight, 4);
+  EXPECT_GE(peak_inflight, 2);  // the callers did overlap
+  EXPECT_EQ(service.metrics().completed, 60u);
+}
+
+TEST_F(QueryServiceTest, ShutdownWaitsForEveryCaller) {
+  // One slot: a slow full-study query runs while two callers wait.
+  ServiceOptions options = FastOptions(1);
+  options.cache_entries = 0;
+  options.io_wait_scale = 1.0 / 100.0;
+  auto service = std::make_unique<QueryService>(ext_, options);
+  ServiceRequest slow;
+  slow.spec.study_id = (*study_ids_)[0];
+  Status running_status = Status::Internal("not run");
+  std::vector<Status> waiting_status(2, Status::Internal("not run"));
+  std::vector<std::thread> callers;
+  callers.emplace_back(
+      [&] { running_status = service->Execute(slow).status(); });
+  TenantGovernor* governor = service->governor();
+  WaitUntil([&] { return governor->total_inflight() == 1; });
+  for (int i = 0; i < 2; ++i) {
+    callers.emplace_back(
+        [&, i] { waiting_status[i] = service->Execute(slow).status(); });
+  }
+  WaitUntil([&] { return governor->tenant_stats(0).waiting == 2; });
+
+  service->Shutdown();
+  MetricsSnapshot metrics = service->metrics();
+  service.reset();  // safe: no caller is inside Execute any more
+  for (std::thread& caller : callers) caller.join();
+  EXPECT_TRUE(running_status.ok()) << running_status.ToString();
+  for (const Status& status : waiting_status) {
+    EXPECT_TRUE(status.IsCancelled()) << status.ToString();
+  }
+  EXPECT_EQ(metrics.completed, 1u);
+  EXPECT_EQ(metrics.cancelled, 2u);
+}
+
+TEST_F(QueryServiceTest, ShutdownIsIdempotentAndRefusesLateCallers) {
   QueryService service(ext_, FastOptions(2));
   ServiceRequest request;
   request.spec.study_id = (*study_ids_)[0];
@@ -253,9 +346,10 @@ TEST_F(QueryServiceTest, ShutdownIsIdempotentAndTicketsStayValid) {
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   service.Shutdown();
   service.Shutdown();  // second call is a no-op
-  EXPECT_EQ(service.metrics().completed, 1u);
-  EXPECT_FALSE(Ticket{}.Valid());
-  EXPECT_TRUE(Ticket{}.Wait().status().IsInvalidArgument());
+  EXPECT_TRUE(service.Execute(request).status().IsCancelled());
+  MetricsSnapshot metrics = service.metrics();
+  EXPECT_EQ(metrics.completed, 1u);
+  EXPECT_EQ(metrics.submitted, 2u);
 }
 
 TEST_F(QueryServiceTest, WorkloadGeneratorIsDeterministicAndWellFormed) {
