@@ -1,6 +1,7 @@
 // E22 — cost-based planner + compiled batch execution (DESIGN.md §14):
 // the SQL layer's plan -> compile -> batch-VM pipeline against the
-// tree-walking interpreter it replaced. Three measured sections:
+// tree-walking interpreter it replaced (now the test-support oracle,
+// tests/support/tree_walker.h). Three measured sections:
 //
 //   filter    selective-filter scan throughput (rows/s) on one table,
 //             interpreter vs VM executing the identical statement —
@@ -15,8 +16,9 @@
 //             the plan cache amortizes it across repeated executions
 //             (the query service's hot path).
 //
-// Every timed query is checked for result equality across engines /
-// configurations before its numbers are reported.
+// Every timed query's result fingerprint is checked against the
+// interpreter's (and across configurations) before its numbers are
+// reported.
 //
 // `--smoke` shrinks the tables so `ctest -L perf` exercises every path
 // in seconds. Writes BENCH_sql.json.
@@ -25,18 +27,21 @@
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "common/macros.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "sql/database.h"
+#include "support/tree_walker.h"
 
 using qbism::Rng;
 using qbism::WallTimer;
 using qbism::sql::Database;
-using qbism::sql::ExecEngine;
 using qbism::sql::ResultSet;
+using qbism::sql::TreeWalker;
 using qbism::sql::Value;
 
 namespace {
@@ -92,13 +97,15 @@ void LoadJoinTables(Database* db, int rows, uint64_t seed) {
   }
 }
 
-/// Runs `sql` `iters` times and returns the best wall time (seconds).
-double TimeQuery(Database* db, const std::string& sql, int iters,
+/// Runs `sql` `iters` times on `engine` (the library's Database or the
+/// TreeWalker) and returns the best wall time (seconds).
+template <typename Engine>
+double TimeQuery(Engine* engine, const std::string& sql, int iters,
                  size_t* rows_out) {
   double best = 1e30;
   for (int i = 0; i < iters; ++i) {
     WallTimer timer;
-    auto result = db->Execute(sql);
+    auto result = engine->Execute(sql);
     double t = timer.Seconds();
     QBISM_CHECK(result.ok());
     if (rows_out != nullptr) *rows_out = result->rows.size();
@@ -144,6 +151,7 @@ int main(int argc, char** argv) {
                              std::to_string(filter_rows) + " rows)");
   Database db;
   LoadFilterTable(&db, filter_rows, 42);
+  TreeWalker interpreter(&db);
   // The headline shape: both conjuncts compile to the fused
   // column-vs-constant kernel and only the projected columns are
   // decoded (the interpreter deserializes whole rows, strings and all).
@@ -156,12 +164,10 @@ int main(int argc, char** argv) {
 
   auto time_both = [&](const std::string& sql, const char* label,
                        double* speedup) {
-    db.set_engine(ExecEngine::kTreeWalker);
-    auto interp_result = db.Execute(sql);
+    auto interp_result = interpreter.Execute(sql);
     QBISM_CHECK(interp_result.ok());
     size_t hits = 0;
-    double interp_s = TimeQuery(&db, sql, filter_iters, &hits);
-    db.set_engine(ExecEngine::kVm);
+    double interp_s = TimeQuery(&interpreter, sql, filter_iters, &hits);
     auto vm_result = db.Execute(sql);
     QBISM_CHECK(vm_result.ok());
     QBISM_CHECK(ResultFingerprint(*vm_result) ==
@@ -200,6 +206,10 @@ int main(int argc, char** argv) {
   LoadJoinTables(&db_off, join_rows, 7);
   auto off_result = db_off.Execute(join_sql);
   QBISM_CHECK(off_result.ok());
+  auto join_interp_result = TreeWalker(&db_off).Execute(join_sql);
+  QBISM_CHECK(join_interp_result.ok());
+  QBISM_CHECK(ResultFingerprint(*off_result) ==
+              ResultFingerprint(*join_interp_result));
   double off_s = TimeQuery(&db_off, join_sql, join_iters, nullptr);
 
   Database db_on;
@@ -207,8 +217,8 @@ int main(int argc, char** argv) {
   QBISM_CHECK(db_on.planner_stats()->AnalyzeAll(db_on.catalog()).ok());
   auto on_result = db_on.Execute(join_sql);
   QBISM_CHECK(on_result.ok());
-  QBISM_CHECK(on_result->rows[0][0].ToString() ==
-              off_result->rows[0][0].ToString());
+  QBISM_CHECK(ResultFingerprint(*on_result) ==
+              ResultFingerprint(*off_result));
   double on_s = TimeQuery(&db_on, join_sql, join_iters, nullptr);
 
   std::printf("  %-28s %10.3f ms\n", "FROM order (no statistics)",
@@ -230,17 +240,29 @@ int main(int argc, char** argv) {
       "select grp, count(*), sum(a) from t "
       "where b > 10 and d <> 'w' group by grp";
   WallTimer cold_timer;
-  QBISM_CHECK(db_cache.Execute(cached_sql).ok());  // parse+plan+compile+run
+  auto cold_result = db_cache.Execute(cached_sql);  // parse+plan+compile+run
   double cold_s = cold_timer.Seconds();
+  QBISM_CHECK(cold_result.ok());
+  auto cache_interp_result = TreeWalker(&db_cache).Execute(cached_sql);
+  QBISM_CHECK(cache_interp_result.ok());
+  const uint64_t cache_fingerprint = ResultFingerprint(*cold_result);
+  QBISM_CHECK(cache_fingerprint == ResultFingerprint(*cache_interp_result));
   uint64_t hits_before = db_cache.plan_cache()->hits();
+  std::vector<ResultSet> warm_results;
+  warm_results.reserve(static_cast<size_t>(warm_runs));
   WallTimer warm_timer;
   for (int i = 0; i < warm_runs; ++i) {
-    QBISM_CHECK(db_cache.Execute(cached_sql).ok());
+    auto result = db_cache.Execute(cached_sql);
+    QBISM_CHECK(result.ok());
+    warm_results.push_back(std::move(result).MoveValue());
   }
   double warm_total_s = warm_timer.Seconds();
   double warm_s = warm_total_s / warm_runs;
   QBISM_CHECK(db_cache.plan_cache()->hits() ==
               hits_before + static_cast<uint64_t>(warm_runs));
+  for (const ResultSet& result : warm_results) {
+    QBISM_CHECK(ResultFingerprint(result) == cache_fingerprint);
+  }
   // The one-time parse/plan/compile cost spread over the cached runs.
   double overhead_pct =
       warm_total_s > 0 ? 100.0 * (cold_s - warm_s) / warm_total_s : 0.0;

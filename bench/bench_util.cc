@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <thread>
 #include <utility>
 
 #include "med/phantom.h"
@@ -55,8 +56,41 @@ void PrintHeading(const std::string& title) {
   std::printf("%s\n", std::string(78, '=').c_str());
 }
 
+namespace {
+
+/// First line of `command`'s standard output, or "" when it fails.
+std::string FirstLineOf(const std::string& command) {
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  char buf[256];
+  std::string line;
+  if (std::fgets(buf, sizeof buf, pipe) != nullptr) line = buf;
+  if (::pclose(pipe) != 0) return "";
+  while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
+    line.pop_back();
+  }
+  return line;
+}
+
+std::string SourceGitSha() {
+  const std::string git = "git -C '" QBISM_SOURCE_DIR "' ";
+  std::string sha = FirstLineOf(git + "rev-parse HEAD 2>/dev/null");
+  if (sha.empty()) return "unknown";
+  if (!FirstLineOf(git + "status --porcelain --untracked-files=no "
+                         "2>/dev/null").empty()) {
+    sha += "-dirty";
+  }
+  return sha;
+}
+
+}  // namespace
+
 BenchJson::BenchJson(std::string experiment) {
   AddString("experiment", experiment);
+  AddString("git_sha", SourceGitSha());
+  Add("nproc", static_cast<uint64_t>(std::thread::hardware_concurrency()));
+  AddString("compiler", __VERSION__);
+  AddString("build_type", QBISM_BUILD_TYPE);
 }
 
 void BenchJson::Set(const std::string& key, std::string rendered) {

@@ -31,8 +31,12 @@ void PrintHeading(const std::string& title);
 
 /// Flat JSON result file for a benchmark run ({"experiment": ...,
 /// "metric": number, ...}), so harnesses can diff numbers across
-/// commits without scraping the human-readable tables. Keys are emitted
-/// in insertion order; re-adding a key overwrites its value.
+/// commits without scraping the human-readable tables. Every file opens
+/// with the run header bench_e2e also writes: `git_sha` (HEAD of the
+/// source checkout, suffixed "-dirty" when tracked files differ from
+/// it; "unknown" without git), `nproc`, `compiler` and `build_type`.
+/// Keys are emitted in insertion order; re-adding a key overwrites its
+/// value.
 class BenchJson {
  public:
   explicit BenchJson(std::string experiment);

@@ -93,7 +93,6 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
   }
   out.wire_seconds = timer.Seconds();
   out.shipped_bytes = payload.size();
-  out.modeled_egress_seconds = end.modeled_egress_seconds;
   if (end.payload_bytes != payload.size() || end.chunk_count != out.chunks) {
     return Status::Corruption(
         "result trailer accounting mismatch: trailer says " +

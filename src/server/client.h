@@ -24,7 +24,6 @@ struct QueryOutcome {
   uint32_t chunks = 0;
   /// Client-observed round trip: query frame sent -> kResultEnd read.
   double wire_seconds = 0.0;
-  double modeled_egress_seconds = 0.0;
 };
 
 /// Blocking client for the QBISM socket protocol: dial, Login, then

@@ -180,7 +180,6 @@ std::vector<uint8_t> EncodeResultEnd(const ResultEnd& end) {
   w.PutU64(end.payload_bytes);
   w.PutU32(end.chunk_count);
   w.PutU32(end.payload_crc);
-  w.PutF64(end.modeled_egress_seconds);
   return w.Take();
 }
 
@@ -190,7 +189,6 @@ Result<ResultEnd> DecodeResultEnd(const std::vector<uint8_t>& payload) {
   QBISM_ASSIGN_OR_RETURN(out.payload_bytes, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.chunk_count, r.GetU32());
   QBISM_ASSIGN_OR_RETURN(out.payload_crc, r.GetU32());
-  QBISM_ASSIGN_OR_RETURN(out.modeled_egress_seconds, r.GetF64());
   return out;
 }
 

@@ -60,7 +60,6 @@ struct ResultEnd {
   uint64_t payload_bytes = 0;
   uint32_t chunk_count = 0;
   uint32_t payload_crc = 0;
-  double modeled_egress_seconds = 0.0;  // egress shaper accounting
 };
 
 /// kError payload.

@@ -30,7 +30,7 @@ namespace qbism::server {
 /// is detected before the payload is interpreted. docs/NETWORK.md is
 /// the protocol reference.
 inline constexpr uint32_t kMagic = 0x4D534251u;  // "QBSM"
-inline constexpr uint16_t kProtocolVersion = 2;
+inline constexpr uint16_t kProtocolVersion = 3;
 inline constexpr size_t kHeaderBytes = 36;
 
 /// Hard ceiling a reader enforces on `payload_bytes` before allocating

@@ -390,18 +390,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
                        header.request_id, chunk)
                .ok();
   }
-  double modeled = 0.0;
-  if (options_.shape_egress) {
-    // The paper's §6.1 accounting over the real socket: each chunk is a
-    // data message; one round trip covers request/first-response.
-    net::NetworkCostModel model = options_.egress_model;
-    model.chunk_bytes = chunk_bytes;
-    modeled = model.Charge(total).seconds;
-    double cur = modeled_egress_seconds_.load(std::memory_order_relaxed);
-    while (!modeled_egress_seconds_.compare_exchange_weak(
-        cur, cur + modeled, std::memory_order_relaxed)) {
-    }
-  }
   ship.AddBytes(total);
   if (!sent) {
     ship.SetFailed();
@@ -426,7 +414,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   re.payload_bytes = total;
   re.chunk_count = chunks;
   re.payload_crc = Crc32(*payload);
-  re.modeled_egress_seconds = modeled;
   sent = SendCounted(conn, MessageType::kResultEnd, header.session,
                      header.request_id, EncodeResultEnd(re))
              .ok();
@@ -486,13 +473,15 @@ ServerStats QbismServer::stats() const {
   out.quota_penalties = quota_penalties_.load(std::memory_order_relaxed);
   out.quota_penalty_seconds =
       quota_penalty_seconds_.load(std::memory_order_relaxed);
-  out.modeled_egress_seconds =
-      modeled_egress_seconds_.load(std::memory_order_relaxed);
   return out;
 }
 
 TenantWireStats QbismServer::tenant_stats(int tenant) const {
   TenantWireStats out;
+  // per_tenant_ is built by Start(); until then every index is unknown.
+  if (tenant < 0 || static_cast<size_t>(tenant) >= per_tenant_.size()) {
+    return out;
+  }
   out.name = options_.tenants[static_cast<size_t>(tenant)].name;
   const PerTenant& t = *per_tenant_[static_cast<size_t>(tenant)];
   out.queries_ok = t.queries_ok.load(std::memory_order_relaxed);

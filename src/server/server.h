@@ -10,7 +10,6 @@
 #include <thread>
 #include <vector>
 
-#include "net/channel.h"
 #include "server/auth.h"
 #include "server/codec.h"
 #include "server/socket_io.h"
@@ -48,13 +47,6 @@ struct ServerOptions {
   double quota_penalty_seconds = 0.010;
   std::vector<TenantConfig> tenants;
   service::ServiceOptions service;
-  /// Optional egress accounting with the paper's network cost model:
-  /// every result ship is charged NetworkCostModel::Charge seconds (one
-  /// round trip, each kResultChunk frame a data message), reported in
-  /// kResultEnd and accumulated in stats().modeled_egress_seconds. The
-  /// charge is modeled only; nothing sleeps.
-  bool shape_egress = false;
-  net::NetworkCostModel egress_model;
 };
 
 /// Aggregate server counters (one consistent-enough snapshot).
@@ -78,7 +70,6 @@ struct ServerStats {
   /// charged (connection-thread sleep, not service time).
   uint64_t quota_penalties = 0;
   double quota_penalty_seconds = 0.0;
-  double modeled_egress_seconds = 0.0;
 };
 
 /// Per-tenant wire accounting plus the service governor's admission
@@ -128,6 +119,8 @@ class QbismServer {
   uint16_t port() const { return port_; }
 
   ServerStats stats() const;
+  /// Stats of the tenant at index `tenant` of ServerOptions::tenants;
+  /// zeroed for an index out of range and for any index before Start().
   TenantWireStats tenant_stats(int tenant) const;
   /// Inner service metrics (includes unauthorized / quota_rejected /
   /// session_expired counted at this server's edge).
@@ -195,7 +188,6 @@ class QbismServer {
   std::atomic<uint64_t> queries_failed_{0};
   std::atomic<uint64_t> quota_penalties_{0};
   std::atomic<double> quota_penalty_seconds_{0.0};
-  std::atomic<double> modeled_egress_seconds_{0.0};
 };
 
 }  // namespace qbism::server

@@ -126,9 +126,10 @@ void TenantGovernor::Close() {
 }
 
 TenantAdmissionStats TenantGovernor::tenant_stats(int tenant) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const TenantState& state = tenants_[static_cast<size_t>(tenant)];
   TenantAdmissionStats out;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (tenant < 0 || tenant >= static_cast<int>(tenants_.size())) return out;
+  const TenantState& state = tenants_[static_cast<size_t>(tenant)];
   out.admitted = state.admitted;
   out.rejected_quota = state.rejected_quota;
   out.waited = state.waited;

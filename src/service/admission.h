@@ -97,6 +97,7 @@ class TenantGovernor {
   /// fail; held slots may still be released.
   void Close();
 
+  /// Zeroed for an unknown tenant index.
   TenantAdmissionStats tenant_stats(int tenant) const;
   int slot_cap(int tenant) const {
     return tenants_[static_cast<size_t>(tenant)].slot_cap;

@@ -81,7 +81,6 @@ Result<ResultSet> Database::Execute(const std::string& sql) {
   context.extension_state = extension_state_;
   Executor executor(&catalog_, &udfs_, context);
   ExecOptions options;
-  options.engine = engine_;
   options.stats = &planner_stats_;
   options.plan_cache = &plan_cache_;
   options.cost_hook = udf_cost_hook_ ? &udf_cost_hook_ : nullptr;
@@ -90,12 +89,10 @@ Result<ResultSet> Database::Execute(const std::string& sql) {
   options.index_version = index_version();
   options.sql = sql;
   executor.set_options(std::move(options));
-  if (engine_ == ExecEngine::kVm) {
-    // Plan-cache fast path: a hit skips parse, plan, and compile.
-    std::shared_ptr<const CachedPlan> cached = plan_cache_.Get(
-        sql, catalog_.version(), planner_stats_.version(), index_version());
-    if (cached != nullptr) return executor.ExecuteCompiled(*cached);
-  }
+  // Plan-cache fast path: a hit skips parse, plan, and compile.
+  std::shared_ptr<const CachedPlan> cached = plan_cache_.Get(
+      sql, catalog_.version(), planner_stats_.version(), index_version());
+  if (cached != nullptr) return executor.ExecuteCompiled(*cached);
   QBISM_ASSIGN_OR_RETURN(Statement statement, ParseStatement(sql));
   return executor.Execute(statement);
 }

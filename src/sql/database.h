@@ -105,12 +105,6 @@ class Database {
 
   /// --- Cost-based planning services --------------------------------------
 
-  /// Which engine Execute() uses for SELECT / UPDATE / DELETE. Defaults
-  /// to the batch VM; kTreeWalker re-enables the original interpreter
-  /// (the differential oracle).
-  void set_engine(ExecEngine engine) { engine_ = engine; }
-  ExecEngine engine() const { return engine_; }
-
   /// Optimizer statistics. Populate with stats()->AnalyzeAll(catalog())
   /// (scalar columns) and SpatialExtension::RefreshPlannerStats (region
   /// columns); the planner falls back to defaults when empty.
@@ -182,7 +176,6 @@ class Database {
   Catalog catalog_;
   UdfRegistry udfs_;
   void* extension_state_ = nullptr;
-  ExecEngine engine_ = ExecEngine::kVm;
   planner::PlannerStats planner_stats_;
   PlanCache plan_cache_;
   planner::UdfCostHook udf_cost_hook_;

@@ -14,10 +14,11 @@ namespace qbism::sql {
 
 /// --- Shared scalar semantics --------------------------------------------
 ///
-/// The tree-walking interpreter, the constant folder, and the batch VM
-/// all evaluate scalar operators through these functions, so the two
-/// execution engines cannot drift apart: a comparison, a division by
-/// zero, or a NULL-truthiness error behaves identically everywhere.
+/// The constant folder, the batch VM, and the tree-walking interpreter
+/// the tests hold the VM against (tests/support/tree_walker.h) all
+/// evaluate scalar operators through these functions, so they cannot
+/// drift apart: a comparison, a division by zero, or a NULL-truthiness
+/// error behaves identically everywhere.
 
 /// True when a WHERE result counts as satisfied (non-null, non-zero).
 Result<bool> ValueIsTrue(const Value& value);

@@ -33,21 +33,10 @@ struct ResultSet {
   std::string ToString() const;
 };
 
-/// Which engine runs SELECT / UPDATE / DELETE.
-enum class ExecEngine {
-  /// Cost-based plan compiled to bytecode, run by the batch VM (the
-  /// default).
-  kVm,
-  /// The original row-at-a-time tree-walking interpreter. Kept as the
-  /// differential oracle: it must produce identical results.
-  kTreeWalker,
-};
-
 /// Optional planner / caching services. All pointers are borrowed and
-/// nullable — a bare Executor with default options works exactly like
-/// the pre-planner executor (no statistics, no cache, no cost hook).
+/// nullable — a bare Executor with default options plans without
+/// statistics, caches nothing, and consults no extension hook.
 struct ExecOptions {
-  ExecEngine engine = ExecEngine::kVm;
   const planner::PlannerStats* stats = nullptr;
   PlanCache* plan_cache = nullptr;
   const planner::UdfCostHook* cost_hook = nullptr;
@@ -63,11 +52,11 @@ struct ExecOptions {
 };
 
 /// Statement executor: binds and runs parsed statements against the
-/// catalog. SELECT flows through plan -> compile -> batch VM by
-/// default; the tree-walking interpreter remains available as the
-/// differential oracle (ExecEngine::kTreeWalker). User-defined
-/// functions are dispatched through the registry and may produce
-/// transient spatial objects.
+/// catalog. SELECT flows through plan -> compile -> batch VM; INSERT,
+/// UPDATE and DELETE are compiled to VM programs too, so every
+/// expression is evaluated by the one batch VM. User-defined functions
+/// are dispatched through the registry and may produce transient
+/// spatial objects.
 class Executor {
  public:
   Executor(Catalog* catalog, const UdfRegistry* udfs, UdfContext context)
@@ -83,29 +72,11 @@ class Executor {
   Result<ResultSet> ExecuteCompiled(const CachedPlan& plan);
 
  private:
-  struct BoundTable {
-    std::string alias;
-    const TableSchema* schema = nullptr;
-    std::vector<Row> rows;
-  };
-
-  /// Plan -> compile -> run (or render, for EXPLAIN) on the VM path.
-  Result<ResultSet> ExecuteSelectVm(const SelectStmt& stmt, bool explain);
-  Result<ResultSet> ExecuteMutationVm(const Statement& statement);
-
-  Result<ResultSet> ExecuteSelect(const SelectStmt& stmt);
-  Result<ResultSet> ExecuteInsert(const InsertStmt& stmt);
+  /// Plan -> compile -> run (or render, for EXPLAIN).
+  Result<ResultSet> ExecuteSelect(const SelectStmt& stmt, bool explain);
+  /// INSERT / UPDATE / DELETE: fold constants, compile, run.
+  Result<ResultSet> ExecuteMutation(const Statement& statement);
   Result<ResultSet> ExecuteCreate(const CreateTableStmt& stmt);
-  Result<ResultSet> ExecuteDelete(const DeleteStmt& stmt);
-  Result<ResultSet> ExecuteUpdate(const UpdateStmt& stmt);
-
-  /// Evaluates `expr` against the current row of each bound table.
-  Result<Value> Eval(const Expr& expr, const std::vector<BoundTable>& tables,
-                     const std::vector<size_t>& cursor);
-
-  Result<Value> EvalBinary(const Expr& expr,
-                           const std::vector<BoundTable>& tables,
-                           const std::vector<size_t>& cursor);
 
   Catalog* catalog_;
   const UdfRegistry* udfs_;

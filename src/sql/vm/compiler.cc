@@ -498,4 +498,21 @@ Result<CompiledMutation> Compiler::CompileDelete(const DeleteStmt& stmt) {
   return m;
 }
 
+Result<CompiledInsert> Compiler::CompileInsert(const InsertStmt& stmt) {
+  // An unknown table fails before any value is evaluated.
+  QBISM_RETURN_NOT_OK(catalog_->GetTable(stmt.table).status());
+  CompiledInsert ci;
+  ci.table = stmt.table;
+  const std::vector<Scope> no_scopes;
+  for (const std::vector<ExprPtr>& row : stmt.rows) {
+    std::vector<Program>& values = ci.rows.emplace_back();
+    for (const ExprPtr& expr : row) {
+      ProgramBuilder b(no_scopes, 0, /*single_table=*/false, udfs_);
+      uint16_t r = b.CompileExpr(*expr);
+      values.push_back(b.FinishValue(r));
+    }
+  }
+  return ci;
+}
+
 }  // namespace qbism::sql::vm

@@ -62,6 +62,14 @@ struct CompiledMutation {
   std::vector<char> needed_columns;
 };
 
+/// INSERT lowered row by row: one value program per VALUES expression,
+/// compiled against no table (a column reference compiles to the
+/// "unknown column" error).
+struct CompiledInsert {
+  std::string table;
+  std::vector<std::vector<Program>> rows;
+};
+
 /// Lowers planned statements to register bytecode. Compilation resolves
 /// columns and functions once; anything unresolvable compiles to a
 /// kError instruction instead of failing, so the error surfaces only if
@@ -79,6 +87,8 @@ class Compiler {
 
   Result<CompiledMutation> CompileUpdate(const UpdateStmt& stmt);
   Result<CompiledMutation> CompileDelete(const DeleteStmt& stmt);
+  /// `stmt` must be constant-folded, like the UPDATE/DELETE inputs.
+  Result<CompiledInsert> CompileInsert(const InsertStmt& stmt);
 
  private:
   Catalog* catalog_;

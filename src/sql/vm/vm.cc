@@ -704,4 +704,26 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
   return result;
 }
 
+Result<ResultSet> BatchVM::RunInsert(const CompiledInsert& ci) {
+  QBISM_ASSIGN_OR_RETURN(TableInfo * table, catalog_->GetTable(ci.table));
+  ResultSet result;
+  for (const std::vector<Program>& values : ci.rows) {
+    Row row;
+    row.reserve(values.size());
+    for (const Program& prog : values) {
+      // No table is bound, so every register is uniform and lane 0 is
+      // the only lane.
+      uint16_t sel = 0;
+      size_t sel_size = 1;
+      QBISM_RETURN_NOT_OK(RunProgram(prog, nullptr, nullptr, &sel, &sel_size));
+      row.push_back(regs_[prog.result_reg][0]);
+    }
+    QBISM_ASSIGN_OR_RETURN(storage::RecordId rid,
+                           catalog_->InsertRow(table, row));
+    (void)rid;
+    ++result.rows_affected;
+  }
+  return result;
+}
+
 }  // namespace qbism::sql::vm

@@ -26,7 +26,9 @@ inline constexpr size_t kBatchRows = 1024;
 /// The VM produces byte-identical results to the tree-walking
 /// interpreter for every successful statement, and fails exactly when
 /// the interpreter fails (same status code and message) — the
-/// differential test suite holds the two engines against each other.
+/// differential test suite holds the VM against that interpreter, which
+/// lives outside the library as a test oracle
+/// (tests/support/tree_walker.h).
 /// The one intentional divergence is *which* of several row errors is
 /// reported first: the interpreter surfaces the first failing row, the
 /// VM the first failing instruction across a batch.
@@ -42,6 +44,11 @@ class BatchVM {
   /// Runs a compiled UPDATE or DELETE (single-table scan, collect
   /// matches, then mutate — the interpreter's two-phase shape).
   Result<ResultSet> RunMutation(const CompiledMutation& cm);
+
+  /// Runs a compiled INSERT: each row's values are evaluated (one lane)
+  /// and inserted before the next row is evaluated, so a failing row
+  /// leaves the rows before it inserted.
+  Result<ResultSet> RunInsert(const CompiledInsert& ci);
 
  private:
   struct Level;

@@ -16,11 +16,11 @@
 #include "med/loader.h"
 #include "qbism/parallel_extractor.h"
 #include "med/schema.h"
-#include "qbism/fault_sweep.h"
 #include "qbism/medical_server.h"
 #include "qbism/spatial_extension.h"
 #include "service/query_service.h"
 #include "sql/database.h"
+#include "support/fault_sweep.h"
 
 namespace qbism {
 namespace {

@@ -113,11 +113,13 @@ TEST(CodecTest, ResultEndAndErrorRoundTrip) {
   end.payload_bytes = 1 << 20;
   end.chunk_count = 16;
   end.payload_crc = 0xCAFEF00Du;
-  end.modeled_egress_seconds = 0.25;
-  auto decoded_end = DecodeResultEnd(EncodeResultEnd(end));
+  std::vector<uint8_t> encoded_end = EncodeResultEnd(end);
+  EXPECT_EQ(encoded_end.size(), 16u);  // u64 bytes, u32 chunks, u32 CRC
+  auto decoded_end = DecodeResultEnd(encoded_end);
   ASSERT_TRUE(decoded_end.ok());
+  EXPECT_EQ(decoded_end->payload_bytes, end.payload_bytes);
+  EXPECT_EQ(decoded_end->chunk_count, end.chunk_count);
   EXPECT_EQ(decoded_end->payload_crc, end.payload_crc);
-  EXPECT_EQ(decoded_end->modeled_egress_seconds, 0.25);
 
   ErrorReply error;
   error.code = StatusCode::kResourceExhausted;

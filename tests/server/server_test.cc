@@ -423,19 +423,28 @@ TEST_F(ServerTest, TraceStitchesAcceptToShip) {
   EXPECT_EQ(ship_bytes, outcome->header.payload_bytes);
 }
 
-TEST_F(ServerTest, EgressShapingAccumulatesModeledSeconds) {
-  ServerOptions options = BaseOptions();
-  options.shape_egress = true;
-  options.egress_model.rtt_seconds = 0.001;
-  QbismServer server(ext_, options);
+TEST_F(ServerTest, UnknownTenantStatsAreZeroed) {
+  QbismServer server(ext_, BaseOptions());
+  // Before Start() no tenant's counters exist yet.
+  TenantWireStats before = server.tenant_stats(0);
+  EXPECT_EQ(before.name, "");
+  EXPECT_EQ(before.queries_ok, 0u);
+  EXPECT_EQ(before.latency.count, 0u);
   ASSERT_TRUE(server.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
   ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
-  auto outcome = client->RunQuery(StructureSpec());
-  ASSERT_TRUE(outcome.ok());
-  EXPECT_GT(outcome->modeled_egress_seconds, 0.0);
-  EXPECT_GT(server.stats().modeled_egress_seconds, 0.0);
+  ASSERT_TRUE(client->RunQuery(StructureSpec()).ok());
+  for (int tenant : {-1, 1}) {
+    TenantWireStats stats = server.tenant_stats(tenant);
+    EXPECT_EQ(stats.name, "") << tenant;
+    EXPECT_EQ(stats.queries_ok, 0u) << tenant;
+    EXPECT_EQ(stats.ship_bytes, 0u) << tenant;
+    EXPECT_EQ(stats.admission.admitted, 0u) << tenant;
+  }
+  TenantWireStats known = server.tenant_stats(0);
+  EXPECT_EQ(known.name, "clinic");
+  EXPECT_EQ(known.queries_ok, 1u);
   server.Shutdown();
 }
 

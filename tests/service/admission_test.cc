@@ -85,6 +85,19 @@ TEST(AdmissionTest, UnknownTenantRejected) {
   EXPECT_FALSE(governor.Admit(1).ok());
 }
 
+TEST(AdmissionTest, UnknownTenantStatsAreZeroed) {
+  TenantGovernor governor({Tenant(1.0), Tenant(1.0)}, 2);
+  auto slot = governor.Admit(1);
+  ASSERT_TRUE(slot.ok());
+  for (int tenant : {-1, 2}) {
+    TenantAdmissionStats stats = governor.tenant_stats(tenant);
+    EXPECT_EQ(stats.admitted, 0u) << tenant;
+    EXPECT_EQ(stats.inflight, 0) << tenant;
+    EXPECT_EQ(stats.slot_cap, 0) << tenant;
+  }
+  EXPECT_EQ(governor.tenant_stats(1).admitted, 1u);
+}
+
 TEST(AdmissionTest, SlotReleaseOnDestruction) {
   TenantGovernor governor({Tenant(1.0)}, 1);
   {

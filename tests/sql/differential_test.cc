@@ -1,23 +1,26 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <string>
 #include <vector>
 
+#include "common/macros.h"
 #include "common/rng.h"
 #include "sql/database.h"
+#include "support/tree_walker.h"
 
 namespace qbism::sql {
 namespace {
 
-/// Differential suite for the two SELECT/UPDATE/DELETE engines: every
-/// statement runs on a VM-engine database and on a tree-walker-engine
-/// database loaded identically; results must match row for row. No
-/// statistics are gathered, so the planner keeps FROM order and scan
-/// order and both engines emit rows in the same sequence.
+/// Differential suite for the batch VM against the tree-walking
+/// interpreter (the test-support oracle): every SELECT/INSERT/UPDATE/
+/// DELETE runs through the library on one database and through the
+/// interpreter on a second database loaded identically; results must
+/// match row for row. No statistics are gathered, so the planner keeps
+/// FROM order and scan order and both engines emit rows in the same
+/// sequence.
 class DifferentialTest : public ::testing::Test {
  protected:
-  DifferentialTest() { oracle_.set_engine(ExecEngine::kTreeWalker); }
-
   /// Runs `sql` on both engines and asserts identical outcomes:
   /// ok-ness, error text, columns, rows (in order), rows_affected.
   void ExecBoth(const std::string& sql) {
@@ -104,7 +107,8 @@ class DifferentialTest : public ::testing::Test {
 
   Rng rng_{0x9b15d1ffu};
   Database vm_;
-  Database oracle_;
+  Database oracle_db_;
+  TreeWalker oracle_{&oracle_db_};
 };
 
 TEST_F(DifferentialTest, RandomizedSelects) {
@@ -181,6 +185,77 @@ TEST_F(DifferentialTest, RuntimeErrorsMatchInterpreterText) {
   ExecBoth("select b / (a - a) from t0");
   ExecBoth("select a from t0 where (b / (a - a)) > 0");
   ExecBoth("update t0 set b = b / (a - a) where a >= 0");
+}
+
+/// `plus(a, b)`: the two-argument integer UDF of udf_test.cc.
+Result<Value> Plus(UdfContext&, const std::vector<Value>& args) {
+  if (args.size() != 2) return Status::InvalidArgument("arity");
+  QBISM_ASSIGN_OR_RETURN(int64_t lhs, args[0].AsInt());
+  QBISM_ASSIGN_OR_RETURN(int64_t rhs, args[1].AsInt());
+  return Value::Int(lhs + rhs);
+}
+
+TEST_F(DifferentialTest, InsertValuesMatchInterpreter) {
+  ASSERT_TRUE(vm_.udfs()->Register("plus", Plus).ok());
+  ASSERT_TRUE(oracle_db_.udfs()->Register("plus", Plus).ok());
+  ExecBoth("create table t2 (x int, y double, s string)");
+  const char* kStatements[] = {
+      // Literals, one row and several.
+      "insert into t2 values (1, 2.5, 'a')",
+      "insert into t2 values (2, 3.5, 'b'), (3, 4.5, 'c')",
+      // Arithmetic, folded and not.
+      "insert into t2 values (2 + 3 * 4, 7 / 2.0, 'arith')",
+      "insert into t2 values (-(4 - 9), (1 + 1) * 1.5, 'neg')",
+      "insert into t2 values ((1 < 2) + (3 = 3), 0.5 * -4, 'cmp')",
+      // A UDF, nested and mixed with arithmetic; a UDF error.
+      "insert into t2 values (plus(40, 2), 0.5, 'udf')",
+      "insert into t2 values (plus(1, plus(2, 3)) * 2, 1.0, 'nested')",
+      "insert into t2 values (plus(1), 1.0, 'arity')",
+      // Errors: unknown function, column reference, division by zero,
+      // a value that does not match its column, an unknown table.
+      "insert into t2 values (nosuchfn(1), 1.0, 'fn')",
+      "insert into t2 values (nosuchfn(1 / 0), 1.0, 'fn-first')",
+      "insert into t2 values (x, 1.0, 'col')",
+      "insert into t2 values (t2.x + 1, 1.0, 'qualified')",
+      "insert into t2 values (1 / 0, 1.0, 'div')",
+      "insert into t2 values ((1 / 0) + nosuchfn(2), 1.0, 'div-first')",
+      "insert into t2 values ('text', 1.0, 'type')",
+      "insert into nosuchtable values (1)",
+      // The second row fails: the first stays inserted, the third
+      // never runs.
+      "insert into t2 values (5, 5.5, 'kept'), (1 / 0, 6.5, 'bad'), "
+      "(7, 7.5, 'never')",
+      "insert into t2 values (plus(4, 4), 8.5, 'kept'), (y, 9.5, 'bad')",
+  };
+  for (const char* sql : kStatements) {
+    ExecBoth(sql);
+    ExecBoth("select * from t2");
+  }
+  // Eight rows from the statements that succeed, plus the first row of
+  // each multi-row statement that fails on its second.
+  auto count = vm_.Execute("select count(*) from t2");
+  ASSERT_TRUE(count.ok());
+  EXPECT_EQ(count->rows[0][0].ToString(), "10");
+
+  // Random literal-only integer expressions; divisors may be zero, so
+  // some rows fail part-way through a multi-row statement.
+  ExecBoth("create table t3 (x int)");
+  std::function<std::string(int)> value = [&](int depth) -> std::string {
+    static const char* kOps[] = {" + ", " - ", " * ", " / "};
+    if (depth == 0 || rng_.NextBounded(3) == 0) {
+      return std::to_string(rng_.NextBounded(7));
+    }
+    return "(" + value(depth - 1) + kOps[rng_.NextBounded(4)] +
+           value(depth - 1) + ")";
+  };
+  for (int i = 0; i < 60; ++i) {
+    std::string sql = "insert into t3 values (" + value(3) + ")";
+    for (uint64_t r = rng_.NextBounded(3); r > 0; --r) {
+      sql += ", (" + value(3) + ")";
+    }
+    ExecBoth(sql);
+  }
+  ExecBoth("select * from t3");
 }
 
 }  // namespace

@@ -16,6 +16,11 @@ directory). Verifies, over every tracked markdown file:
 5. Every `ctest -L <label>` recipe quoted in the docs names a label
    actually attached to a test in tests/CMakeLists.txt or
    bench/CMakeLists.txt.
+6. Every backticked repo path with a file extension under src/,
+   tests/, bench/, tools/, examples/ or docs/ (an optional `:line`
+   suffix and `{a,b}` alternatives allowed) names an existing file, in
+   README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md. ROADMAP.md and
+   CHANGES.md are exempt: they name planned and deleted files.
 
 Exits non-zero with one line per problem.
 """
@@ -53,6 +58,22 @@ CTEST_LABEL_RE = re.compile(r"ctest\s+(?:--test-dir\s+\S+\s+)?-L\s+`?([\w-]+)")
 # LABELS "a;b"), and the free-form preset notes don't define labels —
 # only the first two forms do.
 CMAKE_LABELS_RE = re.compile(r"LABELS\s+((?:\"[^\"]*\"|[\w-]+)(?:\s+[\w-]+)*)")
+CODE_SPAN_RE = re.compile(r"`([^`\n]+)`")
+REPO_PATH_RE = re.compile(
+    r"^((?:src|tests|bench|tools|examples|docs)/[\w./{},-]*\.[\w{},]+)"
+    r"(?::[\d,-]+)?$")
+PATH_CHECKED_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+
+
+def expand_braces(path):
+    """`src/a.{h,cc}` -> [`src/a.h`, `src/a.cc`], one group at a time."""
+    match = re.search(r"\{([^{}]*)\}", path)
+    if not match:
+        return [path]
+    out = []
+    for alt in match.group(1).split(","):
+        out += expand_braces(path[:match.start()] + alt + path[match.end():])
+    return out
 
 
 def main() -> int:
@@ -114,6 +135,20 @@ def main() -> int:
                     f"{rel}: `ctest -L {label}`, but no test in the build "
                     f"carries the label '{label}'"
                 )
+
+        # 6. Backticked repo paths name files that exist.
+        if rel in PATH_CHECKED_FILES or rel.startswith("docs/"):
+            for lineno, line in enumerate(text.splitlines(), 1):
+                for span in CODE_SPAN_RE.findall(line):
+                    for token in span.split():
+                        match = REPO_PATH_RE.match(token)
+                        if not match:
+                            continue
+                        for path in expand_braces(match.group(1)):
+                            if not (ROOT / path).exists():
+                                problems.append(
+                                    f"{rel}:{lineno}: `{token}` names a "
+                                    f"file that does not exist")
 
         # 3. Experiment ids resolve in both the index and EXPERIMENTS.md.
         for num in set(EXPERIMENT_REF_RE.findall(text)):
