@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <functional>
@@ -77,54 +76,6 @@ TraceContext& CurrentTraceContext() {
   return ctx;
 }
 
-StageSummary StageHistogram::Summarize(Stage stage) const {
-  StageSummary out;
-  out.stage = stage;
-  out.count = count_.load(std::memory_order_relaxed);
-  out.total_seconds =
-      static_cast<double>(total_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  out.max_seconds =
-      static_cast<double>(max_nanos_.load(std::memory_order_relaxed)) * 1e-9;
-  out.pages = pages_.load(std::memory_order_relaxed);
-  out.bytes = bytes_.load(std::memory_order_relaxed);
-  if (out.count == 0) return out;
-
-  uint64_t counts[kBuckets];
-  uint64_t total = 0;
-  for (int i = 0; i < kBuckets; ++i) {
-    counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    total += counts[i];
-  }
-  // Percentile: walk the cumulative histogram; report the geometric
-  // midpoint of the bucket the rank lands in (within 41% of the true
-  // value by construction of power-of-two buckets).
-  auto percentile = [&](double p) -> double {
-    uint64_t rank = static_cast<uint64_t>(
-        p * static_cast<double>(total > 0 ? total - 1 : 0));
-    uint64_t seen = 0;
-    for (int i = 0; i < kBuckets; ++i) {
-      seen += counts[i];
-      if (seen > rank) {
-        return std::ldexp(1.0, i) * 1.4142135623730951 * 1e-9;
-      }
-    }
-    return out.max_seconds;
-  };
-  out.p50 = std::min(percentile(0.50), out.max_seconds);
-  out.p95 = std::min(percentile(0.95), out.max_seconds);
-  out.p99 = std::min(percentile(0.99), out.max_seconds);
-  return out;
-}
-
-void StageHistogram::Reset() {
-  count_.store(0, std::memory_order_relaxed);
-  total_nanos_.store(0, std::memory_order_relaxed);
-  max_nanos_.store(0, std::memory_order_relaxed);
-  pages_.store(0, std::memory_order_relaxed);
-  bytes_.store(0, std::memory_order_relaxed);
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-}
-
 Tracer::Tracer(TracerOptions options)
     : options_(options),
       enabled_(options.enabled),
@@ -136,10 +87,14 @@ Tracer::Tracer(TracerOptions options)
 double Tracer::NowSeconds() const { return SteadySeconds() - epoch_seconds_; }
 
 void Tracer::Record(const SpanRecord& record) {
-  auto& hist = histograms_[static_cast<int>(record.stage)];
-  hist.Record(static_cast<uint64_t>(
-      std::max(0.0, record.duration_seconds) * 1e9));
-  hist.AddPayload(record.pages, record.bytes);
+  StageSlot& stage = stages_[static_cast<int>(record.stage)];
+  stage.latency.RecordSeconds(record.duration_seconds);
+  if (record.pages) {
+    stage.pages.fetch_add(record.pages, std::memory_order_relaxed);
+  }
+  if (record.bytes) {
+    stage.bytes.fetch_add(record.bytes, std::memory_order_relaxed);
+  }
   recorded_.fetch_add(1, std::memory_order_relaxed);
 
   uint64_t idx = next_slot_.fetch_add(1, std::memory_order_relaxed);
@@ -155,8 +110,20 @@ void Tracer::Record(const SpanRecord& record) {
 std::vector<StageSummary> Tracer::StageSummaries() const {
   std::vector<StageSummary> out;
   for (int i = 0; i < kNumStages; ++i) {
-    if (histograms_[i].count() == 0) continue;
-    out.push_back(histograms_[i].Summarize(static_cast<Stage>(i)));
+    const StageSlot& slot = stages_[i];
+    if (slot.latency.count() == 0) continue;
+    Histogram::Summary h = slot.latency.Summarize();
+    StageSummary s;
+    s.stage = static_cast<Stage>(i);
+    s.count = h.count;
+    s.total_seconds = static_cast<double>(h.total_nanos) * 1e-9;
+    s.p50 = h.p50_nanos * 1e-9;
+    s.p95 = h.p95_nanos * 1e-9;
+    s.p99 = h.p99_nanos * 1e-9;
+    s.max_seconds = static_cast<double>(h.max_nanos) * 1e-9;
+    s.pages = slot.pages.load(std::memory_order_relaxed);
+    s.bytes = slot.bytes.load(std::memory_order_relaxed);
+    out.push_back(s);
   }
   return out;
 }
@@ -171,7 +138,11 @@ void Tracer::Reset() {
   next_slot_.store(0, std::memory_order_relaxed);
   recorded_.store(0, std::memory_order_relaxed);
   dropped_.store(0, std::memory_order_relaxed);
-  for (auto& h : histograms_) h.Reset();
+  for (StageSlot& s : stages_) {
+    s.latency.Reset();
+    s.pages.store(0, std::memory_order_relaxed);
+    s.bytes.store(0, std::memory_order_relaxed);
+  }
 }
 
 std::vector<SpanRecord> Tracer::Spans() const {

@@ -2,7 +2,6 @@
 #define QBISM_OBS_TRACE_H_
 
 #include <atomic>
-#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -10,6 +9,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "obs/histogram.h"
 
 namespace qbism::obs {
 
@@ -102,8 +102,8 @@ struct SpanRecord {
   char label[16] = {0};  // optional short tag ("full", "retry2", ...)
 };
 
-/// Aggregated view of one stage's histogram (percentiles are estimated
-/// from power-of-two latency buckets; count/total/max are exact).
+/// Aggregated view of one stage's histogram (count/total/max are exact;
+/// percentiles are within 1/32, see obs::Histogram).
 struct StageSummary {
   Stage stage = Stage::kQuery;
   uint64_t count = 0;
@@ -121,51 +121,6 @@ struct TracerOptions {
   /// stage histograms but their records are dropped (counted).
   size_t span_capacity = 1 << 16;
   bool enabled = true;
-};
-
-/// Lock-free per-stage latency histogram: power-of-two nanosecond
-/// buckets (bucket i holds durations in [2^i, 2^{i+1}) ns) plus exact
-/// count / total / max, all relaxed atomics — recording from many
-/// threads never takes a lock.
-class StageHistogram {
- public:
-  static constexpr int kBuckets = 48;  // 2^48 ns ~ 78 hours
-
-  void Record(uint64_t nanos) {
-    count_.fetch_add(1, std::memory_order_relaxed);
-    total_nanos_.fetch_add(nanos, std::memory_order_relaxed);
-    buckets_[BucketOf(nanos)].fetch_add(1, std::memory_order_relaxed);
-    uint64_t prev = max_nanos_.load(std::memory_order_relaxed);
-    while (nanos > prev && !max_nanos_.compare_exchange_weak(
-                               prev, nanos, std::memory_order_relaxed)) {
-    }
-  }
-
-  void AddPayload(uint64_t pages, uint64_t bytes) {
-    if (pages) pages_.fetch_add(pages, std::memory_order_relaxed);
-    if (bytes) bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  }
-
-  uint64_t count() const { return count_.load(std::memory_order_relaxed); }
-
-  /// Aggregates the buckets into a summary for `stage`.
-  StageSummary Summarize(Stage stage) const;
-
-  /// Not thread-safe against concurrent Record; quiesce first.
-  void Reset();
-
-  static int BucketOf(uint64_t nanos) {
-    int b = nanos == 0 ? 0 : 63 - std::countl_zero(nanos);
-    return b >= kBuckets ? kBuckets - 1 : b;
-  }
-
- private:
-  std::atomic<uint64_t> count_{0};
-  std::atomic<uint64_t> total_nanos_{0};
-  std::atomic<uint64_t> max_nanos_{0};
-  std::atomic<uint64_t> pages_{0};
-  std::atomic<uint64_t> bytes_{0};
-  std::atomic<uint64_t> buckets_[kBuckets] = {};
 };
 
 /// The tracing sink: hands out trace/span ids, stores finished spans in
@@ -246,6 +201,13 @@ class Tracer {
     SpanRecord record;
   };
 
+  /// Per-stage aggregates: every span feeds these, buffered or not.
+  struct StageSlot {
+    Histogram latency;
+    std::atomic<uint64_t> pages{0};
+    std::atomic<uint64_t> bytes{0};
+  };
+
   TracerOptions options_;
   std::atomic<bool> enabled_;
   std::atomic<uint64_t> next_trace_{1};
@@ -254,7 +216,7 @@ class Tracer {
   std::atomic<uint64_t> recorded_{0};
   std::atomic<uint64_t> dropped_{0};
   std::unique_ptr<Slot[]> slots_;
-  StageHistogram histograms_[kNumStages];
+  StageSlot stages_[kNumStages];
   double epoch_seconds_ = 0.0;  // steady-clock seconds at construction
 };
 

@@ -20,6 +20,12 @@ using storage::ReadPlan;
 
 namespace {
 
+/// Upper bound on the number of shard tasks per extraction.
+constexpr size_t kMaxShards = 16;
+/// Upper bound on pool helpers donated to one extraction (the pool's
+/// fair-share policy may grant fewer under load).
+constexpr int kMaxHelpers = 8;
+
 std::function<Status()>& ThreadInterruptSlot() {
   static thread_local std::function<Status()> slot;
   return slot;
@@ -227,9 +233,8 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
   size_t num_shards = 1;
   if (pool != nullptr && pool->num_threads() > 0 && plan.pages_read > 0 &&
       plan.pages_read >= options_.min_parallel_pages) {
-    num_shards = std::min(
-        static_cast<size_t>(std::max(1, options_.max_shards)),
-        static_cast<size_t>(pool->num_threads()) + 1);
+    num_shards = std::min(kMaxShards,
+                          static_cast<size_t>(pool->num_threads()) + 1);
   }
 
   // The shard unit list: the plan's extents, with any extent larger than
@@ -297,7 +302,7 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
       }
     }
     num_tasks = tasks.size();
-    status = pool->RunBatch(std::move(tasks), options_.max_helpers);
+    status = pool->RunBatch(std::move(tasks), kMaxHelpers);
   }
 
   // Re-attribute helper I/O to this (query-owning) thread so the

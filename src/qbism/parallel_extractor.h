@@ -22,11 +22,6 @@ struct ExtractOptions {
   /// Plans moving fewer pages than this run inline on the caller —
   /// sharding a tiny read costs more in coordination than it saves.
   uint64_t min_parallel_pages = 64;
-  /// Upper bound on the number of shard tasks per extraction.
-  int max_shards = 16;
-  /// Upper bound on pool helpers donated to one extraction (the pool's
-  /// fair-share policy may grant fewer under load).
-  int max_helpers = 8;
   /// Per-shard IOError retries. Default off: the query service owns
   /// transient-fault recovery (whole-query retries), and the fault
   /// sweep asserts that the bare extraction path surfaces every injected

@@ -149,10 +149,7 @@ void QbismServer::PenalizeQuota() {
   if (penalty <= 0.0 || stopping_.load(std::memory_order_relaxed)) return;
   std::this_thread::sleep_for(std::chrono::duration<double>(penalty));
   quota_penalties_.fetch_add(1, std::memory_order_relaxed);
-  double cur = quota_penalty_seconds_.load(std::memory_order_relaxed);
-  while (!quota_penalty_seconds_.compare_exchange_weak(
-      cur, cur + penalty, std::memory_order_relaxed)) {
-  }
+  quota_penalty_seconds_.fetch_add(penalty, std::memory_order_relaxed);
 }
 
 bool QbismServer::SendError(Connection* conn, uint64_t request_id,
@@ -408,7 +405,7 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   tstats->ship_bytes.fetch_add(total, std::memory_order_relaxed);
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
   tstats->queries_ok.fetch_add(1, std::memory_order_relaxed);
-  tstats->latency.Record(read_seconds + request_timer.Seconds());
+  tstats->latency.RecordSeconds(read_seconds + request_timer.Seconds());
 
   ResultEnd re;
   re.payload_bytes = total;
@@ -487,7 +484,7 @@ TenantWireStats QbismServer::tenant_stats(int tenant) const {
   out.queries_ok = t.queries_ok.load(std::memory_order_relaxed);
   out.queries_failed = t.queries_failed.load(std::memory_order_relaxed);
   out.ship_bytes = t.ship_bytes.load(std::memory_order_relaxed);
-  out.latency = t.latency.Summarize();
+  out.latency = service::SummarizeLatency(t.latency.Summarize());
   if (service_ != nullptr) {
     out.admission = service_->governor()->tenant_stats(tenant);
   }
@@ -495,6 +492,8 @@ TenantWireStats QbismServer::tenant_stats(int tenant) const {
 }
 
 service::MetricsSnapshot QbismServer::metrics() const {
+  // service_ is built by Start(); until then nothing has been counted.
+  if (service_ == nullptr) return {};
   return service_->metrics();
 }
 

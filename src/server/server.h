@@ -10,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "obs/histogram.h"
 #include "server/auth.h"
 #include "server/codec.h"
 #include "server/socket_io.h"
@@ -123,7 +124,8 @@ class QbismServer {
   /// zeroed for an index out of range and for any index before Start().
   TenantWireStats tenant_stats(int tenant) const;
   /// Inner service metrics (includes unauthorized / quota_rejected /
-  /// session_expired counted at this server's edge).
+  /// session_expired counted at this server's edge); zeroed before
+  /// Start().
   service::MetricsSnapshot metrics() const;
 
   service::QueryService* service() { return service_.get(); }
@@ -140,7 +142,7 @@ class QbismServer {
     std::atomic<uint64_t> queries_ok{0};
     std::atomic<uint64_t> queries_failed{0};
     std::atomic<uint64_t> ship_bytes{0};
-    service::LatencyRecorder latency;
+    obs::Histogram latency;
   };
 
   void AcceptLoop();

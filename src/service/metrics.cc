@@ -1,40 +1,20 @@
 #include "service/metrics.h"
 
-#include <algorithm>
 #include <cstdio>
 
 namespace qbism::service {
 
-namespace {
-
-double Percentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  double rank = p * static_cast<double>(sorted.size() - 1);
-  size_t lo = static_cast<size_t>(rank);
-  size_t hi = std::min(lo + 1, sorted.size() - 1);
-  double frac = rank - static_cast<double>(lo);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * frac;
-}
-
-}  // namespace
-
-LatencySummary LatencyRecorder::Summarize() const {
+LatencySummary SummarizeLatency(const obs::Histogram::Summary& h) {
   LatencySummary out;
-  std::vector<double> sorted;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    sorted = samples_;
-    out.count = count_;
-    out.max = max_;
-    out.mean = count_ > 0 ? sum_ / static_cast<double>(count_) : 0.0;
+  out.count = h.count;
+  if (h.count > 0) {
+    out.mean = static_cast<double>(h.total_nanos) * 1e-9 /
+               static_cast<double>(h.count);
   }
-  if (sorted.empty()) return out;
-  // Percentiles are estimated from the reservoir (exact until the
-  // recorder overflows its capacity); count/mean/max are always exact.
-  std::sort(sorted.begin(), sorted.end());
-  out.p50 = Percentile(sorted, 0.50);
-  out.p95 = Percentile(sorted, 0.95);
-  out.p99 = Percentile(sorted, 0.99);
+  out.p50 = h.p50_nanos * 1e-9;
+  out.p95 = h.p95_nanos * 1e-9;
+  out.p99 = h.p99_nanos * 1e-9;
+  out.max = static_cast<double>(h.max_nanos) * 1e-9;
   return out;
 }
 
@@ -58,9 +38,10 @@ MetricsSnapshot ServiceMetrics::Snapshot() const {
       cache_invalidations_.load(std::memory_order_relaxed);
   out.lfm_pages = lfm_pages_.load(std::memory_order_relaxed);
   out.network_seconds = network_seconds_.load(std::memory_order_relaxed);
-  out.queue_wait_seconds = queue_wait_seconds_.load(std::memory_order_relaxed);
-  out.latency = latency_.Summarize();
-  out.queue_wait = queue_wait_.Summarize();
+  out.latency = SummarizeLatency(latency_.Summarize());
+  obs::Histogram::Summary queue_wait = queue_wait_.Summarize();
+  out.queue_wait_seconds = static_cast<double>(queue_wait.total_nanos) * 1e-9;
+  out.queue_wait = SummarizeLatency(queue_wait);
   return out;
 }
 

@@ -3,16 +3,17 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
-#include "common/rng.h"
+#include "obs/histogram.h"
 #include "obs/trace.h"
 
 namespace qbism::service {
 
-/// Latency percentiles over a set of recorded samples (seconds).
+/// Latency percentiles over a set of recorded samples (seconds):
+/// count, mean and max are exact, percentiles within 1/32 (see
+/// obs::Histogram).
 struct LatencySummary {
   uint64_t count = 0;
   double mean = 0.0;
@@ -22,62 +23,8 @@ struct LatencySummary {
   double max = 0.0;
 };
 
-/// Thread-safe recorder for per-request latencies. Count, mean, and max
-/// are exact over every sample; percentiles come from a bounded
-/// reservoir (Vitter's Algorithm R), so a long-lived service records
-/// forever in O(capacity) memory instead of growing a sample vector
-/// without bound.
-class LatencyRecorder {
- public:
-  static constexpr size_t kDefaultCapacity = 4096;
-
-  explicit LatencyRecorder(size_t capacity = kDefaultCapacity)
-      : capacity_(capacity > 0 ? capacity : 1), rng_(0x9e3779b97f4a7c15ull) {
-    samples_.reserve(capacity_);
-  }
-
-  void Record(double seconds) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++count_;
-    sum_ += seconds;
-    if (seconds > max_) max_ = seconds;
-    if (samples_.size() < capacity_) {
-      samples_.push_back(seconds);
-    } else {
-      // Keep each of the `count_` samples seen so far in the reservoir
-      // with equal probability capacity_ / count_.
-      uint64_t slot = rng_.NextBounded(count_);
-      if (slot < capacity_) samples_[slot] = seconds;
-    }
-  }
-
-  LatencySummary Summarize() const;
-
-  size_t capacity() const { return capacity_; }
-
-  /// Samples currently held (never exceeds capacity()).
-  size_t reservoir_size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return samples_.size();
-  }
-
-  void Reset() {
-    std::lock_guard<std::mutex> lock(mu_);
-    samples_.clear();
-    count_ = 0;
-    sum_ = 0.0;
-    max_ = 0.0;
-  }
-
- private:
-  const size_t capacity_;
-  mutable std::mutex mu_;
-  std::vector<double> samples_;  // reservoir; guarded by mu_
-  uint64_t count_ = 0;           // guarded by mu_
-  double sum_ = 0.0;             // guarded by mu_
-  double max_ = 0.0;             // guarded by mu_
-  Rng rng_;                      // guarded by mu_
-};
+/// A latency histogram's summary in seconds.
+LatencySummary SummarizeLatency(const obs::Histogram::Summary& histogram);
 
 /// Point-in-time copy of the service counters, safe to read and print.
 struct MetricsSnapshot {
@@ -126,9 +73,7 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// Shared service-wide counters, aggregated across callers via atomics;
-/// doubles totaled via compare-exchange loops (no double fetch_add until
-/// C++20 libstdc++ catches up everywhere).
+/// Shared service-wide counters, aggregated across callers via atomics.
 class ServiceMetrics {
  public:
   void AddSubmitted() { submitted_.fetch_add(1, std::memory_order_relaxed); }
@@ -163,24 +108,16 @@ class ServiceMetrics {
   void AddLfmPages(uint64_t pages) {
     lfm_pages_.fetch_add(pages, std::memory_order_relaxed);
   }
-  void AddNetworkSeconds(double s) { AddDouble(network_seconds_, s); }
-
-  void RecordLatency(double seconds) { latency_.Record(seconds); }
-  void RecordQueueWait(double seconds) {
-    AddDouble(queue_wait_seconds_, seconds);
-    queue_wait_.Record(seconds);
+  void AddNetworkSeconds(double s) {
+    network_seconds_.fetch_add(s, std::memory_order_relaxed);
   }
+
+  void RecordLatency(double seconds) { latency_.RecordSeconds(seconds); }
+  void RecordQueueWait(double seconds) { queue_wait_.RecordSeconds(seconds); }
 
   MetricsSnapshot Snapshot() const;
 
  private:
-  static void AddDouble(std::atomic<double>& target, double delta) {
-    double cur = target.load(std::memory_order_relaxed);
-    while (!target.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-
   std::atomic<uint64_t> submitted_{0};
   std::atomic<uint64_t> deadline_expired_{0};
   std::atomic<uint64_t> cancelled_{0};
@@ -198,9 +135,8 @@ class ServiceMetrics {
   std::atomic<uint64_t> cache_invalidations_{0};
   std::atomic<uint64_t> lfm_pages_{0};
   std::atomic<double> network_seconds_{0.0};
-  std::atomic<double> queue_wait_seconds_{0.0};
-  LatencyRecorder latency_;
-  LatencyRecorder queue_wait_;
+  obs::Histogram latency_;
+  obs::Histogram queue_wait_;
 };
 
 }  // namespace qbism::service

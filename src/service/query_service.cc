@@ -56,13 +56,11 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
           size_t dropped = cache_.InvalidatePrefix(
               "study " + std::to_string(study_id) + " ");
           metrics_.AddCacheInvalidations(dropped);
-          if (options_.refresh_planner_stats_on_commit) {
-            // Re-analyze so the optimizer sees the new study's region
-            // distribution; the version bump retires stale cached
-            // plans. A failed refresh just leaves the old stats in
-            // place — planning degrades gracefully to them.
-            (void)ext_->RefreshPlannerStats();
-          }
+          // Re-analyze so the optimizer sees the new study's region
+          // distribution; the version bump retires stale cached plans.
+          // A failed refresh just leaves the old stats in place —
+          // planning degrades gracefully to them.
+          (void)ext_->RefreshPlannerStats();
         });
   }
 }

@@ -106,12 +106,6 @@ struct ServiceOptions {
   /// visibility, routes RunIngest through it, and invalidates the
   /// shared result cache per study at every ingest commit.
   qbism::IngestManager* ingest = nullptr;
-  /// Refresh the cost-based planner's statistics (scalar + region
-  /// histograms + power-law fits) after every committed ingest, so the
-  /// optimizer tracks the data the moment it becomes visible. The
-  /// refresh also bumps the stats version, invalidating cached plans
-  /// built against the old distribution. Requires `ingest`.
-  bool refresh_planner_stats_on_commit = true;
   net::NetworkCostModel net_model;
   qbism::ServerCostModel cost_model;
 };

@@ -1,6 +1,6 @@
-// Unit tests for the span-based tracing layer: histogram bucketing,
-// span lifecycle and nesting, the disabled fast path, drop-at-capacity,
-// and the structured export formats.
+// Unit tests for the span-based tracing layer: span lifecycle and
+// nesting, the disabled fast path, drop-at-capacity, and the
+// structured export formats.
 
 #include "obs/trace.h"
 
@@ -12,34 +12,6 @@
 
 namespace qbism::obs {
 namespace {
-
-TEST(StageHistogramTest, BucketOfPowersOfTwo) {
-  EXPECT_EQ(StageHistogram::BucketOf(0), 0);
-  EXPECT_EQ(StageHistogram::BucketOf(1), 0);
-  EXPECT_EQ(StageHistogram::BucketOf(2), 1);
-  EXPECT_EQ(StageHistogram::BucketOf(3), 1);
-  EXPECT_EQ(StageHistogram::BucketOf(4), 2);
-  EXPECT_EQ(StageHistogram::BucketOf(1023), 9);
-  EXPECT_EQ(StageHistogram::BucketOf(1024), 10);
-  // Far beyond the top bucket clamps instead of indexing out of range.
-  EXPECT_EQ(StageHistogram::BucketOf(~0ull), StageHistogram::kBuckets - 1);
-}
-
-TEST(StageHistogramTest, ExactCountTotalMaxApproxPercentiles) {
-  StageHistogram hist;
-  // 100 samples of 1 ms, 10 of 100 ms.
-  for (int i = 0; i < 100; ++i) hist.Record(1'000'000);
-  for (int i = 0; i < 10; ++i) hist.Record(100'000'000);
-  StageSummary s = hist.Summarize(Stage::kIo);
-  EXPECT_EQ(s.count, 110u);
-  EXPECT_DOUBLE_EQ(s.total_seconds, 100 * 1e-3 + 10 * 100e-3);
-  EXPECT_DOUBLE_EQ(s.max_seconds, 0.1);
-  // Power-of-two buckets put the estimate within sqrt(2) of the truth.
-  EXPECT_GT(s.p50, 1e-3 / 1.5);
-  EXPECT_LT(s.p50, 1e-3 * 1.5);
-  EXPECT_GT(s.p99, 0.1 / 1.5);
-  EXPECT_LE(s.p99, s.max_seconds);
-}
 
 TEST(TracerTest, SpanTreeParentage) {
   Tracer tracer;

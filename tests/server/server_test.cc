@@ -448,6 +448,16 @@ TEST_F(ServerTest, UnknownTenantStatsAreZeroed) {
   server.Shutdown();
 }
 
+TEST_F(ServerTest, MetricsBeforeStartAreZeroed) {
+  QbismServer server(ext_, BaseOptions());
+  // The inner service is built by Start(); until then nothing counted.
+  service::MetricsSnapshot before = server.metrics();
+  EXPECT_EQ(before.submitted, 0u);
+  EXPECT_EQ(before.latency.count, 0u);
+  ASSERT_TRUE(server.Start().ok());
+  EXPECT_EQ(server.metrics().submitted, 0u);
+}
+
 TEST_F(ServerTest, ConcurrentClientsAllSucceed) {
   ServerOptions options = BaseOptions();
   options.service.num_workers = 4;

@@ -1,72 +1,14 @@
-// LatencyRecorder reservoir sampling: memory stays bounded at the
-// configured capacity while count/mean/max remain exact, and the
-// snapshot JSON carries the per-stage tracing summaries.
+// ServiceMetrics snapshots: edge-rejection counters and the per-stage
+// tracing summaries reach the snapshot JSON.
 
 #include "service/metrics.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <string>
 
 namespace qbism::service {
 namespace {
-
-TEST(LatencyRecorderTest, ExactUntilCapacity) {
-  LatencyRecorder recorder(1024);
-  for (int i = 1; i <= 100; ++i) recorder.Record(i * 1e-3);
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 100u);
-  EXPECT_NEAR(s.mean, 50.5e-3, 1e-9);
-  EXPECT_NEAR(s.p50, 50.5e-3, 1e-3);
-  EXPECT_NEAR(s.p95, 95e-3, 2e-3);
-  EXPECT_DOUBLE_EQ(s.max, 100e-3);
-  EXPECT_EQ(recorder.reservoir_size(), 100u);
-}
-
-TEST(LatencyRecorderTest, ReservoirCapsMemoryWithExactAggregates) {
-  constexpr size_t kCapacity = 256;
-  constexpr int kSamples = 50'000;
-  LatencyRecorder recorder(kCapacity);
-  double sum = 0.0;
-  for (int i = 0; i < kSamples; ++i) {
-    // Uniform ramp over [0, 1): percentiles are predictable.
-    double sample = static_cast<double>(i % 1000) * 1e-3;
-    sum += sample;
-    recorder.Record(sample);
-  }
-  EXPECT_EQ(recorder.reservoir_size(), kCapacity);  // the cap held
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, static_cast<uint64_t>(kSamples));  // exact
-  EXPECT_NEAR(s.mean, sum / kSamples, 1e-12);           // exact
-  EXPECT_DOUBLE_EQ(s.max, 0.999);                       // exact
-  // Percentiles come from a 256-sample uniform reservoir: loose bounds.
-  EXPECT_NEAR(s.p50, 0.5, 0.12);
-  EXPECT_GT(s.p95, s.p50);
-  EXPECT_LE(s.p99, s.max);
-}
-
-TEST(LatencyRecorderTest, DefaultCapacityBoundsUnboundedRecording) {
-  LatencyRecorder recorder;
-  for (int i = 0; i < 10'000; ++i) recorder.Record(1e-3);
-  EXPECT_LE(recorder.reservoir_size(), LatencyRecorder::kDefaultCapacity);
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 10'000u);
-  EXPECT_NEAR(s.mean, 1e-3, 1e-12);
-  EXPECT_DOUBLE_EQ(s.p50, 1e-3);
-}
-
-TEST(LatencyRecorderTest, ResetClearsEverything) {
-  LatencyRecorder recorder(8);
-  for (int i = 0; i < 100; ++i) recorder.Record(2.0);
-  recorder.Reset();
-  LatencySummary s = recorder.Summarize();
-  EXPECT_EQ(s.count, 0u);
-  EXPECT_EQ(s.max, 0.0);
-  EXPECT_EQ(recorder.reservoir_size(), 0u);
-  recorder.Record(1.0);
-  EXPECT_EQ(recorder.Summarize().count, 1u);
-}
 
 TEST(ServiceMetricsTest, EdgeRejectionCountersFlowIntoSnapshotAndJson) {
   ServiceMetrics metrics;
@@ -82,6 +24,23 @@ TEST(ServiceMetricsTest, EdgeRejectionCountersFlowIntoSnapshotAndJson) {
   EXPECT_NE(json.find("\"unauthorized\":2"), std::string::npos);
   EXPECT_NE(json.find("\"quota_rejected\":1"), std::string::npos);
   EXPECT_NE(json.find("\"session_expired\":1"), std::string::npos);
+}
+
+TEST(ServiceMetricsTest, LatencySummariesAreInSeconds) {
+  ServiceMetrics metrics;
+  for (int i = 1; i <= 100; ++i) metrics.RecordLatency(i * 1e-3);
+  metrics.RecordQueueWait(0.25);
+  metrics.RecordQueueWait(0.5);
+  MetricsSnapshot snapshot = metrics.Snapshot();
+  EXPECT_EQ(snapshot.latency.count, 100u);
+  EXPECT_NEAR(snapshot.latency.mean, 50.5e-3, 1e-9);
+  EXPECT_NEAR(snapshot.latency.max, 100e-3, 1e-9);
+  // Nearest rank: the 50th and 95th of 1..100 ms, each within 1/32.
+  EXPECT_NEAR(snapshot.latency.p50, 50e-3, 50e-3 / 32);
+  EXPECT_NEAR(snapshot.latency.p95, 95e-3, 95e-3 / 32);
+  EXPECT_EQ(snapshot.queue_wait.count, 2u);
+  EXPECT_DOUBLE_EQ(snapshot.queue_wait.max, 0.5);
+  EXPECT_DOUBLE_EQ(snapshot.queue_wait_seconds, 0.75);
 }
 
 TEST(MetricsSnapshotTest, ToJsonOmitsStagesWhenUntraced) {
