@@ -411,7 +411,6 @@ int main(int argc, char** argv) {
   {
     ServerOptions options;
     options.tenants = {Tenant("traced", 1.0, 64)};
-    options.chunk_bytes = 4096;  // several chunks per answer
     options.service.num_workers = 2;
     options.service.cache_entries = 0;
     options.service.cost_model.sql_compile_seconds = 0.0;

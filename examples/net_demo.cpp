@@ -1,8 +1,8 @@
 // Socket front-end demo: stands up the real TCP server (framed binary
 // protocol, sessions, per-tenant admission) over a loaded database,
 // then talks to it through NetClient exactly the way a remote display
-// station would — login, a few queries with chunked answers, a rogue
-// login that bounces, and the server's wire accounting at the end.
+// station would — login, a few queries, each answer one data frame, a
+// rogue login that bounces, and the server's wire accounting at the end.
 // See docs/NETWORK.md for the protocol.
 
 #include <cstdio>
@@ -31,13 +31,12 @@ int main() {
   load.build_meshes = false;
   auto dataset = qbism::med::PopulateDatabase(ext.get(), load).MoveValue();
 
-  // One tenant, small chunks so the streaming is visible.
+  // One tenant.
   ServerOptions options;
   TenantConfig clinic;
   clinic.name = "clinic";
   clinic.secret = "clinic-secret";
   options.tenants = {clinic};
-  options.chunk_bytes = 8 << 10;
   options.service.num_workers = 2;
   QbismServer server(ext.get(), options);
   QBISM_CHECK_OK(server.Start());
@@ -46,24 +45,24 @@ int main() {
   // A display station dials in and authenticates.
   auto client = NetClient::Connect("127.0.0.1", server.port()).MoveValue();
   QBISM_CHECK_OK(client.Login("clinic", "clinic-secret"));
-  std::printf("Logged in: session token %016llx, ttl %.0fs, chunk %u B.\n",
+  std::printf("Logged in: session token %016llx, ttl %.0fs.\n",
               static_cast<unsigned long long>(client.session_token()),
-              client.session_ttl_seconds(), client.server_chunk_bytes());
+              client.session_ttl_seconds());
 
-  // Structure queries over the wire: each answer streams back as
-  // result_header + N result_chunk frames + result_end.
+  // Structure queries over the wire: each answer comes back as
+  // result_header + one result_data frame + an empty result_end.
   for (int i = 0; i < 3; ++i) {
     qbism::QuerySpec spec;
     spec.study_id = dataset.pet_study_ids[i % dataset.pet_study_ids.size()];
     spec.structure_name = dataset.structure_names[static_cast<size_t>(i)];
     auto outcome = client.RunQuery(spec).MoveValue();
     std::printf(
-        "query %d: %-18s -> %llu voxels, %llu B shipped in %u chunks "
+        "query %d: %-18s -> %llu voxels, %llu B shipped "
         "(%.1f ms on the wire)\n",
         i, dataset.structure_names[static_cast<size_t>(i)].c_str(),
         static_cast<unsigned long long>(outcome.data.VoxelCount()),
         static_cast<unsigned long long>(outcome.shipped_bytes),
-        outcome.chunks, 1e3 * outcome.wire_seconds);
+        1e3 * outcome.wire_seconds);
   }
 
   // A stranger with the wrong secret is turned away at the door.

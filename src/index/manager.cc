@@ -13,6 +13,14 @@ namespace qbism::index {
 
 namespace {
 
+/// The indexed banding table and its columns (med/schema.h).
+constexpr char kTable[] = "intensityBand";
+constexpr char kStudyColumn[] = "studyId";
+constexpr char kAtlasColumn[] = "atlasId";
+constexpr char kLoColumn[] = "lo";
+constexpr char kHiColumn[] = "hi";
+constexpr char kRegionColumn[] = "region";
+
 bool LowerEq(const std::string& a, const char* b) {
   size_t i = 0;
   for (; i < a.size() && b[i] != '\0'; ++i) {
@@ -34,7 +42,7 @@ std::optional<int64_t> AsIntLiteral(const sql::Expr& e) {
 }
 
 bool IsColumnRef(const sql::Expr& e, const std::string& alias,
-                 const std::string& column) {
+                 const char* column) {
   return e.kind == sql::Expr::Kind::kColumnRef && e.column == column &&
          (e.table.empty() || e.table == alias);
 }
@@ -88,9 +96,8 @@ const sql::Expr* ExtractRequiredIntersects(const sql::Expr& c) {
 
 }  // namespace
 
-SpatialIndexManager::SpatialIndexManager(SpatialExtension* ext,
-                                         IndexConfig config)
-    : ext_(ext), config_(std::move(config)) {}
+SpatialIndexManager::SpatialIndexManager(SpatialExtension* ext)
+    : ext_(ext) {}
 
 uint64_t SpatialIndexManager::CurrentEpoch() const {
   storage::EpochManager* epochs = ext_->db()->epochs();
@@ -104,10 +111,9 @@ void SpatialIndexManager::BumpPlanVersion() {
 Status SpatialIndexManager::BuildFromCatalog() {
   obs::Span span(obs::Stage::kIndexBuild);
   span.SetLabel("catalog");
-  std::string sql = "select " + config_.study_column + ", " +
-                    config_.atlas_column + ", " + config_.lo_column + ", " +
-                    config_.hi_column + ", " + config_.region_column +
-                    " from " + config_.table;
+  std::string sql = std::string("select ") + kStudyColumn + ", " +
+                    kAtlasColumn + ", " + kLoColumn + ", " + kHiColumn +
+                    ", " + kRegionColumn + " from " + kTable;
   QBISM_ASSIGN_OR_RETURN(sql::ResultSet rs, ext_->db()->Execute(sql));
   std::map<int64_t, StudySummary> summaries;
   for (const sql::Row& row : rs.rows) {
@@ -367,7 +373,7 @@ sql::planner::CandidateIndexHook SpatialIndexManager::MakeHook() {
   return [this](const std::string& table, const std::string& alias,
                 const std::vector<const sql::Expr*>& conjuncts)
              -> std::optional<sql::planner::CandidateSet> {
-    if (table != config_.table || !authoritative()) return std::nullopt;
+    if (table != kTable || !authoritative()) return std::nullopt;
 
     // One conjunct must *require* an intersects() against the region
     // column with a constant region operand. Without it there is no
@@ -381,10 +387,10 @@ sql::planner::CandidateIndexHook SpatialIndexManager::MakeHook() {
       if (!call) continue;
       const sql::Expr* col = call->args[0].get();
       const sql::Expr* arg = call->args[1].get();
-      if (!IsColumnRef(*col, alias, config_.region_column)) {
+      if (!IsColumnRef(*col, alias, kRegionColumn)) {
         std::swap(col, arg);  // intersects is symmetric
       }
-      if (!IsColumnRef(*col, alias, config_.region_column)) continue;
+      if (!IsColumnRef(*col, alias, kRegionColumn)) continue;
       // The other operand must be a constant region expression the
       // hook can evaluate without touching storage.
       if (arg->kind != sql::Expr::Kind::kFunctionCall) continue;
@@ -434,13 +440,13 @@ sql::planner::CandidateIndexHook SpatialIndexManager::MakeHook() {
       }
       std::optional<int64_t> v = AsIntLiteral(*lit);
       if (!v) continue;
-      if (IsColumnRef(*col, alias, config_.lo_column)) {
+      if (IsColumnRef(*col, alias, kLoColumn)) {
         if (op == BinOp::kGe || op == BinOp::kEq) {
           lo_bound = std::max(lo_bound, *v);
         } else if (op == BinOp::kGt) {
           lo_bound = std::max(lo_bound, *v + 1);
         }
-      } else if (IsColumnRef(*col, alias, config_.hi_column)) {
+      } else if (IsColumnRef(*col, alias, kHiColumn)) {
         if (op == BinOp::kLe || op == BinOp::kEq) {
           hi_bound = std::min(hi_bound, *v);
         } else if (op == BinOp::kLt) {
@@ -452,7 +458,7 @@ sql::planner::CandidateIndexHook SpatialIndexManager::MakeHook() {
     uint8_t bhi = uint8_t(std::clamp<int64_t>(hi_bound, 0, 255));
     if (lo_bound > 255 || hi_bound < 0 || blo > bhi) {
       // Contradictory bounds: no band can qualify.
-      return sql::planner::CandidateSet{config_.study_column, {},
+      return sql::planner::CandidateSet{kStudyColumn, {},
                                         double(stats().live_studies),
                                         "rtree+bitmap"};
     }
@@ -460,7 +466,7 @@ sql::planner::CandidateIndexHook SpatialIndexManager::MakeHook() {
     auto keys = ProbeIntersect(*probe, blo, bhi);
     if (!keys.ok()) return std::nullopt;
     sql::planner::CandidateSet set;
-    set.column = config_.study_column;
+    set.column = kStudyColumn;
     set.keys = std::move(*keys);
     set.source = "rtree+bitmap";
     {

@@ -19,18 +19,6 @@
 
 namespace qbism::index {
 
-/// Which table the index covers and what its columns are called. The
-/// defaults match the paper schema's banding table (med/schema.h):
-/// intensityBand(studyId, atlasId, lo, hi, region).
-struct IndexConfig {
-  std::string table = "intensityBand";
-  std::string study_column = "studyId";
-  std::string atlas_column = "atlasId";
-  std::string lo_column = "lo";
-  std::string hi_column = "hi";
-  std::string region_column = "region";
-};
-
 /// Index-wide counters (see also ProbeCounters for traversal detail).
 struct IndexStats {
   uint64_t live_studies = 0;    // studies with a live summary
@@ -46,10 +34,12 @@ struct IndexStats {
   uint64_t vacuumed_versions = 0;
 };
 
-/// The cross-study spatial index (ROADMAP item 3, docs/INDEXING.md):
-/// per-study summaries (hierarchical intensity bitmap + per-band
-/// bounding box / run signature), a disk-resident Hilbert-packed R-tree
-/// over the band entries for spatial pruning, and a planner hook that
+/// The cross-study spatial index (ROADMAP item 3, docs/INDEXING.md) over
+/// the paper schema's banding table (med/schema.h),
+/// intensityBand(studyId, atlasId, lo, hi, region): per-study summaries
+/// (hierarchical intensity bitmap + per-band bounding box / run
+/// signature), a disk-resident Hilbert-packed R-tree over the band
+/// entries for spatial pruning, and a planner hook that
 /// turns "intersects(region, <constant region>)" predicates into
 /// candidate study-id sets so multi-study SQL touches only studies that
 /// can qualify.
@@ -80,7 +70,7 @@ struct IndexStats {
 class SpatialIndexManager {
  public:
   /// `ext` must outlive this manager.
-  explicit SpatialIndexManager(SpatialExtension* ext, IndexConfig config = {});
+  explicit SpatialIndexManager(SpatialExtension* ext);
 
   /// --- Build paths ------------------------------------------------------
 
@@ -137,7 +127,7 @@ class SpatialIndexManager {
   bool authoritative() const;
 
   /// The planner hook: recognizes `intersects(<region column>,
-  /// <constant region expression>)` conjuncts on the configured table
+  /// <constant region expression>)` conjuncts on the banding table
   /// (plus lo/hi bounds narrowing the band interval) and answers with
   /// the candidate study-id set. Register on the database with
   /// Database::set_candidate_index_hook. The returned callable
@@ -146,7 +136,6 @@ class SpatialIndexManager {
 
   IndexStats stats() const;
   ProbeCounters probe_counters() const;
-  const IndexConfig& config() const { return config_; }
 
  private:
   struct Version {
@@ -165,7 +154,6 @@ class SpatialIndexManager {
   void BumpPlanVersion();
 
   SpatialExtension* ext_;
-  IndexConfig config_;
 
   mutable std::mutex mu_;
   bool authoritative_ = false;

@@ -44,9 +44,13 @@ Result<SessionInfo> AuthManager::Login(const std::string& tenant,
     return Status::InvalidArgument("unknown tenant or bad secret");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  const TenantConfig& config = tenants_[static_cast<size_t>(index)];
-  if (sessions_per_tenant_[static_cast<size_t>(index)] >=
-      config.max_sessions) {
+  const int cap = tenants_[static_cast<size_t>(index)].max_sessions;
+  int& held = sessions_per_tenant_[static_cast<size_t>(index)];
+  // Sessions whose owners never came back must not hold the quota. Sweep
+  // only at the cap, so an expired token usually still reads as
+  // session_expired (not unknown) when its owner does return.
+  if (held >= cap) SweepExpiredLocked();
+  if (held >= cap) {
     return Status::ResourceExhausted("tenant '" + tenant +
                                      "' is at its session quota");
   }
@@ -57,7 +61,7 @@ Result<SessionInfo> AuthManager::Login(const std::string& tenant,
     info.token = rng_.Next();
   } while (info.token == 0 || sessions_.count(info.token) != 0);
   sessions_[info.token] = Session{index, info.expires_at};
-  ++sessions_per_tenant_[static_cast<size_t>(index)];
+  ++held;
   return info;
 }
 
@@ -91,6 +95,10 @@ void AuthManager::Logout(uint64_t token) {
 
 size_t AuthManager::SweepExpired() {
   std::lock_guard<std::mutex> lock(mu_);
+  return SweepExpiredLocked();
+}
+
+size_t AuthManager::SweepExpiredLocked() {
   double now = Now();
   size_t swept = 0;
   for (auto it = sessions_.begin(); it != sessions_.end();) {

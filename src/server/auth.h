@@ -46,7 +46,8 @@ class AuthManager {
   AuthManager(std::vector<TenantConfig> tenants, double session_ttl_seconds,
               uint64_t seed = 0, std::function<double()> clock = {});
 
-  /// Validates credentials and opens a session.
+  /// Validates credentials and opens a session. A tenant at its quota
+  /// has its expired sessions swept first: they never hold the quota.
   ///   InvalidArgument  unknown tenant or wrong secret (unauthorized)
   ///   ResourceExhausted tenant at its max_sessions quota
   Result<SessionInfo> Login(const std::string& tenant,
@@ -80,6 +81,7 @@ class AuthManager {
   };
 
   double Now() const { return clock_(); }
+  size_t SweepExpiredLocked();  // requires mu_
 
   const std::vector<TenantConfig> tenants_;
   const double ttl_;

@@ -43,7 +43,6 @@ Status NetClient::Login(const std::string& tenant, const std::string& secret) {
   QBISM_ASSIGN_OR_RETURN(WelcomeReply welcome, DecodeWelcome(frame.payload));
   session_token_ = welcome.session_token;
   session_ttl_seconds_ = welcome.session_ttl_seconds;
-  server_chunk_bytes_ = welcome.chunk_bytes;
   return Status::OK();
 }
 
@@ -72,38 +71,26 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
                            ReadExpected(MessageType::kResultHeader, id));
     QBISM_ASSIGN_OR_RETURN(out.header, DecodeResultHeader(frame.payload));
   }
-  std::vector<uint8_t> payload;
-  payload.reserve(out.header.payload_bytes);
-  while (payload.size() < out.header.payload_bytes) {
-    QBISM_ASSIGN_OR_RETURN(Frame chunk,
-                           ReadExpected(MessageType::kResultChunk, id));
-    if (payload.size() + chunk.payload.size() > out.header.payload_bytes) {
-      return Status::Corruption("result chunks overrun the announced " +
-                                std::to_string(out.header.payload_bytes) +
-                                " payload bytes");
-    }
-    payload.insert(payload.end(), chunk.payload.begin(), chunk.payload.end());
-    ++out.chunks;
+  // The frame reader bounded the data frame's size before allocating it
+  // and checked its CRC; the announced length is only compared.
+  QBISM_ASSIGN_OR_RETURN(Frame data,
+                         ReadExpected(MessageType::kResultData, id));
+  if (data.payload.size() != out.header.payload_bytes) {
+    return Status::Corruption(
+        "result_data carries " + std::to_string(data.payload.size()) +
+        " bytes, result_header announced " +
+        std::to_string(out.header.payload_bytes));
   }
-  ResultEnd end;
   {
-    QBISM_ASSIGN_OR_RETURN(Frame frame,
+    QBISM_ASSIGN_OR_RETURN(Frame end,
                            ReadExpected(MessageType::kResultEnd, id));
-    QBISM_ASSIGN_OR_RETURN(end, DecodeResultEnd(frame.payload));
+    if (!end.payload.empty()) {
+      return Status::Corruption("result_end carries a payload");
+    }
   }
   out.wire_seconds = timer.Seconds();
-  out.shipped_bytes = payload.size();
-  if (end.payload_bytes != payload.size() || end.chunk_count != out.chunks) {
-    return Status::Corruption(
-        "result trailer accounting mismatch: trailer says " +
-        std::to_string(end.payload_bytes) + " bytes / " +
-        std::to_string(end.chunk_count) + " chunks, received " +
-        std::to_string(payload.size()) + " / " + std::to_string(out.chunks));
-  }
-  if (end.payload_crc != Crc32(payload)) {
-    return Status::Corruption("reassembled answer payload fails its CRC");
-  }
-  QBISM_ASSIGN_OR_RETURN(out.data, DecodeAnswerPayload(payload));
+  out.shipped_bytes = data.payload.size();
+  QBISM_ASSIGN_OR_RETURN(out.data, DecodeAnswerPayload(data.payload));
   return out;
 }
 

@@ -12,16 +12,15 @@
 
 namespace qbism::server {
 
-/// One completed query as seen from the wire: the reassembled answer
-/// plus the server's accounting for it.
+/// One completed query as seen from the wire: the decoded answer plus
+/// the server's accounting for it.
 struct QueryOutcome {
   volume::DataRegion data;
   ResultHeader header;
-  /// Answer-payload bytes received across kResultChunk frames; always
-  /// equals header.payload_bytes on success (the client verifies the
-  /// byte total and the whole-payload CRC from kResultEnd).
+  /// Answer-payload bytes received in the kResultData frame, whose CRC
+  /// the frame reader checked; always equals header.payload_bytes on
+  /// success (the client rejects any other length).
   uint64_t shipped_bytes = 0;
-  uint32_t chunks = 0;
   /// Client-observed round trip: query frame sent -> kResultEnd read.
   double wire_seconds = 0.0;
 };
@@ -40,7 +39,9 @@ class NetClient {
   /// HELLO/WELCOME: authenticates and stores the session token.
   Status Login(const std::string& tenant, const std::string& secret);
 
-  /// Sends one query and reassembles the chunked answer.
+  /// Sends one query and reads its answer: kResultHeader, one
+  /// kResultData frame, then an empty kResultEnd. A peer that breaks
+  /// that shape or lies about the payload length yields Corruption.
   Result<QueryOutcome> RunQuery(const qbism::QuerySpec& spec,
                                 double deadline_seconds = 0.0);
 
@@ -53,9 +54,8 @@ class NetClient {
 
   bool connected() const { return socket_.valid(); }
   uint64_t session_token() const { return session_token_; }
-  /// Server-announced values from WELCOME (0 before Login).
+  /// Server-announced idle TTL from WELCOME (0 before Login).
   double session_ttl_seconds() const { return session_ttl_seconds_; }
-  uint32_t server_chunk_bytes() const { return server_chunk_bytes_; }
   /// Reason carried by the last kError frame (kNone if none yet); the
   /// returned Status only carries the StatusCode.
   ErrorReason last_error_reason() const { return last_error_reason_; }
@@ -73,7 +73,6 @@ class NetClient {
   uint64_t session_token_ = 0;
   uint64_t next_request_id_ = 1;
   double session_ttl_seconds_ = 0.0;
-  uint32_t server_chunk_bytes_ = 0;
   ErrorReason last_error_reason_ = ErrorReason::kNone;
 };
 

@@ -9,9 +9,9 @@ namespace {
 
 /// Caps on variable-length pieces inside decoded payloads, enforced
 /// before any allocation. Generous for real answers (a full 512^3
-/// study's values are 128 MiB — above kMaxFramePayload anyway, so such
-/// answers arrive chunked), tight enough that a lying length cannot
-/// balloon memory.
+/// study's values are 128 MiB — above kMaxFramePayload, so the server
+/// fails such an answer instead of shipping it), tight enough that a
+/// lying length cannot balloon memory.
 constexpr uint32_t kMaxSqlBytes = 1u << 20;
 constexpr uint32_t kMaxNameBytes = 4096;
 constexpr uint32_t kMaxRegionBytes = 256u << 20;
@@ -62,7 +62,6 @@ std::vector<uint8_t> EncodeWelcome(const WelcomeReply& welcome) {
   WireWriter w;
   w.PutU64(welcome.session_token);
   w.PutF64(welcome.session_ttl_seconds);
-  w.PutU32(welcome.chunk_bytes);
   return w.Take();
 }
 
@@ -71,7 +70,6 @@ Result<WelcomeReply> DecodeWelcome(const std::vector<uint8_t>& payload) {
   WelcomeReply out;
   QBISM_ASSIGN_OR_RETURN(out.session_token, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.session_ttl_seconds, r.GetF64());
-  QBISM_ASSIGN_OR_RETURN(out.chunk_bytes, r.GetU32());
   return out;
 }
 
@@ -150,8 +148,6 @@ std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header) {
   w.PutU64(header.result_runs);
   w.PutU64(header.result_voxels);
   w.PutU64(header.payload_bytes);
-  w.PutU32(header.chunk_count);
-  w.PutU32(header.chunk_bytes);
   w.PutU8(header.cache_hit ? 1 : 0);
   PutTiming(&w, header.timing);
   w.PutString(header.info_sql);
@@ -165,30 +161,11 @@ Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload) {
   QBISM_ASSIGN_OR_RETURN(out.result_runs, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.result_voxels, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.payload_bytes, r.GetU64());
-  QBISM_ASSIGN_OR_RETURN(out.chunk_count, r.GetU32());
-  QBISM_ASSIGN_OR_RETURN(out.chunk_bytes, r.GetU32());
   QBISM_ASSIGN_OR_RETURN(uint8_t hit, r.GetU8());
   out.cache_hit = hit != 0;
   QBISM_RETURN_NOT_OK(GetTiming(&r, &out.timing));
   QBISM_ASSIGN_OR_RETURN(out.info_sql, r.GetString(kMaxSqlBytes));
   QBISM_ASSIGN_OR_RETURN(out.data_sql, r.GetString(kMaxSqlBytes));
-  return out;
-}
-
-std::vector<uint8_t> EncodeResultEnd(const ResultEnd& end) {
-  WireWriter w;
-  w.PutU64(end.payload_bytes);
-  w.PutU32(end.chunk_count);
-  w.PutU32(end.payload_crc);
-  return w.Take();
-}
-
-Result<ResultEnd> DecodeResultEnd(const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
-  ResultEnd out;
-  QBISM_ASSIGN_OR_RETURN(out.payload_bytes, r.GetU64());
-  QBISM_ASSIGN_OR_RETURN(out.chunk_count, r.GetU32());
-  QBISM_ASSIGN_OR_RETURN(out.payload_crc, r.GetU32());
   return out;
 }
 

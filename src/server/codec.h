@@ -28,7 +28,6 @@ struct HelloRequest {
 struct WelcomeReply {
   uint64_t session_token = 0;
   double session_ttl_seconds = 0.0;
-  uint32_t chunk_bytes = 0;  // result streaming chunk size the server uses
 };
 
 /// kQuery payload: the QuerySpec plus request-scoped service controls.
@@ -39,27 +38,16 @@ struct QueryRequest {
 };
 
 /// kResultHeader payload: everything about the answer except the voxel
-/// payload itself, which follows as `chunk_count` kResultChunk frames
-/// totalling `payload_bytes` bytes (the codec's ship-bytes accounting).
+/// payload itself, which follows as one kResultData frame of exactly
+/// `payload_bytes` bytes (the codec's ship-bytes accounting).
 struct ResultHeader {
   uint64_t result_runs = 0;
   uint64_t result_voxels = 0;
   uint64_t payload_bytes = 0;
-  uint32_t chunk_count = 0;
-  uint32_t chunk_bytes = 0;
   bool cache_hit = false;
   qbism::TimingBreakdown timing;
   std::string info_sql;
   std::string data_sql;
-};
-
-/// kResultEnd payload: totals the client can cross-check against what
-/// it received, plus the whole-payload CRC (each chunk frame is already
-/// CRC'd individually; this seals the reassembled stream).
-struct ResultEnd {
-  uint64_t payload_bytes = 0;
-  uint32_t chunk_count = 0;
-  uint32_t payload_crc = 0;
 };
 
 /// kError payload.
@@ -81,9 +69,6 @@ Result<QueryRequest> DecodeQuery(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header);
 Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload);
 
-std::vector<uint8_t> EncodeResultEnd(const ResultEnd& end);
-Result<ResultEnd> DecodeResultEnd(const std::vector<uint8_t>& payload);
-
 std::vector<uint8_t> EncodeError(const ErrorReply& error);
 Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload);
 
@@ -93,14 +78,14 @@ Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload);
 /// the paper would ship), then the voxel intensities. When the
 /// DataRegion carries a cached elias payload (an encoded-domain chain
 /// ending at extraction) and elias is the requested encoding, those
-/// bytes are shipped verbatim — no re-encode. This buffer is what gets
-/// sliced into kResultChunk frames; its size is the canonical "bytes
+/// bytes are shipped verbatim — no re-encode. This buffer is the
+/// kResultData frame's payload; its size is the canonical "bytes
 /// shipped" for the query.
 Result<std::vector<uint8_t>> EncodeAnswerPayload(
     const volume::DataRegion& data,
     region::RegionEncoding encoding = region::RegionEncoding::kEliasDeltas);
 
-/// Inverse of EncodeAnswerPayload over the reassembled chunk stream.
+/// Inverse of EncodeAnswerPayload over a kResultData payload.
 Result<volume::DataRegion> DecodeAnswerPayload(
     const std::vector<uint8_t>& payload);
 

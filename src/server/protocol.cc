@@ -44,7 +44,7 @@ const char* MessageTypeName(MessageType type) {
     case MessageType::kWelcome: return "welcome";
     case MessageType::kQuery: return "query";
     case MessageType::kResultHeader: return "result_header";
-    case MessageType::kResultChunk: return "result_chunk";
+    case MessageType::kResultData: return "result_data";
     case MessageType::kResultEnd: return "result_end";
     case MessageType::kError: return "error";
     case MessageType::kPing: return "ping";
@@ -68,19 +68,26 @@ const char* ErrorReasonName(ErrorReason reason) {
   return "unknown";
 }
 
+std::vector<uint8_t> EncodeFrameHeader(MessageType type, uint64_t session,
+                                       uint64_t request_id,
+                                       const std::vector<uint8_t>& payload) {
+  WireWriter w;
+  w.PutU32(kMagic);
+  w.PutU16(kProtocolVersion);
+  w.PutU16(static_cast<uint16_t>(type));
+  w.PutU32(0);  // flags (reserved)
+  w.PutU64(session);
+  w.PutU64(request_id);
+  w.PutU32(static_cast<uint32_t>(payload.size()));
+  w.PutU32(Crc32(payload));
+  return w.Take();
+}
+
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(kHeaderBytes + payload.size());
-  StoreU32(&out, kMagic);
-  StoreU16(&out, kProtocolVersion);
-  StoreU16(&out, static_cast<uint16_t>(type));
-  StoreU32(&out, 0);  // flags (reserved)
-  StoreU64(&out, session);
-  StoreU64(&out, request_id);
-  StoreU32(&out, static_cast<uint32_t>(payload.size()));
-  StoreU32(&out, Crc32(payload));
+  std::vector<uint8_t> out =
+      EncodeFrameHeader(type, session, request_id, payload);
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }

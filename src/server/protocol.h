@@ -30,21 +30,21 @@ namespace qbism::server {
 /// is detected before the payload is interpreted. docs/NETWORK.md is
 /// the protocol reference.
 inline constexpr uint32_t kMagic = 0x4D534251u;  // "QBSM"
-inline constexpr uint16_t kProtocolVersion = 3;
+inline constexpr uint16_t kProtocolVersion = 4;
 inline constexpr size_t kHeaderBytes = 36;
 
 /// Hard ceiling a reader enforces on `payload_bytes` before allocating
 /// anything: an adversarial length prefix cannot make the peer reserve
-/// gigabytes. Servers and clients may configure a lower limit.
+/// gigabytes. A query answer ships as one frame, so it must fit too.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 
 enum class MessageType : uint16_t {
   kHello = 1,         // client -> server: tenant credentials
-  kWelcome = 2,       // server -> client: session token + transfer params
+  kWelcome = 2,       // server -> client: session token + idle TTL
   kQuery = 3,         // client -> server: one QuerySpec request
   kResultHeader = 4,  // server -> client: answer summary + payload size
-  kResultChunk = 5,   // server -> client: one slice of the answer payload
-  kResultEnd = 6,     // server -> client: totals + whole-payload CRC
+  kResultData = 5,    // server -> client: the whole answer payload
+  kResultEnd = 6,     // server -> client: empty; the answer is complete
   kError = 7,         // server -> client: status code + reason + message
   kPing = 8,          // client -> server: keepalive / session refresh
   kPong = 9,          // server -> client: keepalive ack
@@ -90,8 +90,14 @@ struct Frame {
 /// write-ahead log's record framing (common/crc32.h).
 using qbism::Crc32;
 
-/// Serializes header + payload into one contiguous buffer ready for
-/// send(); fills in magic, payload length, and CRC.
+/// Serializes the 36-byte header for `payload`: magic, version, type,
+/// payload length and CRC.
+std::vector<uint8_t> EncodeFrameHeader(MessageType type, uint64_t session,
+                                       uint64_t request_id,
+                                       const std::vector<uint8_t>& payload);
+
+/// The header followed by the payload in one contiguous buffer (how
+/// tests craft raw frames; sockets send the two parts separately).
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload);

@@ -14,6 +14,14 @@
 
 namespace qbism::server {
 
+namespace {
+
+/// Payload ceiling on frames the server reads. Clients send only small
+/// requests, so a length prefix above this is an attack or garbage.
+constexpr uint32_t kMaxRequestPayload = 16u << 20;
+
+}  // namespace
+
 QbismServer::QbismServer(qbism::SpatialExtension* ext, ServerOptions options)
     : ext_(ext), options_(std::move(options)) {}
 
@@ -57,8 +65,8 @@ Status QbismServer::Start() {
   port_ = ntohs(addr.sin_port);
   listener_ = FrameSocket(fd);
 
-  auth_ = std::make_unique<AuthManager>(
-      options_.tenants, options_.session_ttl_seconds, options_.auth_seed);
+  auth_ = std::make_unique<AuthManager>(options_.tenants,
+                                        options_.session_ttl_seconds);
   service_ = std::make_unique<service::QueryService>(
       ext_, options_.service,
       std::vector<service::TenantQuota>(options_.tenants.begin(),
@@ -166,7 +174,7 @@ bool QbismServer::SendError(Connection* conn, uint64_t request_id,
 void QbismServer::HandleConnection(Connection* conn) {
   while (!stopping_.load(std::memory_order_relaxed)) {
     WallTimer read_timer;
-    Result<Frame> frame = conn->socket.ReadFrame(options_.max_frame_payload);
+    Result<Frame> frame = conn->socket.ReadFrame(kMaxRequestPayload);
     double read_seconds = read_timer.Seconds();
     if (!frame.ok()) {
       if (frame.status().IsCorruption()) {
@@ -210,7 +218,6 @@ void QbismServer::HandleConnection(Connection* conn) {
         WelcomeReply welcome;
         welcome.session_token = session->token;
         welcome.session_ttl_seconds = auth_->session_ttl_seconds();
-        welcome.chunk_bytes = options_.chunk_bytes;
         keep = SendCounted(conn, MessageType::kWelcome, session->token,
                            header.request_id, EncodeWelcome(welcome))
                    .ok();
@@ -240,6 +247,7 @@ void QbismServer::HandleConnection(Connection* conn) {
         keep = HandleQuery(conn, *frame, read_seconds);
         break;
       case MessageType::kBye:
+        auth_->Logout(header.session);
         keep = false;
         break;
       default:
@@ -348,6 +356,13 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   // tags the payload so the client decodes whatever was configured).
   Result<std::vector<uint8_t>> payload =
       EncodeAnswerPayload(reply->result.data, ext_->config().region_encoding);
+  if (payload.ok() && payload->size() > kMaxFramePayload) {
+    // The answer ships as one frame, which no reader accepts above this.
+    payload = Status::ResourceExhausted(
+        "answer payload of " + std::to_string(payload->size()) +
+        " bytes exceeds the " + std::to_string(kMaxFramePayload) +
+        "-byte frame limit");
+  }
   if (!payload.ok()) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
     tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
@@ -356,18 +371,11 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
                      payload.status());
   }
 
-  const uint32_t chunk_bytes =
-      options_.chunk_bytes > 0 ? options_.chunk_bytes : 1;
   const uint64_t total = payload->size();
-  const uint32_t chunks = static_cast<uint32_t>(
-      (total + chunk_bytes - 1) / chunk_bytes);
-
   ResultHeader rh;
   rh.result_runs = reply->result.result_runs;
   rh.result_voxels = reply->result.result_voxels;
   rh.payload_bytes = total;
-  rh.chunk_count = chunks;
-  rh.chunk_bytes = chunk_bytes;
   rh.cache_hit = reply->cache_hit;
   rh.timing = reply->result.timing;
   rh.info_sql = reply->result.info_sql;
@@ -377,16 +385,10 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   ship.SetLabel("socket");
   bool sent = SendCounted(conn, MessageType::kResultHeader, header.session,
                           header.request_id, EncodeResultHeader(rh))
+                  .ok() &&
+              SendCounted(conn, MessageType::kResultData, header.session,
+                          header.request_id, *payload)
                   .ok();
-  for (uint64_t off = 0; sent && off < total; off += chunk_bytes) {
-    uint64_t n = std::min<uint64_t>(chunk_bytes, total - off);
-    std::vector<uint8_t> chunk(payload->begin() + static_cast<ptrdiff_t>(off),
-                               payload->begin() +
-                                   static_cast<ptrdiff_t>(off + n));
-    sent = SendCounted(conn, MessageType::kResultChunk, header.session,
-                       header.request_id, chunk)
-               .ok();
-  }
   ship.AddBytes(total);
   if (!sent) {
     ship.SetFailed();
@@ -396,9 +398,9 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
     return false;
   }
 
-  // Every chunk is on the wire: record the success before the trailer
+  // The answer is on the wire: record the success before result_end
   // goes out, so any observer the client wakes after seeing result_end
-  // is guaranteed to see these counters too. A trailer-only send
+  // is guaranteed to see these counters too. A result_end-only send
   // failure below still severs the connection, but the answer was
   // fully shipped — it is not a query failure.
   ship_bytes_.fetch_add(total, std::memory_order_relaxed);
@@ -407,12 +409,8 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   tstats->queries_ok.fetch_add(1, std::memory_order_relaxed);
   tstats->latency.RecordSeconds(read_seconds + request_timer.Seconds());
 
-  ResultEnd re;
-  re.payload_bytes = total;
-  re.chunk_count = chunks;
-  re.payload_crc = Crc32(*payload);
   sent = SendCounted(conn, MessageType::kResultEnd, header.session,
-                     header.request_id, EncodeResultEnd(re))
+                     header.request_id, {})
              .ok();
   if (!sent) {
     ship.SetFailed();

@@ -28,14 +28,7 @@ struct ServerOptions {
   /// Hard cap on concurrent connections; an accept beyond it gets one
   /// kError(server_busy) frame and an immediate close.
   int max_connections = 2048;
-  /// Result streaming: the answer payload is sliced into kResultChunk
-  /// frames of at most this many bytes — the real-protocol analogue of
-  /// the paper's ~1 KB RPC data messages (§5.2/§6.1).
-  uint32_t chunk_bytes = 64u << 10;
-  /// Reader-side payload ceiling (adversarial length prefixes).
-  uint32_t max_frame_payload = 16u << 20;
   double session_ttl_seconds = 300.0;
-  uint64_t auth_seed = 0;  // extra entropy for session tokens
   /// Throttle on rejected work: a connection that just drew a quota
   /// rejection (tenant-quota bounce or session cap) has its error reply
   /// delayed by this much. Rejections are cheap for the server but a
@@ -60,7 +53,7 @@ struct ServerStats {
   uint64_t frames_written = 0;
   uint64_t bytes_read = 0;     // wire bytes in (headers + payloads)
   uint64_t bytes_written = 0;  // wire bytes out (headers + payloads)
-  /// Answer-payload bytes shipped in kResultChunk frames — the codec's
+  /// Answer-payload bytes shipped in kResultData frames — the codec's
   /// ship-bytes accounting (sum of EncodeAnswerPayload sizes actually
   /// sent). E19 cross-checks this against client-side receipts.
   uint64_t ship_bytes = 0;
@@ -87,7 +80,7 @@ struct TenantWireStats {
 /// The real network front end (ROADMAP item 1): a TCP listener on
 /// localhost speaking the framed binary protocol of server/protocol.h,
 /// thread-per-connection with a connection cap, token-based sessions
-/// (AuthManager), and chunked streaming of query answers. Each query
+/// (AuthManager), and one data frame per query answer. Each query
 /// runs on its connection's thread through QueryService::Execute, whose
 /// per-tenant fair-share governor is the one admission gate. When the
 /// service is traced, every wire request becomes one trace: kRequest
@@ -97,7 +90,7 @@ struct TenantWireStats {
 ///   clients ==TCP== accept loop -> connection threads
 ///                      |  HELLO -> AuthManager (sessions, tokens)
 ///                      |  QUERY -> QueryService::Execute (tenant
-///                      |           governor, then pipeline) -> chunked ship
+///                      |           governor, then pipeline) -> ship
 ///
 /// The extension must be fully loaded before Start(); the server treats
 /// it as read-only, exactly like QueryService.

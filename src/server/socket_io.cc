@@ -21,10 +21,10 @@ FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
   return *this;
 }
 
-Status FrameSocket::WriteAll(const uint8_t* data, size_t size) {
+Status FrameSocket::WriteAll(const uint8_t* data, size_t size, int flags) {
   size_t sent = 0;
   while (sent < size) {
-    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL);
+    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL | flags);
     if (n < 0) {
       if (errno == EINTR) continue;
       return Status::IOError(std::string("send: ") + std::strerror(errno));
@@ -59,8 +59,13 @@ Status FrameSocket::SendFrame(MessageType type, uint64_t session,
                               uint64_t request_id,
                               const std::vector<uint8_t>& payload) {
   if (!valid()) return Status::IOError("socket is closed");
-  std::vector<uint8_t> wire = EncodeFrame(type, session, request_id, payload);
-  return WriteAll(wire.data(), wire.size());
+  std::vector<uint8_t> header =
+      EncodeFrameHeader(type, session, request_id, payload);
+  // MSG_MORE holds the header back so it leaves in the payload's first
+  // segment; the payload is sent from the caller's buffer, uncopied.
+  QBISM_RETURN_NOT_OK(WriteAll(header.data(), header.size(),
+                               payload.empty() ? 0 : MSG_MORE));
+  return WriteAll(payload.data(), payload.size(), 0);
 }
 
 Result<Frame> FrameSocket::ReadFrame(uint32_t max_payload) {
@@ -114,8 +119,8 @@ Result<FrameSocket> DialTcp(const std::string& host, uint16_t port) {
     ::close(fd);
     return status;
   }
-  // Query frames are small and latency matters; answers are streamed in
-  // large chunks where Nagle costs nothing either way.
+  // Query frames are small and latency matters; an answer is one large
+  // frame where Nagle costs nothing either way.
   int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   return FrameSocket(fd);

@@ -33,7 +33,8 @@ class FrameSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Encodes and sends one whole frame.
+  /// Sends one whole frame: its encoded header, then `payload` itself
+  /// (no frame-sized copy).
   Status SendFrame(MessageType type, uint64_t session, uint64_t request_id,
                    const std::vector<uint8_t>& payload);
 
@@ -46,7 +47,8 @@ class FrameSocket {
   void Close();
 
  private:
-  Status WriteAll(const uint8_t* data, size_t size);
+  /// Sends all `size` bytes; `flags` are added to MSG_NOSIGNAL.
+  Status WriteAll(const uint8_t* data, size_t size, int flags);
   /// Reads exactly `size` bytes. `eof_ok` permits a clean EOF before
   /// the first byte (mapped to Cancelled); EOF after it is Corruption.
   Status ReadAll(uint8_t* data, size_t size, bool eof_ok);

@@ -43,12 +43,10 @@ TEST(CodecTest, WelcomeRoundTrip) {
   WelcomeReply welcome;
   welcome.session_token = 0xFEEDFACE12345678ull;
   welcome.session_ttl_seconds = 300.5;
-  welcome.chunk_bytes = 65536;
   auto decoded = DecodeWelcome(EncodeWelcome(welcome));
   ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(decoded->session_token, welcome.session_token);
   EXPECT_EQ(decoded->session_ttl_seconds, welcome.session_ttl_seconds);
-  EXPECT_EQ(decoded->chunk_bytes, welcome.chunk_bytes);
 }
 
 TEST(CodecTest, QueryRoundTripAllFields) {
@@ -88,8 +86,6 @@ TEST(CodecTest, ResultHeaderRoundTrip) {
   rh.result_runs = 123;
   rh.result_voxels = 45678;
   rh.payload_bytes = 99999;
-  rh.chunk_count = 2;
-  rh.chunk_bytes = 65536;
   rh.cache_hit = true;
   rh.timing.total_seconds = 1.5;
   rh.timing.lfm_pages = 42;
@@ -101,26 +97,13 @@ TEST(CodecTest, ResultHeaderRoundTrip) {
   EXPECT_EQ(decoded->result_runs, rh.result_runs);
   EXPECT_EQ(decoded->result_voxels, rh.result_voxels);
   EXPECT_EQ(decoded->payload_bytes, rh.payload_bytes);
-  EXPECT_EQ(decoded->chunk_count, rh.chunk_count);
   EXPECT_EQ(decoded->cache_hit, true);
   EXPECT_EQ(decoded->timing.lfm_pages, 42u);
   EXPECT_EQ(decoded->info_sql, rh.info_sql);
   EXPECT_EQ(decoded->data_sql, rh.data_sql);
 }
 
-TEST(CodecTest, ResultEndAndErrorRoundTrip) {
-  ResultEnd end;
-  end.payload_bytes = 1 << 20;
-  end.chunk_count = 16;
-  end.payload_crc = 0xCAFEF00Du;
-  std::vector<uint8_t> encoded_end = EncodeResultEnd(end);
-  EXPECT_EQ(encoded_end.size(), 16u);  // u64 bytes, u32 chunks, u32 CRC
-  auto decoded_end = DecodeResultEnd(encoded_end);
-  ASSERT_TRUE(decoded_end.ok());
-  EXPECT_EQ(decoded_end->payload_bytes, end.payload_bytes);
-  EXPECT_EQ(decoded_end->chunk_count, end.chunk_count);
-  EXPECT_EQ(decoded_end->payload_crc, end.payload_crc);
-
+TEST(CodecTest, ErrorRoundTrip) {
   ErrorReply error;
   error.code = StatusCode::kResourceExhausted;
   error.reason = ErrorReason::kQuotaRejected;
@@ -317,7 +300,6 @@ TEST(CodecAdversarialTest, RandomPayloadsNeverCrashDecoders) {
     (void)DecodeWelcome(junk);
     (void)DecodeQuery(junk);
     (void)DecodeResultHeader(junk);
-    (void)DecodeResultEnd(junk);
     (void)DecodeError(junk);
     (void)DecodeAnswerPayload(junk);
   }

@@ -114,7 +114,7 @@ TEST(FrameTest, RejectsOversizedLengthPrefix) {
 TEST(FrameTest, DetectsPayloadCorruption) {
   std::vector<uint8_t> payload(100, 0x5A);
   std::vector<uint8_t> wire =
-      EncodeFrame(MessageType::kResultChunk, 1, 2, payload);
+      EncodeFrame(MessageType::kResultData, 1, 2, payload);
   auto header = DecodeFrameHeader(wire.data(), wire.size());
   ASSERT_TRUE(header.ok());
 
@@ -172,7 +172,7 @@ TEST(WireTest, StringLengthCapEnforcedBeforeAllocation) {
 
 TEST(WireTest, NamesAreStable) {
   EXPECT_STREQ(MessageTypeName(MessageType::kHello), "hello");
-  EXPECT_STREQ(MessageTypeName(MessageType::kResultChunk), "result_chunk");
+  EXPECT_STREQ(MessageTypeName(MessageType::kResultData), "result_data");
   EXPECT_STREQ(ErrorReasonName(ErrorReason::kQuotaRejected), "quota_rejected");
 }
 

@@ -21,6 +21,10 @@ directory). Verifies, over every tracked markdown file:
    suffix and `{a,b}` alternatives allowed) names an existing file, in
    README.md, DESIGN.md, EXPERIMENTS.md and docs/*.md. ROADMAP.md and
    CHANGES.md are exempt: they name planned and deleted files.
+7. docs/NETWORK.md states the wire protocol of src/server/protocol.h:
+   its frame-layout row reads "protocol version, currently N" with N =
+   kProtocolVersion, and its message-type table has exactly one row
+   per MessageTypeName string, with that type's enum number.
 
 Exits non-zero with one line per problem.
 """
@@ -63,6 +67,12 @@ REPO_PATH_RE = re.compile(
     r"^((?:src|tests|bench|tools|examples|docs)/[\w./{},-]*\.[\w{},]+)"
     r"(?::[\d,-]+)?$")
 PATH_CHECKED_FILES = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+PROTOCOL_VERSION_RE = re.compile(r"kProtocolVersion\s*=\s*(\d+)")
+MESSAGE_ENUM_RE = re.compile(r"^\s*(k\w+)\s*=\s*(\d+),", re.MULTILINE)
+MESSAGE_NAME_RE = re.compile(r'case MessageType::(k\w+):\s*return "(\w+)"')
+DOC_VERSION_RE = re.compile(r"protocol version, currently (\d+)")
+DOC_MESSAGE_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|",
+                                re.MULTILINE)
 
 
 def expand_braces(path):
@@ -74,6 +84,39 @@ def expand_braces(path):
     for alt in match.group(1).split(","):
         out += expand_braces(path[:match.start()] + alt + path[match.end():])
     return out
+
+
+def check_protocol_doc(network_doc):
+    """Rule 7: problems where docs/NETWORK.md disagrees with the code."""
+    header = (ROOT / "src/server/protocol.h").read_text(encoding="utf-8")
+    source = (ROOT / "src/server/protocol.cc").read_text(encoding="utf-8")
+    rel = "docs/NETWORK.md"
+    problems = []
+    version = PROTOCOL_VERSION_RE.search(header)
+    stated = DOC_VERSION_RE.findall(network_doc)
+    if version is None:
+        problems.append("src/server/protocol.h: no kProtocolVersion")
+    elif stated != [version.group(1)]:
+        problems.append(f"{rel}: states protocol version "
+                        f"{', '.join(stated) or 'nowhere'}, "
+                        f"kProtocolVersion is {version.group(1)}")
+    enum_body = header.split("enum class MessageType", 1)[-1].split("};")[0]
+    numbers = dict(MESSAGE_ENUM_RE.findall(enum_body))
+    want = {name: numbers.get(enum) for enum, name in
+            MESSAGE_NAME_RE.findall(source)}
+    rows = DOC_MESSAGE_ROW_RE.findall(network_doc)
+    listed = {}
+    for name, number in rows:
+        listed.setdefault(name, []).append(number)
+    for name, number in sorted(want.items()):
+        if listed.get(name) != [number]:
+            problems.append(f"{rel}: message table lists `{name}` as "
+                            f"{', '.join(listed.get(name, [])) or 'missing'}"
+                            f", the code numbers it {number}")
+    for name in sorted(set(listed) - set(want)):
+        problems.append(f"{rel}: message table lists `{name}`, which "
+                        f"MessageTypeName does not name")
+    return problems
 
 
 def main() -> int:
@@ -162,6 +205,9 @@ def main() -> int:
                     f"{rel}: experiment E{num} has no '## E{num}' section "
                     f"in EXPERIMENTS.md"
                 )
+
+    # 7. The protocol reference states the protocol the code speaks.
+    problems += check_protocol_doc(texts.get("docs/NETWORK.md", ""))
 
     if problems:
         for p in sorted(set(problems)):
