@@ -5,6 +5,8 @@
 #include <cstring>
 #include <vector>
 
+#include "common/bytes.h"
+
 namespace qbism::index {
 
 /// Two-level hierarchical bitmap over the 8-bit intensity domain
@@ -100,20 +102,15 @@ class IntensityBitmap {
   /// byte (the summary is redundant but kept so deserialization is a
   /// straight copy with no recompute).
   void Serialize(std::vector<uint8_t>* out) const {
-    for (int i = 0; i < 4; ++i) {
-      uint64_t w = leaves_[i];
-      for (int b = 0; b < 8; ++b) out->push_back(uint8_t(w >> (8 * b)));
-    }
-    out->push_back(summary_);
+    out->resize(out->size() + kSerializedSize);
+    uint8_t* p = out->data() + out->size() - kSerializedSize;
+    for (int i = 0; i < 4; ++i) StoreLE64(p + 8 * i, leaves_[i]);
+    p[32] = summary_;
   }
 
   /// Reads 33 bytes at `p`; caller guarantees availability.
   void Deserialize(const uint8_t* p) {
-    for (int i = 0; i < 4; ++i) {
-      uint64_t w = 0;
-      for (int b = 0; b < 8; ++b) w |= uint64_t(p[i * 8 + b]) << (8 * b);
-      leaves_[i] = w;
-    }
+    for (int i = 0; i < 4; ++i) leaves_[i] = LoadLE64(p + 8 * i);
     summary_ = p[32];
   }
 

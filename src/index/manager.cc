@@ -4,6 +4,7 @@
 #include <cctype>
 #include <utility>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "geometry/vec3.h"
 #include "obs/trace.h"
@@ -214,9 +215,7 @@ Status SpatialIndexManager::ApplyRecovered(
       if (rec.payload.size() != 8) {
         return Status::Corruption("kIndexRemove: bad payload");
       }
-      uint64_t id = 0;
-      for (int b = 0; b < 8; ++b) id |= uint64_t(rec.payload[b]) << (8 * b);
-      versions_.erase(int64_t(id));
+      versions_.erase(int64_t(LoadLE64(rec.payload.data())));
     }
   }
   QBISM_RETURN_NOT_OK(RebuildPackedLocked());
@@ -237,7 +236,7 @@ Status SpatialIndexManager::StageUpsert(StudySummary summary) {
 
 Status SpatialIndexManager::StageRemove(int64_t study_id) {
   std::vector<uint8_t> payload(8);
-  for (int b = 0; b < 8; ++b) payload[b] = uint8_t(uint64_t(study_id) >> (8 * b));
+  StoreLE64(payload.data(), uint64_t(study_id));
   QBISM_RETURN_NOT_OK(ext_->db()->LogExtensionRecord(
       storage::WalRecordType::kIndexRemove, payload));
   std::lock_guard<std::mutex> lock(mu_);

@@ -5,40 +5,22 @@
 #include <mutex>
 #include <numeric>
 
+#include "common/bytes.h"
 #include "curve/engine.h"
 
 namespace qbism::index {
 
 namespace {
 
-void PutU16At(uint8_t* p, uint16_t v) {
-  p[0] = uint8_t(v);
-  p[1] = uint8_t(v >> 8);
-}
-
-void PutU64At(uint8_t* p, uint64_t v) {
-  for (int b = 0; b < 8; ++b) p[b] = uint8_t(v >> (8 * b));
-}
-
-uint16_t GetU16At(const uint8_t* p) {
-  return uint16_t(p[0]) | uint16_t(p[1]) << 8;
-}
-
-uint64_t GetU64At(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int b = 0; b < 8; ++b) v |= uint64_t(p[b]) << (8 * b);
-  return v;
-}
-
 void PutBoxAt(uint8_t* p, const BoundingBox& box) {
-  for (int d = 0; d < 3; ++d) PutU16At(p + 2 * d, box.min[d]);
-  for (int d = 0; d < 3; ++d) PutU16At(p + 6 + 2 * d, box.max[d]);
+  for (int d = 0; d < 3; ++d) StoreLE16(p + 2 * d, box.min[d]);
+  for (int d = 0; d < 3; ++d) StoreLE16(p + 6 + 2 * d, box.max[d]);
 }
 
 BoundingBox GetBoxAt(const uint8_t* p) {
   BoundingBox box;
-  for (int d = 0; d < 3; ++d) box.min[d] = GetU16At(p + 2 * d);
-  for (int d = 0; d < 3; ++d) box.max[d] = GetU16At(p + 6 + 2 * d);
+  for (int d = 0; d < 3; ++d) box.min[d] = LoadLE16(p + 2 * d);
+  for (int d = 0; d < 3; ++d) box.max[d] = LoadLE16(p + 6 + 2 * d);
   return box;
 }
 
@@ -103,14 +85,14 @@ Result<HilbertRTree> HilbertRTree::BulkLoad(storage::BufferPool* pool,
     uint8_t* p = *frame;
     std::memset(p, 0, storage::kPageSize);
     p[0] = 0;  // leaf
-    PutU16At(p + 2, uint16_t(count));
+    StoreLE16(p + 2, uint16_t(count));
     Upward up;
     up.page = *page_no;
     uint8_t* e = p + kHeaderSize;
     for (size_t i = 0; i < count; ++i, e += kLeafEntrySize) {
       const Entry& ent = entries[off + i];
-      PutU64At(e, uint64_t(ent.study_id));
-      PutU64At(e + 8, ent.signature);
+      StoreLE64(e, uint64_t(ent.study_id));
+      StoreLE64(e + 8, ent.signature);
       PutBoxAt(e + 16, ent.box);
       e[28] = ent.lo;
       e[29] = ent.hi;
@@ -142,14 +124,14 @@ Result<HilbertRTree> HilbertRTree::BulkLoad(storage::BufferPool* pool,
       uint8_t* p = *frame;
       std::memset(p, 0, storage::kPageSize);
       p[0] = uint8_t(height);
-      PutU16At(p + 2, uint16_t(count));
+      StoreLE16(p + 2, uint16_t(count));
       Upward up;
       up.page = *page_no;
       uint8_t* e = p + kHeaderSize;
       for (size_t i = 0; i < count; ++i, e += kInternalEntrySize) {
         const Upward& child = level[off + i];
-        PutU64At(e, child.page);
-        PutU64At(e + 8, child.signature);
+        StoreLE64(e, child.page);
+        StoreLE64(e + 8, child.signature);
         PutBoxAt(e + 16, child.box);
         up.signature |= child.signature;
         if (i == 0) {
@@ -190,14 +172,14 @@ Status HilbertRTree::ProbePage(uint64_t page_no, const BoundingBox& box,
   if (!frame.ok()) return frame.status();
   const uint8_t* p = *frame;
   int level = p[0];
-  size_t count = GetU16At(p + 2);
+  size_t count = LoadLE16(p + 2);
   if (counters) ++counters->pages_visited;
 
   if (level == 0) {
     const uint8_t* e = p + kHeaderSize;
     for (size_t i = 0; i < count; ++i, e += kLeafEntrySize) {
       if (counters) ++counters->entries_tested;
-      uint64_t esig = GetU64At(e + 8);
+      uint64_t esig = LoadLE64(e + 8);
       if ((esig & sig) == 0) {
         if (counters) ++counters->pruned_sig;
         continue;
@@ -213,7 +195,7 @@ Status HilbertRTree::ProbePage(uint64_t page_no, const BoundingBox& box,
         continue;
       }
       if (counters) ++counters->emitted;
-      emit(int64_t(GetU64At(e)));
+      emit(int64_t(LoadLE64(e)));
     }
     return Status::OK();
   }
@@ -226,7 +208,7 @@ Status HilbertRTree::ProbePage(uint64_t page_no, const BoundingBox& box,
     const uint8_t* e = p + kHeaderSize;
     for (size_t i = 0; i < count; ++i, e += kInternalEntrySize) {
       if (counters) ++counters->entries_tested;
-      uint64_t csig = GetU64At(e + 8);
+      uint64_t csig = LoadLE64(e + 8);
       if ((csig & sig) == 0) {
         if (counters) ++counters->pruned_sig;
         continue;
@@ -236,7 +218,7 @@ Status HilbertRTree::ProbePage(uint64_t page_no, const BoundingBox& box,
         if (counters) ++counters->pruned_box;
         continue;
       }
-      children.push_back(GetU64At(e));
+      children.push_back(LoadLE64(e));
     }
   }
   for (uint64_t child : children) {

@@ -1,108 +1,60 @@
 #include "index/summary.h"
 
-#include <cstring>
-
+#include "common/bytes.h"
+#include "common/macros.h"
 #include "curve/engine.h"
 
 namespace qbism::index {
 
 namespace {
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
-
-void PutU16(std::vector<uint8_t>* out, uint16_t v) {
-  out->push_back(uint8_t(v));
-  out->push_back(uint8_t(v >> 8));
-}
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int b = 0; b < 4; ++b) out->push_back(uint8_t(v >> (8 * b)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int b = 0; b < 8; ++b) out->push_back(uint8_t(v >> (8 * b)));
-}
-
-struct Cursor {
-  const uint8_t* p;
-  size_t left;
-
-  bool Take(size_t n) {
-    if (left < n) return false;
-    p += n;
-    left -= n;
-    return true;
-  }
-  uint8_t U8() {
-    uint8_t v = p[0];
-    Take(1);
-    return v;
-  }
-  uint16_t U16() {
-    uint16_t v = uint16_t(p[0]) | uint16_t(p[1]) << 8;
-    Take(2);
-    return v;
-  }
-  uint32_t U32() {
-    uint32_t v = 0;
-    for (int b = 0; b < 4; ++b) v |= uint32_t(p[b]) << (8 * b);
-    Take(4);
-    return v;
-  }
-  uint64_t U64() {
-    uint64_t v = 0;
-    for (int b = 0; b < 8; ++b) v |= uint64_t(p[b]) << (8 * b);
-    Take(8);
-    return v;
-  }
-};
-
 constexpr size_t kBandBytes = 1 + 1 + 8 + 4 + 8 + 6 * 2;  // 34
-constexpr size_t kHeaderBytes =
-    8 + 8 + IntensityBitmap::kSerializedSize + 4;  // ids + bitmap + count
 
 }  // namespace
 
 void StudySummary::Serialize(std::vector<uint8_t>* out) const {
-  PutU64(out, uint64_t(study_id));
-  PutU64(out, uint64_t(atlas_id));
+  ByteWriter w(out);
+  w.PutI64(study_id);
+  w.PutI64(atlas_id);
   bitmap.Serialize(out);
-  PutU32(out, uint32_t(bands.size()));
+  w.PutU32(uint32_t(bands.size()));
   for (const BandSummary& b : bands) {
-    PutU8(out, b.lo);
-    PutU8(out, b.hi);
-    PutU64(out, b.voxels);
-    PutU32(out, b.runs);
-    PutU64(out, b.signature);
-    for (int d = 0; d < 3; ++d) PutU16(out, b.box.min[d]);
-    for (int d = 0; d < 3; ++d) PutU16(out, b.box.max[d]);
+    w.PutU8(b.lo);
+    w.PutU8(b.hi);
+    w.PutU64(b.voxels);
+    w.PutU32(b.runs);
+    w.PutU64(b.signature);
+    for (int d = 0; d < 3; ++d) w.PutU16(b.box.min[d]);
+    for (int d = 0; d < 3; ++d) w.PutU16(b.box.max[d]);
   }
 }
 
 Result<StudySummary> StudySummary::Deserialize(const uint8_t* data,
                                                size_t size) {
-  if (size < kHeaderBytes) {
-    return Status::Corruption("StudySummary: payload shorter than header");
-  }
-  Cursor c{data, size};
+  ByteReader in(data, size);
   StudySummary s;
-  s.study_id = int64_t(c.U64());
-  s.atlas_id = int64_t(c.U64());
-  s.bitmap.Deserialize(c.p);
-  c.Take(IntensityBitmap::kSerializedSize);
-  uint32_t count = c.U32();
-  if (c.left != size_t(count) * kBandBytes) {
+  QBISM_ASSIGN_OR_RETURN(s.study_id, in.GetI64());
+  QBISM_ASSIGN_OR_RETURN(s.atlas_id, in.GetI64());
+  QBISM_ASSIGN_OR_RETURN(std::span<const uint8_t> bitmap,
+                         in.GetSpan(IntensityBitmap::kSerializedSize));
+  s.bitmap.Deserialize(bitmap.data());
+  QBISM_ASSIGN_OR_RETURN(uint32_t count, in.GetU32());
+  if (in.remaining() != size_t(count) * kBandBytes) {
     return Status::Corruption("StudySummary: band payload size mismatch");
   }
   s.bands.resize(count);
   for (BandSummary& b : s.bands) {
-    b.lo = c.U8();
-    b.hi = c.U8();
-    b.voxels = c.U64();
-    b.runs = c.U32();
-    b.signature = c.U64();
-    for (int d = 0; d < 3; ++d) b.box.min[d] = c.U16();
-    for (int d = 0; d < 3; ++d) b.box.max[d] = c.U16();
+    QBISM_ASSIGN_OR_RETURN(b.lo, in.GetU8());
+    QBISM_ASSIGN_OR_RETURN(b.hi, in.GetU8());
+    QBISM_ASSIGN_OR_RETURN(b.voxels, in.GetU64());
+    QBISM_ASSIGN_OR_RETURN(b.runs, in.GetU32());
+    QBISM_ASSIGN_OR_RETURN(b.signature, in.GetU64());
+    for (int d = 0; d < 3; ++d) {
+      QBISM_ASSIGN_OR_RETURN(b.box.min[d], in.GetU16());
+    }
+    for (int d = 0; d < 3; ++d) {
+      QBISM_ASSIGN_OR_RETURN(b.box.max[d], in.GetU16());
+    }
   }
   return s;
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "obs/trace.h"
 #include "region/stats.h"
@@ -163,38 +164,31 @@ Result<LongFieldId> SpatialExtension::StoreDataRegion(
       region::EncodeRegion(dr.region(), config_.region_encoding));
   std::vector<uint8_t> bytes;
   bytes.reserve(1 + 4 + region_payload.size() + dr.values().size());
-  bytes.push_back(static_cast<uint8_t>(config_.region_encoding));
-  uint32_t len = static_cast<uint32_t>(region_payload.size());
-  for (int i = 0; i < 4; ++i) {
-    bytes.push_back(static_cast<uint8_t>(len >> (8 * i)));
-  }
-  bytes.insert(bytes.end(), region_payload.begin(), region_payload.end());
-  bytes.insert(bytes.end(), dr.values().begin(), dr.values().end());
+  ByteWriter w(&bytes);
+  w.PutU8(static_cast<uint8_t>(config_.region_encoding));
+  w.PutU32(static_cast<uint32_t>(region_payload.size()));
+  w.PutBytes(region_payload.data(), region_payload.size());
+  w.PutBytes(dr.values().data(), dr.values().size());
   return db_->lfm()->Create(bytes);
 }
 
 Result<DataRegion> SpatialExtension::LoadDataRegion(LongFieldId id) const {
   QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, db_->lfm()->Read(id));
-  if (bytes.size() < 5) {
-    return Status::Corruption("data-region long field too short");
-  }
   obs::Span decode(obs::Stage::kDecode);
   decode.AddBytes(bytes.size());
-  auto encoding = static_cast<region::RegionEncoding>(bytes[0]);
-  uint32_t len = 0;
-  for (int i = 3; i >= 0; --i) len = (len << 8) | bytes[1 + i];
-  if (5 + static_cast<size_t>(len) > bytes.size()) {
-    return Status::Corruption("data-region long field truncated");
-  }
-  std::vector<uint8_t> region_payload(bytes.begin() + 5,
-                                      bytes.begin() + 5 + len);
+  ByteReader in(bytes);
+  QBISM_ASSIGN_OR_RETURN(uint8_t encoding, in.GetU8());
+  QBISM_ASSIGN_OR_RETURN(uint32_t len, in.GetU32());
+  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> region_payload, in.GetRaw(len));
   QBISM_ASSIGN_OR_RETURN(
-      Region r, region::DecodeRegion(config_.grid, config_.curve, encoding,
+      Region r, region::DecodeRegion(config_.grid, config_.curve,
+                                     static_cast<RegionEncoding>(encoding),
                                      region_payload));
-  std::vector<uint8_t> values(bytes.begin() + 5 + len, bytes.end());
-  if (values.size() != r.VoxelCount()) {
+  if (in.remaining() != r.VoxelCount()) {
     return Status::Corruption("data-region value count mismatch");
   }
+  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> values,
+                         in.GetRaw(in.remaining()));
   return DataRegion(std::move(r), std::move(values));
 }
 

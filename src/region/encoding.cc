@@ -1,8 +1,7 @@
 #include "region/encoding.h"
 
-#include <cstring>
-
 #include "common/bitstream.h"
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "compress/codes.h"
 
@@ -11,25 +10,6 @@ namespace qbism::region {
 namespace {
 
 constexpr int kOctantRankBits = 5;
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v >> 24));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v));
-}
-
-Result<uint32_t> GetU32(const std::vector<uint8_t>& bytes, size_t* pos) {
-  if (*pos + 4 > bytes.size()) {
-    return Status::Corruption("region decode: truncated u32");
-  }
-  uint32_t v = (static_cast<uint32_t>(bytes[*pos]) << 24) |
-               (static_cast<uint32_t>(bytes[*pos + 1]) << 16) |
-               (static_cast<uint32_t>(bytes[*pos + 2]) << 8) |
-               static_cast<uint32_t>(bytes[*pos + 3]);
-  *pos += 4;
-  return v;
-}
 
 Status CheckOctantPackable(const Region& region) {
   int id_bits = region.grid().dims * region.grid().bits;
@@ -99,27 +79,27 @@ Result<std::vector<uint8_t>> EncodeOctantList(const Region& region,
       oblong ? region.ToOblongOctants() : region.ToOctants();
   std::vector<uint8_t> out;
   out.reserve(OctantPayloadBytes(octants.size()));
-  PutU32(&out, static_cast<uint32_t>(octants.size()));
+  ByteWriter w(&out);
+  w.PutU32(static_cast<uint32_t>(octants.size()));
   for (const Octant& o : octants) {
-    uint32_t packed = (static_cast<uint32_t>(o.id) << kOctantRankBits) |
-                      static_cast<uint32_t>(o.rank);
-    PutU32(&out, packed);
+    w.PutU32((static_cast<uint32_t>(o.id) << kOctantRankBits) |
+             static_cast<uint32_t>(o.rank));
   }
   return out;
 }
 
 Result<Region> DecodeOctantList(const GridSpec& grid, curve::CurveKind kind,
                                 const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  QBISM_ASSIGN_OR_RETURN(uint32_t count, GetU32(bytes, &pos));
+  ByteReader in(bytes);
+  QBISM_ASSIGN_OR_RETURN(uint32_t count, in.GetU32());
   // Never trust a stored count: each octant occupies exactly 4 bytes.
-  if (bytes.size() - pos != static_cast<size_t>(count) * 4) {
+  if (in.remaining() != static_cast<size_t>(count) * 4) {
     return Status::Corruption("octant decode: count does not match payload");
   }
   std::vector<Run> runs;
   runs.reserve(count);
   for (uint32_t i = 0; i < count; ++i) {
-    QBISM_ASSIGN_OR_RETURN(uint32_t packed, GetU32(bytes, &pos));
+    QBISM_ASSIGN_OR_RETURN(uint32_t packed, in.GetU32());
     uint64_t id = packed >> kOctantRankBits;
     int rank = static_cast<int>(packed & ((1u << kOctantRankBits) - 1));
     if (rank > 63) return Status::Corruption("octant decode: bad rank");
@@ -208,10 +188,11 @@ Result<std::vector<uint8_t>> EncodeRegion(const Region& region,
       }
       std::vector<uint8_t> out;
       out.reserve(NaiveRunsPayloadBytes(region.RunCount()));
-      PutU32(&out, static_cast<uint32_t>(region.RunCount()));
+      ByteWriter w(&out);
+      w.PutU32(static_cast<uint32_t>(region.RunCount()));
       for (const Run& r : region.runs()) {
-        PutU32(&out, static_cast<uint32_t>(r.start));
-        PutU32(&out, static_cast<uint32_t>(r.end));
+        w.PutU32(static_cast<uint32_t>(r.start));
+        w.PutU32(static_cast<uint32_t>(r.end));
       }
       return out;
     }
@@ -235,17 +216,17 @@ Result<Region> DecodeRegion(const GridSpec& grid, curve::CurveKind kind,
                             const std::vector<uint8_t>& bytes) {
   switch (encoding) {
     case RegionEncoding::kNaiveRuns: {
-      size_t pos = 0;
-      QBISM_ASSIGN_OR_RETURN(uint32_t count, GetU32(bytes, &pos));
+      ByteReader in(bytes);
+      QBISM_ASSIGN_OR_RETURN(uint32_t count, in.GetU32());
       // Never trust a stored count: each run occupies exactly 8 bytes.
-      if (bytes.size() - pos != static_cast<size_t>(count) * 8) {
+      if (in.remaining() != static_cast<size_t>(count) * 8) {
         return Status::Corruption("naive-run decode: count/payload mismatch");
       }
       std::vector<Run> runs;
       runs.reserve(count);
       for (uint32_t i = 0; i < count; ++i) {
-        QBISM_ASSIGN_OR_RETURN(uint32_t start, GetU32(bytes, &pos));
-        QBISM_ASSIGN_OR_RETURN(uint32_t end, GetU32(bytes, &pos));
+        QBISM_ASSIGN_OR_RETURN(uint32_t start, in.GetU32());
+        QBISM_ASSIGN_OR_RETURN(uint32_t end, in.GetU32());
         runs.push_back(Run{start, end});
       }
       return Region::FromRuns(grid, kind, std::move(runs));

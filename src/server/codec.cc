@@ -1,5 +1,6 @@
 #include "server/codec.h"
 
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "region/encoding.h"
 
@@ -16,7 +17,7 @@ constexpr uint32_t kMaxSqlBytes = 1u << 20;
 constexpr uint32_t kMaxNameBytes = 4096;
 constexpr uint32_t kMaxRegionBytes = 256u << 20;
 
-void PutTiming(WireWriter* w, const qbism::TimingBreakdown& t) {
+void PutTiming(ByteWriter* w, const qbism::TimingBreakdown& t) {
   w->PutF64(t.db_cpu_seconds);
   w->PutF64(t.db_real_seconds);
   w->PutU64(t.lfm_pages);
@@ -28,7 +29,7 @@ void PutTiming(WireWriter* w, const qbism::TimingBreakdown& t) {
   w->PutF64(t.total_seconds);
 }
 
-Status GetTiming(WireReader* r, qbism::TimingBreakdown* t) {
+Status GetTiming(ByteReader* r, qbism::TimingBreakdown* t) {
   QBISM_ASSIGN_OR_RETURN(t->db_cpu_seconds, r->GetF64());
   QBISM_ASSIGN_OR_RETURN(t->db_real_seconds, r->GetF64());
   QBISM_ASSIGN_OR_RETURN(t->lfm_pages, r->GetU64());
@@ -44,14 +45,15 @@ Status GetTiming(WireReader* r, qbism::TimingBreakdown* t) {
 }  // namespace
 
 std::vector<uint8_t> EncodeHello(const HelloRequest& hello) {
-  WireWriter w;
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
   w.PutString(hello.tenant);
   w.PutString(hello.secret);
-  return w.Take();
+  return out;
 }
 
 Result<HelloRequest> DecodeHello(const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   HelloRequest out;
   QBISM_ASSIGN_OR_RETURN(out.tenant, r.GetString(kMaxNameBytes));
   QBISM_ASSIGN_OR_RETURN(out.secret, r.GetString(kMaxNameBytes));
@@ -59,14 +61,15 @@ Result<HelloRequest> DecodeHello(const std::vector<uint8_t>& payload) {
 }
 
 std::vector<uint8_t> EncodeWelcome(const WelcomeReply& welcome) {
-  WireWriter w;
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
   w.PutU64(welcome.session_token);
   w.PutF64(welcome.session_ttl_seconds);
-  return w.Take();
+  return out;
 }
 
 Result<WelcomeReply> DecodeWelcome(const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   WelcomeReply out;
   QBISM_ASSIGN_OR_RETURN(out.session_token, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.session_ttl_seconds, r.GetF64());
@@ -75,7 +78,8 @@ Result<WelcomeReply> DecodeWelcome(const std::vector<uint8_t>& payload) {
 
 std::vector<uint8_t> EncodeQuery(const QueryRequest& query) {
   const qbism::QuerySpec& spec = query.spec;
-  WireWriter w;
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
   w.PutI32(spec.study_id);
   w.PutString(spec.atlas_name);
   w.PutU8(spec.structure_name.has_value() ? 1 : 0);
@@ -98,11 +102,11 @@ std::vector<uint8_t> EncodeQuery(const QueryRequest& query) {
   w.PutU8(spec.allow_cached ? 1 : 0);
   w.PutU8(query.render ? 1 : 0);
   w.PutF64(query.deadline_seconds);
-  return w.Take();
+  return out;
 }
 
 Result<QueryRequest> DecodeQuery(const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   QueryRequest out;
   qbism::QuerySpec& spec = out.spec;
   QBISM_ASSIGN_OR_RETURN(spec.study_id, r.GetI32());
@@ -144,7 +148,8 @@ Result<QueryRequest> DecodeQuery(const std::vector<uint8_t>& payload) {
 }
 
 std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header) {
-  WireWriter w;
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
   w.PutU64(header.result_runs);
   w.PutU64(header.result_voxels);
   w.PutU64(header.payload_bytes);
@@ -152,11 +157,11 @@ std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header) {
   PutTiming(&w, header.timing);
   w.PutString(header.info_sql);
   w.PutString(header.data_sql);
-  return w.Take();
+  return out;
 }
 
 Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   ResultHeader out;
   QBISM_ASSIGN_OR_RETURN(out.result_runs, r.GetU64());
   QBISM_ASSIGN_OR_RETURN(out.result_voxels, r.GetU64());
@@ -170,15 +175,16 @@ Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload) {
 }
 
 std::vector<uint8_t> EncodeError(const ErrorReply& error) {
-  WireWriter w;
+  std::vector<uint8_t> out;
+  ByteWriter w(&out);
   w.PutU32(static_cast<uint32_t>(error.code));
   w.PutU16(static_cast<uint16_t>(error.reason));
   w.PutString(error.message);
-  return w.Take();
+  return out;
 }
 
 Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   ErrorReply out;
   QBISM_ASSIGN_OR_RETURN(uint32_t code, r.GetU32());
   if (code > static_cast<uint32_t>(StatusCode::kCancelled)) {
@@ -207,7 +213,9 @@ Result<std::vector<uint8_t>> EncodeAnswerPayload(
   } else {
     QBISM_ASSIGN_OR_RETURN(region_bytes, region::EncodeRegion(reg, encoding));
   }
-  WireWriter w;
+  std::vector<uint8_t> out;
+  out.reserve(4 + 4 + region_bytes.size() + 8 + data.values().size());
+  ByteWriter w(&out);
   w.PutU8(static_cast<uint8_t>(reg.grid().dims));
   w.PutU8(static_cast<uint8_t>(reg.grid().bits));
   w.PutU8(static_cast<uint8_t>(reg.curve_kind()));
@@ -216,12 +224,12 @@ Result<std::vector<uint8_t>> EncodeAnswerPayload(
   w.PutBytes(region_bytes.data(), region_bytes.size());
   w.PutU64(data.values().size());
   w.PutBytes(data.values().data(), data.values().size());
-  return w.Take();
+  return out;
 }
 
 Result<volume::DataRegion> DecodeAnswerPayload(
     const std::vector<uint8_t>& payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   region::GridSpec grid;
   QBISM_ASSIGN_OR_RETURN(uint8_t dims, r.GetU8());
   QBISM_ASSIGN_OR_RETURN(uint8_t bits, r.GetU8());
@@ -243,8 +251,8 @@ Result<volume::DataRegion> DecodeAnswerPayload(
   }
   auto encoding = static_cast<region::RegionEncoding>(encoding_raw);
   QBISM_ASSIGN_OR_RETURN(uint32_t region_size, r.GetU32());
-  if (region_size > kMaxRegionBytes || region_size > r.remaining()) {
-    return Status::Corruption("answer region length exceeds payload");
+  if (region_size > kMaxRegionBytes) {
+    return Status::Corruption("answer region length exceeds limit");
   }
   QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> region_bytes,
                          r.GetRaw(region_size));
@@ -254,9 +262,6 @@ Result<volume::DataRegion> DecodeAnswerPayload(
   QBISM_ASSIGN_OR_RETURN(uint64_t value_count, r.GetU64());
   if (value_count != reg.VoxelCount()) {
     return Status::Corruption("answer value count does not match region");
-  }
-  if (value_count > r.remaining()) {
-    return Status::Corruption("answer values truncated");
   }
   QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> values,
                          r.GetRaw(static_cast<size_t>(value_count)));

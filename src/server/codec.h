@@ -14,9 +14,10 @@
 namespace qbism::server {
 
 /// Message codec: the payload formats carried inside protocol frames.
-/// Every Decode* goes through the bounds-checked WireReader, so a
-/// malformed payload yields a clean Corruption status, never a read
-/// past the buffer. docs/NETWORK.md documents each layout.
+/// Every Decode* goes through the bounds-checked ByteReader
+/// (common/bytes.h), so a malformed payload yields a clean Corruption
+/// status, never a read past the buffer. docs/NETWORK.md documents each
+/// layout.
 
 /// kHello payload.
 struct HelloRequest {

@@ -30,7 +30,7 @@ namespace qbism::server {
 /// is detected before the payload is interpreted. docs/NETWORK.md is
 /// the protocol reference.
 inline constexpr uint32_t kMagic = 0x4D534251u;  // "QBSM"
-inline constexpr uint16_t kProtocolVersion = 4;
+inline constexpr uint16_t kProtocolVersion = 5;
 inline constexpr size_t kHeaderBytes = 36;
 
 /// Hard ceiling a reader enforces on `payload_bytes` before allocating
@@ -112,60 +112,6 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* bytes, size_t size,
 /// CRC check of a fully-read payload against its header.
 Status VerifyPayload(const FrameHeader& header,
                      const std::vector<uint8_t>& payload);
-
-/// --- Wire primitives --------------------------------------------------
-
-/// Append-only little-endian writer used by the message codec.
-class WireWriter {
- public:
-  void PutU8(uint8_t v) { buf_.push_back(v); }
-  void PutU16(uint16_t v);
-  void PutU32(uint32_t v);
-  void PutU64(uint64_t v);
-  void PutI32(int32_t v) { PutU32(static_cast<uint32_t>(v)); }
-  void PutF64(double v);
-  /// u32 length followed by the bytes.
-  void PutString(const std::string& s);
-  void PutBytes(const uint8_t* data, size_t size);
-
-  const std::vector<uint8_t>& bytes() const { return buf_; }
-  std::vector<uint8_t> Take() { return std::move(buf_); }
-
- private:
-  std::vector<uint8_t> buf_;
-};
-
-/// Bounds-checked little-endian reader over a payload. Every getter
-/// fails with Corruption on underrun instead of reading past the end,
-/// so truncated or lying payloads surface as clean errors.
-class WireReader {
- public:
-  WireReader(const uint8_t* data, size_t size) : data_(data), size_(size) {}
-  explicit WireReader(const std::vector<uint8_t>& buf)
-      : data_(buf.data()), size_(buf.size()) {}
-
-  Result<uint8_t> GetU8();
-  Result<uint16_t> GetU16();
-  Result<uint32_t> GetU32();
-  Result<uint64_t> GetU64();
-  Result<int32_t> GetI32();
-  Result<double> GetF64();
-  /// Reads a u32 length + bytes; enforces `max_bytes` before copying.
-  Result<std::string> GetString(uint32_t max_bytes = 1u << 20);
-  Result<std::vector<uint8_t>> GetBytes(uint32_t max_bytes);
-  /// Reads exactly `n` raw bytes (no length prefix).
-  Result<std::vector<uint8_t>> GetRaw(size_t n);
-
-  size_t remaining() const { return size_ - pos_; }
-  bool AtEnd() const { return pos_ == size_; }
-
- private:
-  Status Need(size_t n);
-
-  const uint8_t* data_;
-  size_t size_;
-  size_t pos_ = 0;
-};
 
 }  // namespace qbism::server
 

@@ -36,8 +36,8 @@ QueryService::QueryService(qbism::SpatialExtension* ext,
                            const std::vector<TenantQuota>& tenants)
     : ext_(ext),
       options_(options),
-      pipeline_(ext, options.net_model, options.cost_model),
-      cache_(options.cache_entries, options.cache_bytes),
+      pipeline_(ext, net::NetworkCostModel{}, options.cost_model),
+      cache_(options.cache_entries, kResultCacheBytes),
       governor_(tenants, options.num_workers) {
   extractor_baseline_ = ext_->extractor()->stats();
   int helper_threads = options_.extract_helper_threads < 0

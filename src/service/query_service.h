@@ -8,7 +8,6 @@
 
 #include "common/result.h"
 #include "common/task_pool.h"
-#include "net/channel.h"
 #include "obs/trace.h"
 #include "qbism/query_pipeline.h"
 #include "qbism/spatial_extension.h"
@@ -56,6 +55,9 @@ struct ServiceReply {
   double total_seconds = 0.0;       // Execute -> reply, real wall time
 };
 
+/// Byte budget of the shared result cache.
+inline constexpr uint64_t kResultCacheBytes = 512ull << 20;
+
 /// Sizing and cost knobs for the service.
 struct ServiceOptions {
   /// Execution slots: at most this many requests run the shared
@@ -63,9 +65,9 @@ struct ServiceOptions {
   /// tenant governor shares the slots by weight; values below 1 count
   /// as 1.
   int num_workers = 4;
-  /// Shared LRU result cache; 0 entries disables it.
+  /// Shared LRU result cache (at most kResultCacheBytes); 0 entries
+  /// disables it.
   size_t cache_entries = 128;
-  uint64_t cache_bytes = 512ull << 20;
   /// When > 0, each executed query's modeled wait time — the simulated
   /// LFM/relational I/O stall plus network shipping time that the cost
   /// models charge but never spend — is realized as a real wall-clock
@@ -106,7 +108,6 @@ struct ServiceOptions {
   /// visibility, routes RunIngest through it, and invalidates the
   /// shared result cache per study at every ingest commit.
   qbism::IngestManager* ingest = nullptr;
-  net::NetworkCostModel net_model;
   qbism::ServerCostModel cost_model;
 };
 

@@ -1,70 +1,21 @@
 #include "sql/database.h"
 
-#include <cstring>
 #include <map>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 #include "sql/parser.h"
 #include "sql/schema.h"
 
 namespace qbism::sql {
 
-namespace {
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutString(std::vector<uint8_t>* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  out->insert(out->end(), s.begin(), s.end());
-}
-
-Result<uint32_t> GetU32(const std::vector<uint8_t>& buf, size_t* pos) {
-  if (buf.size() - *pos < 4 || *pos > buf.size()) {
-    return Status::Corruption("WAL catalog payload truncated");
-  }
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) v |= uint32_t{buf[*pos + i]} << (8 * i);
-  *pos += 4;
-  return v;
-}
-
-Result<uint64_t> GetU64(const std::vector<uint8_t>& buf, size_t* pos) {
-  if (buf.size() - *pos < 8 || *pos > buf.size()) {
-    return Status::Corruption("WAL catalog payload truncated");
-  }
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= uint64_t{buf[*pos + i]} << (8 * i);
-  *pos += 8;
-  return v;
-}
-
-Result<std::string> GetString(const std::vector<uint8_t>& buf, size_t* pos) {
-  QBISM_ASSIGN_OR_RETURN(uint32_t len, GetU32(buf, pos));
-  if (buf.size() - *pos < len) {
-    return Status::Corruption("WAL catalog payload truncated");
-  }
-  std::string s(buf.begin() + static_cast<long>(*pos),
-                buf.begin() + static_cast<long>(*pos + len));
-  *pos += len;
-  return s;
-}
-
-}  // namespace
-
 Database::Database(DatabaseOptions options)
-    : relational_device_(options.relational_pages, options.disk_cost_model),
-      long_field_device_(options.long_field_pages, options.disk_cost_model),
+    : relational_device_(options.relational_pages),
+      long_field_device_(options.long_field_pages),
       pool_(&relational_device_, options.buffer_pool_pages),
       page_allocator_(options.relational_pages),
       wal_device_(options.enable_wal
-                      ? std::make_unique<storage::DiskDevice>(
-                            options.wal_pages, options.disk_cost_model)
+                      ? std::make_unique<storage::DiskDevice>(options.wal_pages)
                       : nullptr),
       wal_(options.enable_wal
                ? std::make_unique<storage::WriteAheadLog>(wal_device_.get())
@@ -123,8 +74,9 @@ Status Database::Insert(const std::string& table, const Row& row) {
   QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
                          SerializeRow(info->schema, row));
   std::vector<uint8_t> payload;
-  PutString(&payload, table);
-  payload.insert(payload.end(), bytes.begin(), bytes.end());
+  ByteWriter w(&payload);
+  w.PutString(table);
+  w.PutBytes(bytes.data(), bytes.size());
   return LogCatalogRecord(storage::WalRecordType::kCatalogRow, payload);
 }
 
@@ -135,9 +87,10 @@ Status Database::DeleteRowsLogged(const std::string& table,
                           .status());
   if (wal_ == nullptr) return Status::OK();
   std::vector<uint8_t> payload;
-  PutString(&payload, table);
-  PutString(&payload, column);
-  PutU64(&payload, static_cast<uint64_t>(value));
+  ByteWriter w(&payload);
+  w.PutString(table);
+  w.PutString(column);
+  w.PutI64(value);
   return LogCatalogRecord(storage::WalRecordType::kCatalogDelete, payload);
 }
 
@@ -161,37 +114,36 @@ Result<RecoveryStats> Database::Recover() {
     const storage::WalRecord& rec = scan.committed[i];
     if (rec.type == storage::WalRecordType::kLfmSet ||
         rec.type == storage::WalRecordType::kLfmDrop) {
-      size_t pos = 0;
-      QBISM_ASSIGN_OR_RETURN(uint64_t id, GetU64(rec.payload, &pos));
+      QBISM_ASSIGN_OR_RETURN(uint64_t id, ByteReader(rec.payload).GetU64());
       last_touch[id] = i;
     }
   }
   for (size_t i = 0; i < scan.committed.size(); ++i) {
     const storage::WalRecord& rec = scan.committed[i];
-    size_t pos = 0;
+    ByteReader in(rec.payload);
     switch (rec.type) {
       case storage::WalRecordType::kLfmSet: {
-        QBISM_ASSIGN_OR_RETURN(uint64_t id, GetU64(rec.payload, &pos));
-        QBISM_ASSIGN_OR_RETURN(uint64_t start, GetU64(rec.payload, &pos));
-        QBISM_ASSIGN_OR_RETURN(uint64_t pages, GetU64(rec.payload, &pos));
-        QBISM_ASSIGN_OR_RETURN(uint64_t size, GetU64(rec.payload, &pos));
-        QBISM_ASSIGN_OR_RETURN(uint32_t crc, GetU32(rec.payload, &pos));
+        QBISM_ASSIGN_OR_RETURN(uint64_t id, in.GetU64());
+        QBISM_ASSIGN_OR_RETURN(uint64_t start, in.GetU64());
+        QBISM_ASSIGN_OR_RETURN(uint64_t pages, in.GetU64());
+        QBISM_ASSIGN_OR_RETURN(uint64_t size, in.GetU64());
+        QBISM_ASSIGN_OR_RETURN(uint32_t crc, in.GetU32());
         QBISM_RETURN_NOT_OK(lfm_.RecoverSet(
             id, start, pages, size, crc, /*verify_crc=*/last_touch[id] == i));
         ++out.lfm_sets;
         break;
       }
       case storage::WalRecordType::kLfmDrop: {
-        QBISM_ASSIGN_OR_RETURN(uint64_t id, GetU64(rec.payload, &pos));
+        QBISM_ASSIGN_OR_RETURN(uint64_t id, in.GetU64());
         QBISM_RETURN_NOT_OK(lfm_.RecoverDrop(id));
         ++out.lfm_drops;
         break;
       }
       case storage::WalRecordType::kCatalogRow: {
-        QBISM_ASSIGN_OR_RETURN(std::string table, GetString(rec.payload, &pos));
+        QBISM_ASSIGN_OR_RETURN(std::string table, in.GetString());
         QBISM_ASSIGN_OR_RETURN(TableInfo * info, catalog_.GetTable(table));
-        std::vector<uint8_t> bytes(rec.payload.begin() + static_cast<long>(pos),
-                                   rec.payload.end());
+        QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes,
+                               in.GetRaw(in.remaining()));
         QBISM_ASSIGN_OR_RETURN(Row row, DeserializeRow(info->schema, bytes));
         QBISM_ASSIGN_OR_RETURN(storage::RecordId rid,
                                catalog_.InsertRow(info, row));
@@ -200,14 +152,12 @@ Result<RecoveryStats> Database::Recover() {
         break;
       }
       case storage::WalRecordType::kCatalogDelete: {
-        QBISM_ASSIGN_OR_RETURN(std::string table, GetString(rec.payload, &pos));
-        QBISM_ASSIGN_OR_RETURN(std::string column,
-                               GetString(rec.payload, &pos));
-        QBISM_ASSIGN_OR_RETURN(uint64_t value, GetU64(rec.payload, &pos));
-        QBISM_RETURN_NOT_OK(
-            Execute("delete from " + table + " where " + column + " = " +
-                    std::to_string(static_cast<int64_t>(value)))
-                .status());
+        QBISM_ASSIGN_OR_RETURN(std::string table, in.GetString());
+        QBISM_ASSIGN_OR_RETURN(std::string column, in.GetString());
+        QBISM_ASSIGN_OR_RETURN(int64_t value, in.GetI64());
+        QBISM_RETURN_NOT_OK(Execute("delete from " + table + " where " +
+                                    column + " = " + std::to_string(value))
+                                .status());
         ++out.delete_statements;
         break;
       }

@@ -27,12 +27,12 @@ namespace qbism::sql {
 /// and long fields on an unbuffered device managed by the LFM (the "AIX
 /// logical volume"). With `enable_wal` a third small device holds the
 /// write-ahead log, and the database gains transactional online ingest
-/// with crash recovery (docs/DURABILITY.md).
+/// with crash recovery (docs/DURABILITY.md). Every device charges the
+/// default storage::DiskCostModel.
 struct DatabaseOptions {
   uint64_t relational_pages = 1 << 14;          // 64 MB
   uint64_t long_field_pages = 1 << 15;          // 128 MB
   size_t buffer_pool_pages = 256;               // 1 MB of buffered pages
-  storage::DiskCostModel disk_cost_model = {};  // shared by all devices
   /// Attach a WAL + epoch manager: mutations become logged, snapshot-
   /// visible versions; Recover() replays the log after a crash.
   bool enable_wal = false;

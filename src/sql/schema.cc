@@ -80,12 +80,12 @@ Result<Row> DeserializeRow(const TableSchema& schema,
                            const std::vector<uint8_t>& bytes) {
   Row row;
   row.reserve(schema.NumColumns());
-  size_t pos = 0;
+  ByteReader in(bytes);
   for (size_t i = 0; i < schema.NumColumns(); ++i) {
-    QBISM_ASSIGN_OR_RETURN(Value v, Value::DeserializeFrom(bytes, &pos));
+    QBISM_ASSIGN_OR_RETURN(Value v, Value::DeserializeFrom(&in));
     row.push_back(std::move(v));
   }
-  if (pos != bytes.size()) {
+  if (!in.AtEnd()) {
     return Status::Corruption("trailing bytes in stored row of table " +
                               schema.name());
   }
@@ -103,21 +103,22 @@ Status DeserializeRowProjected(const TableSchema& schema,
                                const std::vector<uint8_t>& bytes,
                                size_t offset, size_t length,
                                const std::vector<char>& needed, Row* row) {
-  if (offset + length > bytes.size()) {
+  if (offset > bytes.size() || length > bytes.size() - offset) {
     return Status::Corruption("record slice out of bounds in table " +
                               schema.name());
   }
   row->clear();
   row->resize(schema.NumColumns());
-  size_t pos = offset;
+  // Each value is bounded by its own record, not by the page buffer.
+  ByteReader in(bytes.data() + offset, length);
   for (size_t i = 0; i < schema.NumColumns(); ++i) {
     if (i < needed.size() && needed[i]) {
-      QBISM_ASSIGN_OR_RETURN((*row)[i], Value::DeserializeFrom(bytes, &pos));
+      QBISM_ASSIGN_OR_RETURN((*row)[i], Value::DeserializeFrom(&in));
     } else {
-      QBISM_RETURN_NOT_OK(Value::SkipSerialized(bytes, &pos));
+      QBISM_RETURN_NOT_OK(Value::SkipSerialized(&in));
     }
   }
-  if (pos != offset + length) {
+  if (!in.AtEnd()) {
     return Status::Corruption("trailing bytes in stored row of table " +
                               schema.name());
   }

@@ -1,7 +1,6 @@
 #include "sql/value.h"
 
 #include <cstdio>
-#include <cstring>
 
 #include "common/macros.h"
 
@@ -131,45 +130,25 @@ std::string Value::ToString() const {
   return "?";
 }
 
-namespace {
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-Result<uint64_t> GetU64(const std::vector<uint8_t>& bytes, size_t* pos) {
-  if (*pos + 8 > bytes.size()) {
-    return Status::Corruption("Value: truncated u64");
-  }
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | bytes[*pos + i];
-  *pos += 8;
-  return v;
-}
-
-}  // namespace
-
 Status Value::SerializeTo(std::vector<uint8_t>* out) const {
-  out->push_back(static_cast<uint8_t>(kind_));
+  ByteWriter w(out);
+  w.PutU8(static_cast<uint8_t>(kind_));
   switch (kind_) {
     case Kind::kNull:
       return Status::OK();
     case Kind::kInt:
-      PutU64(out, static_cast<uint64_t>(int_));
+      w.PutI64(int_);
       return Status::OK();
-    case Kind::kDouble: {
-      uint64_t bits;
-      std::memcpy(&bits, &double_, 8);
-      PutU64(out, bits);
+    case Kind::kDouble:
+      w.PutF64(double_);
       return Status::OK();
-    }
-    case Kind::kString: {
-      PutU64(out, string_.size());
-      out->insert(out->end(), string_.begin(), string_.end());
+    case Kind::kString:
+      w.PutU64(string_.size());
+      w.PutBytes(reinterpret_cast<const uint8_t*>(string_.data()),
+                 string_.size());
       return Status::OK();
-    }
     case Kind::kLongField:
-      PutU64(out, long_field_.value);
+      w.PutU64(long_field_.value);
       return Status::OK();
     case Kind::kObject:
       return Status::InvalidArgument(
@@ -179,37 +158,26 @@ Status Value::SerializeTo(std::vector<uint8_t>* out) const {
   return Status::Internal("Value: unknown kind");
 }
 
-Result<Value> Value::DeserializeFrom(const std::vector<uint8_t>& bytes,
-                                     size_t* pos) {
-  if (*pos >= bytes.size()) {
-    return Status::Corruption("Value: truncated kind tag");
-  }
-  Kind kind = static_cast<Kind>(bytes[(*pos)++]);
-  switch (kind) {
+Result<Value> Value::DeserializeFrom(ByteReader* in) {
+  QBISM_ASSIGN_OR_RETURN(uint8_t tag, in->GetU8());
+  switch (static_cast<Kind>(tag)) {
     case Kind::kNull:
       return Value::Null();
     case Kind::kInt: {
-      QBISM_ASSIGN_OR_RETURN(uint64_t v, GetU64(bytes, pos));
-      return Value::Int(static_cast<int64_t>(v));
+      QBISM_ASSIGN_OR_RETURN(int64_t v, in->GetI64());
+      return Value::Int(v);
     }
     case Kind::kDouble: {
-      QBISM_ASSIGN_OR_RETURN(uint64_t bits, GetU64(bytes, pos));
-      double d;
-      std::memcpy(&d, &bits, 8);
+      QBISM_ASSIGN_OR_RETURN(double d, in->GetF64());
       return Value::Double(d);
     }
     case Kind::kString: {
-      QBISM_ASSIGN_OR_RETURN(uint64_t len, GetU64(bytes, pos));
-      if (*pos + len > bytes.size()) {
-        return Status::Corruption("Value: truncated string");
-      }
-      std::string s(bytes.begin() + static_cast<int64_t>(*pos),
-                    bytes.begin() + static_cast<int64_t>(*pos + len));
-      *pos += len;
-      return Value::String(std::move(s));
+      QBISM_ASSIGN_OR_RETURN(uint64_t len, in->GetU64());
+      QBISM_ASSIGN_OR_RETURN(std::span<const uint8_t> bytes, in->GetSpan(len));
+      return Value::String(std::string(bytes.begin(), bytes.end()));
     }
     case Kind::kLongField: {
-      QBISM_ASSIGN_OR_RETURN(uint64_t v, GetU64(bytes, pos));
+      QBISM_ASSIGN_OR_RETURN(uint64_t v, in->GetU64());
       return Value::LongField(storage::LongFieldId{v});
     }
     case Kind::kObject:
@@ -218,29 +186,18 @@ Result<Value> Value::DeserializeFrom(const std::vector<uint8_t>& bytes,
   return Status::Corruption("Value: unknown kind tag");
 }
 
-Status Value::SkipSerialized(const std::vector<uint8_t>& bytes, size_t* pos) {
-  if (*pos >= bytes.size()) {
-    return Status::Corruption("Value: truncated kind tag");
-  }
-  Kind kind = static_cast<Kind>(bytes[(*pos)++]);
-  switch (kind) {
+Status Value::SkipSerialized(ByteReader* in) {
+  QBISM_ASSIGN_OR_RETURN(uint8_t tag, in->GetU8());
+  switch (static_cast<Kind>(tag)) {
     case Kind::kNull:
       return Status::OK();
     case Kind::kInt:
     case Kind::kDouble:
     case Kind::kLongField:
-      if (*pos + 8 > bytes.size()) {
-        return Status::Corruption("Value: truncated u64");
-      }
-      *pos += 8;
-      return Status::OK();
+      return in->Skip(8);
     case Kind::kString: {
-      QBISM_ASSIGN_OR_RETURN(uint64_t len, GetU64(bytes, pos));
-      if (*pos + len > bytes.size()) {
-        return Status::Corruption("Value: truncated string");
-      }
-      *pos += len;
-      return Status::OK();
+      QBISM_ASSIGN_OR_RETURN(uint64_t len, in->GetU64());
+      return in->Skip(len);
     }
     case Kind::kObject:
       return Status::Corruption("Value: object kind in stored record");

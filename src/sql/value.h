@@ -7,6 +7,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "storage/long_field.h"
@@ -75,14 +76,14 @@ class Value {
 
   /// Serialization into heap records. Object values are rejected.
   Status SerializeTo(std::vector<uint8_t>* out) const;
-  static Result<Value> DeserializeFrom(const std::vector<uint8_t>& bytes,
-                                       size_t* pos);
+  /// Decodes one value; a tag or length that overruns `in` is
+  /// Corruption.
+  static Result<Value> DeserializeFrom(ByteReader* in);
 
-  /// Advances `pos` past one serialized value without constructing it
+  /// Advances `in` past one serialized value without constructing it
   /// (no string allocation). The batch VM's scan path uses this to skip
   /// columns the query never references.
-  static Status SkipSerialized(const std::vector<uint8_t>& bytes,
-                               size_t* pos);
+  static Status SkipSerialized(ByteReader* in);
 
  private:
   Kind kind_;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <mutex>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 
 namespace qbism::storage {
@@ -22,25 +23,6 @@ constexpr size_t kLeafCapacity =
 constexpr size_t kInternalCapacity =
     (kPageSize - kEntriesOffset - 8) / kInternalEntrySize;  // 254 keys
 
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-void PutU64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, 8); }
-int64_t GetI64(const uint8_t* p) {
-  int64_t v;
-  std::memcpy(&v, p, 8);
-  return v;
-}
-void PutI64(uint8_t* p, int64_t v) { std::memcpy(p, &v, 8); }
-uint16_t GetU16(const uint8_t* p) {
-  uint16_t v;
-  std::memcpy(&v, p, 2);
-  return v;
-}
-void PutU16(uint8_t* p, uint16_t v) { std::memcpy(p, &v, 2); }
-
 /// In-memory decoded node: mutated locally, then written back whole.
 struct Node {
   bool is_leaf = true;
@@ -57,8 +39,8 @@ struct Node {
 
   void Decode(const uint8_t* page) {
     is_leaf = page[kIsLeafOffset] != 0;
-    uint16_t count = GetU16(page + kCountOffset);
-    next_leaf = GetU64(page + kNextLeafOffset);
+    uint16_t count = LoadLE16(page + kCountOffset);
+    next_leaf = LoadLE64(page + kNextLeafOffset);
     leaf.clear();
     keys.clear();
     children.clear();
@@ -66,17 +48,18 @@ struct Node {
       leaf.reserve(count);
       const uint8_t* p = page + kEntriesOffset;
       for (uint16_t i = 0; i < count; ++i, p += kLeafEntrySize) {
-        leaf.push_back({GetI64(p), RecordId{GetU64(p + 8), GetU16(p + 16)}});
+        leaf.push_back({int64_t(LoadLE64(p)),
+                        RecordId{LoadLE64(p + 8), LoadLE16(p + 16)}});
       }
     } else {
       children.reserve(count + 1);
       keys.reserve(count);
       const uint8_t* p = page + kEntriesOffset;
-      children.push_back(GetU64(p));
+      children.push_back(LoadLE64(p));
       p += 8;
       for (uint16_t i = 0; i < count; ++i, p += kInternalEntrySize) {
-        keys.push_back(GetI64(p));
-        children.push_back(GetU64(p + 8));
+        keys.push_back(int64_t(LoadLE64(p)));
+        children.push_back(LoadLE64(p + 8));
       }
     }
   }
@@ -84,26 +67,26 @@ struct Node {
   void Encode(uint8_t* page) const {
     std::memset(page, 0, kPageSize);
     page[kIsLeafOffset] = is_leaf ? 1 : 0;
-    PutU64(page + kNextLeafOffset, next_leaf);
+    StoreLE64(page + kNextLeafOffset, next_leaf);
     uint8_t* p = page + kEntriesOffset;
     if (is_leaf) {
       QBISM_CHECK(leaf.size() <= kLeafCapacity);
-      PutU16(page + kCountOffset, static_cast<uint16_t>(leaf.size()));
+      StoreLE16(page + kCountOffset, static_cast<uint16_t>(leaf.size()));
       for (const LeafEntry& e : leaf) {
-        PutI64(p, e.key);
-        PutU64(p + 8, e.rid.page_no);
-        PutU16(p + 16, e.rid.slot);
+        StoreLE64(p, uint64_t(e.key));
+        StoreLE64(p + 8, e.rid.page_no);
+        StoreLE16(p + 16, e.rid.slot);
         p += kLeafEntrySize;
       }
     } else {
       QBISM_CHECK(keys.size() <= kInternalCapacity);
       QBISM_CHECK(children.size() == keys.size() + 1);
-      PutU16(page + kCountOffset, static_cast<uint16_t>(keys.size()));
-      PutU64(p, children[0]);
+      StoreLE16(page + kCountOffset, static_cast<uint16_t>(keys.size()));
+      StoreLE64(p, children[0]);
       p += 8;
       for (size_t i = 0; i < keys.size(); ++i) {
-        PutI64(p, keys[i]);
-        PutU64(p + 8, children[i + 1]);
+        StoreLE64(p, uint64_t(keys[i]));
+        StoreLE64(p + 8, children[i + 1]);
         p += kInternalEntrySize;
       }
     }

@@ -6,6 +6,7 @@
 #include <shared_mutex>
 #include <string>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/macros.h"
 #include "obs/trace.h"
@@ -18,32 +19,24 @@ uint64_t PagesFor(uint64_t size_bytes) {
   return std::max<uint64_t>(1, (size_bytes + kPageSize - 1) / kPageSize);
 }
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
 /// kLfmSet payload: {id, start_page, page_count, size_bytes, crc}.
 std::vector<uint8_t> EncodeSetPayload(uint64_t id, uint64_t start_page,
                                       uint64_t page_count, uint64_t size_bytes,
                                       uint32_t content_crc) {
   std::vector<uint8_t> payload;
   payload.reserve(8 * 4 + 4);
-  PutU64(&payload, id);
-  PutU64(&payload, start_page);
-  PutU64(&payload, page_count);
-  PutU64(&payload, size_bytes);
-  PutU32(&payload, content_crc);
+  ByteWriter w(&payload);
+  w.PutU64(id);
+  w.PutU64(start_page);
+  w.PutU64(page_count);
+  w.PutU64(size_bytes);
+  w.PutU32(content_crc);
   return payload;
 }
 
 std::vector<uint8_t> EncodeDropPayload(uint64_t id) {
-  std::vector<uint8_t> payload;
-  payload.reserve(8);
-  PutU64(&payload, id);
+  std::vector<uint8_t> payload(8);
+  StoreLE64(payload.data(), id);
   return payload;
 }
 

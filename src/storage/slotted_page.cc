@@ -2,53 +2,43 @@
 
 #include <cstring>
 
+#include "common/bytes.h"
+
 namespace qbism::storage {
 
 namespace {
 
-uint16_t GetU16(const uint8_t* p) {
-  return static_cast<uint16_t>(p[0] | (p[1] << 8));
-}
-void PutU16(uint8_t* p, uint16_t v) {
-  p[0] = static_cast<uint8_t>(v);
-  p[1] = static_cast<uint8_t>(v >> 8);
-}
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-void PutU64(uint8_t* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) p[i] = static_cast<uint8_t>(v >> (8 * i));
-}
-
 uint16_t SlotOffset(const uint8_t* page, SlotId slot) {
-  return GetU16(page + SlottedPage::kHeaderSize + slot * SlottedPage::kSlotSize);
+  return LoadLE16(page + SlottedPage::kHeaderSize +
+                  slot * SlottedPage::kSlotSize);
 }
 uint16_t SlotLength(const uint8_t* page, SlotId slot) {
-  return GetU16(page + SlottedPage::kHeaderSize + slot * SlottedPage::kSlotSize + 2);
+  return LoadLE16(page + SlottedPage::kHeaderSize +
+                  slot * SlottedPage::kSlotSize + 2);
 }
 
 }  // namespace
 
 void SlottedPage::Init(uint8_t* page) {
   std::memset(page, 0, kPageSize);
-  PutU16(page, 0);                                     // slot_count
-  PutU16(page + 2, static_cast<uint16_t>(kPageSize));  // free_end
-  PutU64(page + 4, 0);                                 // next_page (0 = none)
+  StoreLE16(page, 0);                                     // slot_count
+  StoreLE16(page + 2, static_cast<uint16_t>(kPageSize));  // free_end
+  StoreLE64(page + 4, 0);  // next_page (0 = none)
 }
 
-uint16_t SlottedPage::SlotCount(const uint8_t* page) { return GetU16(page); }
+uint16_t SlottedPage::SlotCount(const uint8_t* page) { return LoadLE16(page); }
 
-uint64_t SlottedPage::NextPage(const uint8_t* page) { return GetU64(page + 4); }
+uint64_t SlottedPage::NextPage(const uint8_t* page) {
+  return LoadLE64(page + 4);
+}
 
 void SlottedPage::SetNextPage(uint8_t* page, uint64_t next) {
-  PutU64(page + 4, next);
+  StoreLE64(page + 4, next);
 }
 
 uint64_t SlottedPage::FreeSpace(const uint8_t* page) {
-  uint16_t slot_count = GetU16(page);
-  uint16_t free_end = GetU16(page + 2);
+  uint16_t slot_count = LoadLE16(page);
+  uint16_t free_end = LoadLE16(page + 2);
   uint64_t slots_end = kHeaderSize + static_cast<uint64_t>(slot_count) * kSlotSize;
   if (free_end < slots_end + kSlotSize) return 0;
   return free_end - slots_end - kSlotSize;
@@ -62,21 +52,21 @@ Result<SlotId> SlottedPage::Insert(uint8_t* page, const uint8_t* data,
   if (FreeSpace(page) < length) {
     return Status::OutOfRange("SlottedPage: page full");
   }
-  uint16_t slot_count = GetU16(page);
-  uint16_t free_end = GetU16(page + 2);
+  uint16_t slot_count = LoadLE16(page);
+  uint16_t free_end = LoadLE16(page + 2);
   uint16_t offset = static_cast<uint16_t>(free_end - length);
   std::memcpy(page + offset, data, length);
   uint8_t* slot_entry = page + kHeaderSize + slot_count * kSlotSize;
-  PutU16(slot_entry, offset);
-  PutU16(slot_entry + 2, length);
-  PutU16(page, static_cast<uint16_t>(slot_count + 1));
-  PutU16(page + 2, offset);
+  StoreLE16(slot_entry, offset);
+  StoreLE16(slot_entry + 2, length);
+  StoreLE16(page, static_cast<uint16_t>(slot_count + 1));
+  StoreLE16(page + 2, offset);
   return static_cast<SlotId>(slot_count);
 }
 
 Result<std::vector<uint8_t>> SlottedPage::Read(const uint8_t* page,
                                                SlotId slot) {
-  if (slot >= GetU16(page)) {
+  if (slot >= LoadLE16(page)) {
     return Status::NotFound("SlottedPage: bad slot id");
   }
   uint16_t length = SlotLength(page, slot);
@@ -91,7 +81,7 @@ Result<std::vector<uint8_t>> SlottedPage::Read(const uint8_t* page,
 
 Result<std::pair<const uint8_t*, uint16_t>> SlottedPage::ReadView(
     const uint8_t* page, SlotId slot) {
-  if (slot >= GetU16(page)) {
+  if (slot >= LoadLE16(page)) {
     return Status::NotFound("SlottedPage: bad slot id");
   }
   uint16_t length = SlotLength(page, slot);
@@ -102,16 +92,16 @@ Result<std::pair<const uint8_t*, uint16_t>> SlottedPage::ReadView(
 }
 
 Status SlottedPage::Erase(uint8_t* page, SlotId slot) {
-  if (slot >= GetU16(page)) {
+  if (slot >= LoadLE16(page)) {
     return Status::NotFound("SlottedPage: bad slot id");
   }
   uint8_t* slot_entry = page + kHeaderSize + slot * kSlotSize;
-  PutU16(slot_entry + 2, kTombstone);
+  StoreLE16(slot_entry + 2, kTombstone);
   return Status::OK();
 }
 
 bool SlottedPage::IsLive(const uint8_t* page, SlotId slot) {
-  return slot < GetU16(page) && SlotLength(page, slot) != kTombstone;
+  return slot < LoadLE16(page) && SlotLength(page, slot) != kTombstone;
 }
 
 }  // namespace qbism::storage

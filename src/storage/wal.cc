@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/bytes.h"
 #include "common/crc32.h"
 #include "common/macros.h"
 #include "obs/trace.h"
@@ -13,28 +14,6 @@ namespace {
 
 constexpr uint32_t kWalMagic = 0x524C4157u;  // "WALR"
 constexpr uint64_t kHeaderBytes = 4 + 4 + 4 + 1 + 8;
-
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  out->push_back(static_cast<uint8_t>(v));
-  out->push_back(static_cast<uint8_t>(v >> 8));
-  out->push_back(static_cast<uint8_t>(v >> 16));
-  out->push_back(static_cast<uint8_t>(v >> 24));
-}
-
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-}
-
-uint32_t GetU32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
-uint64_t GetU64(const uint8_t* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v |= static_cast<uint64_t>(p[i]) << (8 * i);
-  return v;
-}
 
 }  // namespace
 
@@ -53,19 +32,18 @@ Status WriteAheadLog::AppendLocked(WalRecordType type, uint64_t txn_id,
         "WriteAheadLog: log volume full (" + std::to_string(capacity_bytes()) +
         " bytes); cannot append");
   }
-  // Body = [len][type][txn][payload]; the CRC covers exactly the body.
-  std::vector<uint8_t> body;
-  body.reserve(frame - 8);
-  PutU32(&body, static_cast<uint32_t>(payload.size()));
-  body.push_back(static_cast<uint8_t>(type));
-  PutU64(&body, txn_id);
-  body.insert(body.end(), payload.begin(), payload.end());
-  std::vector<uint8_t> head;
-  head.reserve(8);
-  PutU32(&head, kWalMagic);
-  PutU32(&head, Crc32(body));
-  log_.insert(log_.end(), head.begin(), head.end());
-  log_.insert(log_.end(), body.begin(), body.end());
+  // [magic][crc] then the body [len][type][txn][payload]; the CRC
+  // covers exactly the body and is patched in once the body is written.
+  size_t start = log_.size();
+  ByteWriter w(&log_);
+  w.PutU32(kWalMagic);
+  w.PutU32(0);
+  w.PutU32(static_cast<uint32_t>(payload.size()));
+  w.PutU8(static_cast<uint8_t>(type));
+  w.PutU64(txn_id);
+  w.PutBytes(payload.data(), payload.size());
+  uint8_t* record = log_.data() + start;
+  StoreLE32(record + 4, Crc32(record + 8, frame - 8));
   ++stats_.records;
   stats_.appended_bytes = log_.size();
   return Status::OK();
@@ -164,9 +142,9 @@ Result<WriteAheadLog::ScanResult> WriteAheadLog::Open() {
   uint64_t off = 0;
   uint64_t max_txn = 0;
   while (off + kHeaderBytes <= image.size()) {
-    if (GetU32(image.data() + off) != kWalMagic) break;
-    uint32_t crc = GetU32(image.data() + off + 4);
-    uint32_t payload_len = GetU32(image.data() + off + 8);
+    if (LoadLE32(image.data() + off) != kWalMagic) break;
+    uint32_t crc = LoadLE32(image.data() + off + 4);
+    uint32_t payload_len = LoadLE32(image.data() + off + 8);
     uint64_t frame = kHeaderBytes + payload_len;
     if (off + frame > image.size()) {
       scan.torn_tail = true;
@@ -179,7 +157,7 @@ Result<WriteAheadLog::ScanResult> WriteAheadLog::Open() {
     }
     Parsed p;
     p.record.type = static_cast<WalRecordType>(image[off + 12]);
-    p.record.txn_id = GetU64(image.data() + off + 13);
+    p.record.txn_id = LoadLE64(image.data() + off + 13);
     p.record.payload.assign(image.begin() + static_cast<long>(off + kHeaderBytes),
                             image.begin() + static_cast<long>(off + frame));
     p.end_offset = off + frame;

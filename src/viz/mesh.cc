@@ -1,8 +1,8 @@
 #include "viz/mesh.h"
 
-#include <cstring>
 #include <unordered_map>
 
+#include "common/bytes.h"
 #include "common/macros.h"
 
 namespace qbism::viz {
@@ -12,71 +12,44 @@ using geometry::Vec3i;
 
 std::vector<uint8_t> TriangleMesh::Serialize() const {
   std::vector<uint8_t> out;
-  auto put_u64 = [&](uint64_t v) {
-    for (int i = 0; i < 8; ++i) out.push_back(static_cast<uint8_t>(v >> (8 * i)));
-  };
-  auto put_double = [&](double d) {
-    uint64_t bits;
-    std::memcpy(&bits, &d, 8);
-    put_u64(bits);
-  };
-  put_u64(vertices.size());
-  put_u64(triangles.size());
+  ByteWriter w(&out);
+  w.PutU64(vertices.size());
+  w.PutU64(triangles.size());
   for (const Vec3d& v : vertices) {
-    put_double(v.x);
-    put_double(v.y);
-    put_double(v.z);
+    w.PutF64(v.x);
+    w.PutF64(v.y);
+    w.PutF64(v.z);
   }
   for (const auto& t : triangles) {
-    put_u64(t[0]);
-    put_u64(t[1]);
-    put_u64(t[2]);
+    for (uint32_t idx : t) w.PutU64(idx);
   }
   return out;
 }
 
 Result<TriangleMesh> TriangleMesh::Deserialize(
     const std::vector<uint8_t>& bytes) {
-  size_t pos = 0;
-  auto get_u64 = [&](uint64_t* v) -> Status {
-    if (pos + 8 > bytes.size()) {
-      return Status::Corruption("TriangleMesh: truncated");
-    }
-    uint64_t out = 0;
-    for (int i = 7; i >= 0; --i) out = (out << 8) | bytes[pos + i];
-    pos += 8;
-    *v = out;
-    return Status::OK();
-  };
-  auto get_double = [&](double* d) -> Status {
-    uint64_t bits;
-    QBISM_RETURN_NOT_OK(get_u64(&bits));
-    std::memcpy(d, &bits, 8);
-    return Status::OK();
-  };
-  TriangleMesh mesh;
-  uint64_t nv = 0, nt = 0;
-  QBISM_RETURN_NOT_OK(get_u64(&nv));
-  QBISM_RETURN_NOT_OK(get_u64(&nt));
+  ByteReader in(bytes);
+  QBISM_ASSIGN_OR_RETURN(uint64_t nv, in.GetU64());
+  QBISM_ASSIGN_OR_RETURN(uint64_t nt, in.GetU64());
   // Never trust stored counts: the payload size is fully determined by
   // them (24 bytes per vertex, 24 per triangle, 16 of header).
   if (nv > bytes.size() || nt > bytes.size() ||
       bytes.size() != 16 + nv * 24 + nt * 24) {
     return Status::Corruption("TriangleMesh: counts do not match payload");
   }
+  TriangleMesh mesh;
   mesh.vertices.resize(nv);
   mesh.triangles.resize(nt);
-  for (uint64_t i = 0; i < nv; ++i) {
-    QBISM_RETURN_NOT_OK(get_double(&mesh.vertices[i].x));
-    QBISM_RETURN_NOT_OK(get_double(&mesh.vertices[i].y));
-    QBISM_RETURN_NOT_OK(get_double(&mesh.vertices[i].z));
+  for (Vec3d& v : mesh.vertices) {
+    QBISM_ASSIGN_OR_RETURN(v.x, in.GetF64());
+    QBISM_ASSIGN_OR_RETURN(v.y, in.GetF64());
+    QBISM_ASSIGN_OR_RETURN(v.z, in.GetF64());
   }
-  for (uint64_t i = 0; i < nt; ++i) {
-    for (int k = 0; k < 3; ++k) {
-      uint64_t idx = 0;
-      QBISM_RETURN_NOT_OK(get_u64(&idx));
-      if (idx >= nv) return Status::Corruption("TriangleMesh: bad index");
-      mesh.triangles[i][k] = static_cast<uint32_t>(idx);
+  for (auto& t : mesh.triangles) {
+    for (uint32_t& idx : t) {
+      QBISM_ASSIGN_OR_RETURN(uint64_t stored, in.GetU64());
+      if (stored >= nv) return Status::Corruption("TriangleMesh: bad index");
+      idx = static_cast<uint32_t>(stored);
     }
   }
   return mesh;

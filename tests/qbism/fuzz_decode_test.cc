@@ -5,10 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/rng.h"
+#include "index/summary.h"
 #include "qbism/spatial_extension.h"
 #include "region/encoding.h"
 #include "sql/parser.h"
+#include "sql/schema.h"
 #include "viz/mesh.h"
 
 namespace qbism {
@@ -59,14 +62,125 @@ TEST(FuzzDecodeTest, MeshDeserializeNeverCrashes) {
   }
 }
 
+/// Decodes values from `in` until it is exhausted or a value fails;
+/// every decoded or skipped value must consume at least its tag byte.
+void DrainValues(ByteReader in, bool skip) {
+  while (!in.AtEnd()) {
+    size_t before = in.remaining();
+    bool ok = skip ? sql::Value::SkipSerialized(&in).ok()
+                   : sql::Value::DeserializeFrom(&in).ok();
+    if (!ok) return;
+    ASSERT_LT(in.remaining(), before);
+  }
+}
+
 TEST(FuzzDecodeTest, ValueDeserializeNeverCrashes) {
   Rng rng(103);
   for (int trial = 0; trial < 5000; ++trial) {
     auto bytes = RandomBytes(&rng, 64);
-    size_t pos = 0;
-    while (pos < bytes.size()) {
-      auto value = sql::Value::DeserializeFrom(bytes, &pos);
-      if (!value.ok()) break;
+    DrainValues(ByteReader(bytes), /*skip=*/false);
+    DrainValues(ByteReader(bytes), /*skip=*/true);
+  }
+  // A stored string length near 2^64 wraps a `pos + len > size` bounds
+  // check; random bytes essentially never draw one.
+  const sql::TableSchema schema("t", {{"name", sql::ColumnType::kString}});
+  for (uint64_t len : {~uint64_t{0}, ~uint64_t{0} - 7}) {
+    std::vector<uint8_t> record = {
+        static_cast<uint8_t>(sql::Value::Kind::kString)};
+    ByteWriter(&record).PutU64(len);
+    record.insert(record.end(), {'a', 'b', 'c'});
+    ByteReader values(record);
+    EXPECT_TRUE(sql::Value::DeserializeFrom(&values).status().IsCorruption());
+    ByteReader skips(record);
+    EXPECT_TRUE(sql::Value::SkipSerialized(&skips).IsCorruption());
+    // The same record as a window inside a larger page buffer.
+    std::vector<uint8_t> page(8, 0xAA);
+    page.insert(page.end(), record.begin(), record.end());
+    page.resize(page.size() + 64, 0xBB);
+    for (char needed : {1, 0}) {
+      sql::Row row;
+      EXPECT_TRUE(sql::DeserializeRowProjected(schema, page, 8, record.size(),
+                                               {needed}, &row)
+                      .IsCorruption());
+    }
+  }
+}
+
+TEST(FuzzDecodeTest, RowWindowDecodeNeverCrashes) {
+  const sql::TableSchema schema("t", {{"id", sql::ColumnType::kInt},
+                                      {"name", sql::ColumnType::kString},
+                                      {"score", sql::ColumnType::kDouble},
+                                      {"data", sql::ColumnType::kLongField}});
+  auto valid = sql::SerializeRow(schema, {sql::Value::Int(5),
+                                          sql::Value::String("alpha"),
+                                          sql::Value::Double(0.5),
+                                          sql::Value::LongField({11})})
+                   .MoveValue();
+  Rng rng(107);
+  for (int trial = 0; trial < 5000; ++trial) {
+    // A random or bit-flipped record at a random offset of a page buffer
+    // whose other bytes are random too.
+    std::vector<uint8_t> record = valid;
+    if (trial % 2 == 0) {
+      record = RandomBytes(&rng, 48);
+    } else {
+      record[rng.NextBounded(record.size())] ^=
+          static_cast<uint8_t>(1u << rng.NextBounded(8));
+    }
+    std::vector<uint8_t> page = RandomBytes(&rng, 32);
+    size_t offset = page.size();
+    page.insert(page.end(), record.begin(), record.end());
+    auto tail = RandomBytes(&rng, 32);
+    page.insert(page.end(), tail.begin(), tail.end());
+    std::vector<char> needed(schema.NumColumns());
+    for (char& n : needed) n = static_cast<char>(rng.NextBounded(2));
+    sql::Row row;
+    Status st = sql::DeserializeRowProjected(schema, page, offset,
+                                             record.size(), needed, &row);
+    if (st.ok()) {
+      ASSERT_EQ(row.size(), schema.NumColumns());
+    }
+  }
+}
+
+TEST(FuzzDecodeTest, StudySummaryDeserializeNeverCrashes) {
+  index::StudySummary summary;
+  summary.study_id = 7;
+  summary.atlas_id = 1;
+  summary.bitmap.SetRange(10, 90);
+  for (uint8_t lo : {0, 64, 128}) {
+    index::BandSummary band;
+    band.lo = lo;
+    band.hi = static_cast<uint8_t>(lo + 63);
+    band.voxels = 1000u + lo;
+    band.runs = 17;
+    band.signature = 0xF0F0u;
+    band.box.max[0] = 31;
+    summary.bands.push_back(band);
+  }
+  std::vector<uint8_t> valid;
+  summary.Serialize(&valid);
+  Rng rng(108);
+  for (int trial = 0; trial < 3000; ++trial) {
+    std::vector<uint8_t> bytes = valid;
+    switch (trial % 3) {
+      case 0:
+        bytes = RandomBytes(&rng, 200);
+        break;
+      case 1:
+        bytes.resize(rng.NextBounded(bytes.size() + 1));
+        break;
+      default:
+        bytes[rng.NextBounded(bytes.size())] ^=
+            static_cast<uint8_t>(1u << rng.NextBounded(8));
+    }
+    auto back = index::StudySummary::Deserialize(bytes.data(), bytes.size());
+    if (back.ok()) {
+      // Every field is stored verbatim: an accepted payload re-encodes
+      // to exactly its own bytes.
+      std::vector<uint8_t> again;
+      back->Serialize(&again);
+      ASSERT_EQ(again, bytes);
     }
   }
 }

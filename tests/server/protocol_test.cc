@@ -128,48 +128,6 @@ TEST(FrameTest, DetectsPayloadCorruption) {
   EXPECT_TRUE(VerifyPayload(*header, truncated).IsCorruption());
 }
 
-TEST(WireTest, WriterReaderRoundTrip) {
-  WireWriter w;
-  w.PutU8(0xAB);
-  w.PutU16(0x1234);
-  w.PutU32(0xDEADBEEF);
-  w.PutU64(0x0123456789ABCDEFull);
-  w.PutI32(-77);
-  w.PutF64(3.25);
-  w.PutString("qbism");
-  std::vector<uint8_t> buf = w.Take();
-
-  WireReader r(buf);
-  EXPECT_EQ(r.GetU8().value(), 0xAB);
-  EXPECT_EQ(r.GetU16().value(), 0x1234);
-  EXPECT_EQ(r.GetU32().value(), 0xDEADBEEFu);
-  EXPECT_EQ(r.GetU64().value(), 0x0123456789ABCDEFull);
-  EXPECT_EQ(r.GetI32().value(), -77);
-  EXPECT_EQ(r.GetF64().value(), 3.25);
-  EXPECT_EQ(r.GetString().value(), "qbism");
-  EXPECT_TRUE(r.AtEnd());
-}
-
-TEST(WireTest, ReaderFailsCleanlyOnUnderrun) {
-  WireWriter w;
-  w.PutU16(7);
-  std::vector<uint8_t> buf = w.Take();
-  WireReader r(buf);
-  EXPECT_FALSE(r.GetU32().ok());  // only 2 bytes available
-  EXPECT_TRUE(r.GetU16().ok());
-  EXPECT_FALSE(r.GetU8().ok());  // exhausted
-}
-
-TEST(WireTest, StringLengthCapEnforcedBeforeAllocation) {
-  WireWriter w;
-  w.PutU32(0x40000000u);  // length prefix claiming 1 GiB
-  std::vector<uint8_t> buf = w.Take();
-  WireReader r(buf);
-  auto s = r.GetString(/*max_bytes=*/4096);
-  ASSERT_FALSE(s.ok());
-  EXPECT_TRUE(s.status().IsCorruption());
-}
-
 TEST(WireTest, NamesAreStable) {
   EXPECT_STREQ(MessageTypeName(MessageType::kHello), "hello");
   EXPECT_STREQ(MessageTypeName(MessageType::kResultData), "result_data");

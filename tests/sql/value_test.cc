@@ -60,14 +60,14 @@ TEST(ValueTest, SerializeDeserializeAllStorableKinds) {
                             Value::LongField({77})};
   std::vector<uint8_t> bytes;
   for (const Value& v : values) ASSERT_TRUE(v.SerializeTo(&bytes).ok());
-  size_t pos = 0;
+  ByteReader in(bytes);
   for (const Value& expected : values) {
-    auto v = Value::DeserializeFrom(bytes, &pos);
+    auto v = Value::DeserializeFrom(&in);
     ASSERT_TRUE(v.ok());
     EXPECT_EQ(v->kind(), expected.kind());
     EXPECT_EQ(v->ToString(), expected.ToString());
   }
-  EXPECT_EQ(pos, bytes.size());
+  EXPECT_TRUE(in.AtEnd());
 }
 
 TEST(ValueTest, ObjectsNotStorable) {
@@ -80,8 +80,8 @@ TEST(ValueTest, DeserializeTruncatedFails) {
   std::vector<uint8_t> bytes;
   ASSERT_TRUE(Value::Int(5).SerializeTo(&bytes).ok());
   bytes.pop_back();
-  size_t pos = 0;
-  EXPECT_FALSE(Value::DeserializeFrom(bytes, &pos).ok());
+  ByteReader in(bytes);
+  EXPECT_FALSE(Value::DeserializeFrom(&in).ok());
 }
 
 TEST(ValueTest, ToStringFormats) {

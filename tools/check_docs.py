@@ -25,6 +25,14 @@ directory). Verifies, over every tracked markdown file:
    its frame-layout row reads "protocol version, currently N" with N =
    kProtocolVersion, and its message-type table has exactly one row
    per MessageTypeName string, with that type's enum number.
+8. (Over source files, not docs.) One byte codec: src/common/bytes.h
+   alone decides how an integer is laid out in bytes. No other file
+   under src/ defines a fixed-width Put/Get/Load/Store helper (U8,
+   U16, U32, U64, I64; function or lambda), packs an integer with an
+   `(8 * i)` shift, memcpy's a variable's bytes to or from a buffer,
+   or defines a `Cursor`; and the old WireWriter/WireReader names
+   appear in no source file. The bit-level codecs
+   (src/common/bitstream.*, src/compress/) are exempt.
 
 Exits non-zero with one line per problem.
 """
@@ -73,6 +81,23 @@ MESSAGE_NAME_RE = re.compile(r'case MessageType::(k\w+):\s*return "(\w+)"')
 DOC_VERSION_RE = re.compile(r"protocol version, currently (\d+)")
 DOC_MESSAGE_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|",
                                 re.MULTILINE)
+BYTE_CODEC = "src/common/bytes.h"
+BYTE_CODEC_EXEMPT = ("src/common/bitstream.", "src/compress/")
+CODE_DIRS = ("src", "tests", "bench", "bench_e2e", "examples")
+FIXED_WIDTH = r"(?i:put|get|load|store)_?(?i:u8|u16|u32|u64|i64)\w*"
+PRIVATE_CODEC_RES = [
+    ("defines a fixed-width byte helper", re.compile(
+        r"^[ \t]*(?!return\b)(?:(?:static|inline|constexpr)[ \t]+)*"
+        r"[\w:<>]+[ \t*&]+" + FIXED_WIDTH + r"[ \t]*\(", re.MULTILINE)),
+    ("defines a fixed-width byte lambda", re.compile(
+        r"\bauto[ \t]+" + FIXED_WIDTH + r"[ \t]*=[ \t]*\[")),
+    ("packs an integer with an (8 * i) shift", re.compile(
+        r"(?:<<|>>)[ \t]*\([ \t]*8[ \t]*\*")),
+    ("memcpy's a variable's bytes", re.compile(
+        r"memcpy\([ \t]*&|memcpy\([^,;]+,[ \t]*&")),
+    ("defines a Cursor", re.compile(r"\b(?:struct|class)[ \t]+Cursor\b")),
+]
+OLD_WIRE_NAMES_RE = re.compile(r"\bWire(?:Writer|Reader)\b")
 
 
 def expand_braces(path):
@@ -116,6 +141,30 @@ def check_protocol_doc(network_doc):
     for name in sorted(set(listed) - set(want)):
         problems.append(f"{rel}: message table lists `{name}`, which "
                         f"MessageTypeName does not name")
+    return problems
+
+
+def check_byte_codec():
+    """Rule 8: problems where code outside the one byte codec packs
+    integers itself."""
+    problems = []
+    for top in CODE_DIRS:
+        for path in sorted((ROOT / top).rglob("*")):
+            if path.suffix not in (".h", ".cc", ".cpp"):
+                continue
+            rel = path.relative_to(ROOT).as_posix()
+            text = path.read_text(encoding="utf-8")
+            if OLD_WIRE_NAMES_RE.search(text):
+                problems.append(f"{rel}: names WireWriter/WireReader; use "
+                                f"ByteWriter/ByteReader ({BYTE_CODEC})")
+            if (top != "src" or rel == BYTE_CODEC or
+                    rel.startswith(BYTE_CODEC_EXEMPT)):
+                continue
+            for what, pattern in PRIVATE_CODEC_RES:
+                for match in pattern.finditer(text):
+                    lineno = text.count("\n", 0, match.start()) + 1
+                    problems.append(f"{rel}:{lineno}: {what}; use "
+                                    f"{BYTE_CODEC}")
     return problems
 
 
@@ -208,6 +257,9 @@ def main() -> int:
 
     # 7. The protocol reference states the protocol the code speaks.
     problems += check_protocol_doc(texts.get("docs/NETWORK.md", ""))
+
+    # 8. One byte codec.
+    problems += check_byte_codec()
 
     if problems:
         for p in sorted(set(problems)):
