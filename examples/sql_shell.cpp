@@ -1,7 +1,8 @@
 // SQL shell: an interactive console over the loaded medical database —
 // type the paper's queries (§3.4) against the live schema, with the
-// spatial UDFs available. `.plan` toggles EXPLAIN-style access-path
-// notes, `.tables` lists the catalog, `.quit` exits (EOF works too).
+// spatial UDFs available. `.plan` toggles printing each SELECT's
+// EXPLAIN plan after its rows, `.tables` lists the catalog, `.quit`
+// exits (EOF works too).
 //
 // Build & run:  ./build/examples/sql_shell
 // Try:
@@ -44,13 +45,13 @@ int main() {
     if (line.empty()) continue;
     if (line == ".quit" || line == ".exit") break;
     if (line == ".help") {
-      std::printf(".tables  list tables\n.plan    toggle access-path "
-                  "notes\n.quit    exit\nanything else is SQL\n");
+      std::printf(".tables  list tables\n.plan    toggle EXPLAIN "
+                  "plans\n.quit    exit\nanything else is SQL\n");
       continue;
     }
     if (line == ".plan") {
       show_plan = !show_plan;
-      std::printf("plan notes %s\n", show_plan ? "on" : "off");
+      std::printf("plans %s\n", show_plan ? "on" : "off");
       continue;
     }
     if (line == ".tables") {
@@ -74,8 +75,11 @@ int main() {
                   static_cast<unsigned long long>(result->rows_affected));
     }
     if (show_plan) {
-      for (const std::string& note : result->plan) {
-        std::printf("  plan: %s\n", note.c_str());
+      // Only a SELECT has a plan: EXPLAIN rejects any other statement.
+      auto plan = db.Execute("explain " + line);
+      if (!plan.ok()) continue;
+      for (const qbism::sql::Row& row : plan->rows) {
+        std::printf("  plan: %s\n", row[0].AsString().value().c_str());
       }
     }
   }

@@ -60,7 +60,6 @@ ExtractorStatsSnapshot ExtractorStatsSnapshot::operator-(
   d.bytes_moved = bytes_moved - o.bytes_moved;
   d.shard_tasks = shard_tasks - o.shard_tasks;
   d.helper_tasks = helper_tasks - o.helper_tasks;
-  d.io_retries = io_retries - o.io_retries;
   d.busy_seconds = busy_seconds - o.busy_seconds;
   d.wall_seconds = wall_seconds - o.wall_seconds;
   return d;
@@ -90,7 +89,6 @@ struct ParallelExtractor::ShardOutcome {
   std::mutex mu;
   storage::IoStats helper_io;  // I/O charged to non-owner threads; mu
   uint64_t helper_tasks = 0;   // mu
-  uint64_t io_retries = 0;     // mu
   double busy_seconds = 0.0;   // mu
 };
 
@@ -114,7 +112,6 @@ Status ParallelExtractor::RunShard(
   storage::ReadSnapshot shard_snap(lfm_->epochs(), outcome->owner_epoch);
   storage::DiskDevice* device = lfm_->device();
   storage::IoStats io_before = device->thread_stats();
-  uint64_t retries = 0;
 
   Status status = Poll(interrupt);
   if (status.ok()) {
@@ -149,22 +146,8 @@ Status ParallelExtractor::RunShard(
       }
     }
 
-    // One scatter-gather device call for the whole shard, retried as a
-    // unit on IOError when the executor owns retries (off by default;
-    // see ExtractOptions::max_io_retries).
-    for (int attempt = 0;; ++attempt) {
-      status = lfm_->ReadExtents(field, extents, outs);
-      if (status.ok() || !status.IsIOError() ||
-          attempt >= options_.max_io_retries) {
-        break;
-      }
-      ++retries;
-      Status interrupted = Poll(interrupt);
-      if (!interrupted.ok()) {
-        status = interrupted;
-        break;
-      }
-    }
+    // One scatter-gather device call for the whole shard.
+    status = lfm_->ReadExtents(field, extents, outs);
 
     if (status.ok()) {
       // Scatter the boundary extents' pieces to their ranges.
@@ -190,7 +173,6 @@ Status ParallelExtractor::RunShard(
   if (!status.ok()) shard.SetFailed();
   std::lock_guard<std::mutex> lock(outcome->mu);
   outcome->busy_seconds += timer.Seconds();
-  outcome->io_retries += retries;
   if (std::this_thread::get_id() != outcome->owner) {
     ++outcome->helper_tasks;
     outcome->helper_io.pages_read += delta.pages_read;
@@ -313,7 +295,6 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
     std::lock_guard<std::mutex> lock(stats_mu_);
     stats_.shard_tasks += num_tasks;
     stats_.helper_tasks += outcome.helper_tasks;
-    stats_.io_retries += outcome.io_retries;
     stats_.busy_seconds += outcome.busy_seconds;
     if (status.ok()) {
       ++stats_.extractions;
@@ -348,22 +329,11 @@ Status ParallelExtractor::ScanField(
   if (field_pages > 0) chunk_pages = std::min(chunk_pages, field_pages);
   std::vector<uint8_t> buffer(chunk_pages * kPageSize);
   uint64_t pages_read = 0;
-  uint64_t retries = 0;
   for (uint64_t page = 0; page < field_pages; page += chunk_pages) {
     QBISM_RETURN_NOT_OK(Poll(interrupt));
     uint64_t count = std::min(chunk_pages, field_pages - page);
     PlannedExtent extent{page, count};
-    Status status;
-    for (int attempt = 0;; ++attempt) {
-      status = lfm_->ReadExtents(field, {extent}, {buffer.data()});
-      if (status.ok() || !status.IsIOError() ||
-          attempt >= options_.max_io_retries) {
-        break;
-      }
-      ++retries;
-      QBISM_RETURN_NOT_OK(Poll(interrupt));
-    }
-    QBISM_RETURN_NOT_OK(status);
+    QBISM_RETURN_NOT_OK(lfm_->ReadExtents(field, {extent}, {buffer.data()}));
     pages_read += count;
     uint64_t offset = page * kPageSize;
     QBISM_RETURN_NOT_OK(
@@ -377,7 +347,6 @@ Status ParallelExtractor::ScanField(
   stats_.pages_read += pages_read;
   stats_.pages_demanded += pages_read;  // a scan wants every page once
   stats_.bytes_moved += size;
-  stats_.io_retries += retries;
   stats_.busy_seconds += wall.Seconds();  // a scan is serial: busy == wall
   stats_.wall_seconds += wall.Seconds();
   return Status::OK();

@@ -22,12 +22,6 @@ struct ExtractOptions {
   /// Plans moving fewer pages than this run inline on the caller —
   /// sharding a tiny read costs more in coordination than it saves.
   uint64_t min_parallel_pages = 64;
-  /// Per-shard IOError retries. Default off: the query service owns
-  /// transient-fault recovery (whole-query retries), and the fault
-  /// sweep asserts that the bare extraction path surfaces every injected
-  /// fault exactly once. Enable for embedded uses with no retry layer
-  /// above.
-  int max_io_retries = 0;
 };
 
 /// Monotonic counters for the extraction fast path. `operator-` yields
@@ -43,7 +37,6 @@ struct ExtractorStatsSnapshot {
   uint64_t bytes_moved = 0;    // payload bytes delivered
   uint64_t shard_tasks = 0;    // tasks executed (caller + helpers)
   uint64_t helper_tasks = 0;   // tasks executed by donated threads
-  uint64_t io_retries = 0;
   double busy_seconds = 0.0;   // summed wall time inside shard tasks
   double wall_seconds = 0.0;   // summed wall time of extractions
 
@@ -135,8 +128,8 @@ class ParallelExtractor {
   struct ShardOutcome;
 
   /// Executes one shard (a contiguous slice of `units`, the plan's
-  /// extents after splitting for parallelism) with per-shard retry;
-  /// scatters into `out`.
+  /// extents after splitting for parallelism) and scatters into `out`.
+  /// An IOError surfaces as is: the query service owns retries.
   Status RunShard(storage::LongFieldId field,
                   const std::vector<storage::PlannedExtent>& units,
                   const std::vector<storage::ByteRange>& ranges,

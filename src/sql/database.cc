@@ -1,13 +1,89 @@
 #include "sql/database.h"
 
 #include <map>
+#include <memory>
 
 #include "common/bytes.h"
 #include "common/macros.h"
+#include "obs/trace.h"
+#include "sql/eval.h"
 #include "sql/parser.h"
+#include "sql/planner/planner.h"
 #include "sql/schema.h"
+#include "sql/vm/vm.h"
 
 namespace qbism::sql {
+
+namespace {
+
+/// Clone of the statement with every expression constant-folded once,
+/// so compile-time folding (e.g. `id = 2+3` becoming an index probe)
+/// happens before planning.
+SelectStmt FoldSelect(const SelectStmt& stmt) {
+  SelectStmt out;
+  out.star = stmt.star;
+  for (const SelectItem& item : stmt.items) {
+    out.items.push_back(SelectItem{FoldConstants(*item.expr), item.alias});
+  }
+  out.tables = stmt.tables;
+  if (stmt.where) out.where = FoldConstants(*stmt.where);
+  for (const ExprPtr& expr : stmt.group_by) {
+    out.group_by.push_back(FoldConstants(*expr));
+  }
+  out.order_by = stmt.order_by;
+  out.limit = stmt.limit;
+  return out;
+}
+
+/// INSERT / UPDATE / DELETE: fold constants, compile, run.
+Result<ResultSet> RunMutation(const Statement& statement,
+                              vm::Compiler& compiler, vm::BatchVM& machine) {
+  if (const auto* insert = std::get_if<InsertStmt>(&statement)) {
+    // Each VALUES expression is folded and lowered like an UPDATE
+    // assignment, against no table at all.
+    InsertStmt folded;
+    folded.table = insert->table;
+    for (const std::vector<ExprPtr>& row : insert->rows) {
+      std::vector<ExprPtr>& folded_row = folded.rows.emplace_back();
+      for (const ExprPtr& expr : row) {
+        folded_row.push_back(FoldConstants(*expr));
+      }
+    }
+    vm::CompiledInsert compiled;
+    {
+      obs::Span span(obs::Stage::kCompile);
+      QBISM_ASSIGN_OR_RETURN(compiled, compiler.CompileInsert(folded));
+    }
+    return machine.RunInsert(compiled);
+  }
+  if (const auto* update = std::get_if<UpdateStmt>(&statement)) {
+    UpdateStmt folded;
+    folded.table = update->table;
+    for (const auto& [column, expr] : update->assignments) {
+      folded.assignments.emplace_back(column, FoldConstants(*expr));
+    }
+    if (update->where) folded.where = FoldConstants(*update->where);
+    vm::CompiledMutation compiled;
+    {
+      obs::Span span(obs::Stage::kCompile);
+      QBISM_ASSIGN_OR_RETURN(compiled, compiler.CompileUpdate(folded));
+    }
+    return machine.RunMutation(compiled);
+  }
+  const auto* del = std::get_if<DeleteStmt>(&statement);
+  if (del == nullptr) return Status::Internal("not a mutation statement");
+  DeleteStmt folded;
+  folded.table = del->table;
+  if (del->where) folded.where = FoldConstants(*del->where);
+  vm::CompiledMutation compiled;
+  {
+    obs::Span span(obs::Stage::kCompile);
+    QBISM_ASSIGN_OR_RETURN(compiled, compiler.CompileDelete(folded));
+  }
+  return machine.RunMutation(compiled);
+}
+
+}  // namespace
 
 Database::Database(DatabaseOptions options)
     : relational_device_(options.relational_pages),
@@ -30,22 +106,69 @@ Result<ResultSet> Database::Execute(const std::string& sql) {
   UdfContext context;
   context.lfm = &lfm_;
   context.extension_state = extension_state_;
-  Executor executor(&catalog_, &udfs_, context);
-  ExecOptions options;
-  options.stats = &planner_stats_;
-  options.plan_cache = &plan_cache_;
-  options.cost_hook = udf_cost_hook_ ? &udf_cost_hook_ : nullptr;
-  options.candidate_hook =
-      candidate_index_hook_ ? &candidate_index_hook_ : nullptr;
-  options.index_version = index_version();
-  options.sql = sql;
-  executor.set_options(std::move(options));
-  // Plan-cache fast path: a hit skips parse, plan, and compile.
-  std::shared_ptr<const CachedPlan> cached = plan_cache_.Get(
-      sql, catalog_.version(), planner_stats_.version(), index_version());
-  if (cached != nullptr) return executor.ExecuteCompiled(*cached);
+  vm::BatchVM machine(&catalog_, std::move(context));
+  // Read before planning: a plan that races DDL, a statistics refresh
+  // or an index publish is cached already stale.
+  const uint64_t catalog_v = catalog_.version();
+  const uint64_t stats_v = planner_stats_.version();
+  const uint64_t index_v = index_version();
+  if (std::shared_ptr<const CachedPlan> cached =
+          plan_cache_.Get(sql, catalog_v, stats_v, index_v)) {
+    return machine.RunSelect(cached->compiled);
+  }
   QBISM_ASSIGN_OR_RETURN(Statement statement, ParseStatement(sql));
-  return executor.Execute(statement);
+  if (const auto* select = std::get_if<SelectStmt>(&statement)) {
+    auto entry = std::make_shared<CachedPlan>();
+    QBISM_ASSIGN_OR_RETURN(entry->compiled, CompileSelect(*select));
+    entry->catalog_version = catalog_v;
+    entry->stats_version = stats_v;
+    entry->index_version = index_v;
+    plan_cache_.Put(sql, entry);
+    return machine.RunSelect(entry->compiled);
+  }
+  if (const auto* explain = std::get_if<ExplainStmt>(&statement)) {
+    QBISM_ASSIGN_OR_RETURN(vm::CompiledSelect compiled,
+                           CompileSelect(explain->select));
+    for (const std::vector<vm::Program>* programs :
+         {&compiled.scan_filters, &compiled.residual_filters,
+          &compiled.item_programs, &compiled.group_programs}) {
+      for (const vm::Program& program : *programs) {
+        QBISM_RETURN_NOT_OK(vm::FirstDeferredError(program));
+      }
+    }
+    ResultSet result;
+    result.columns = {"plan"};
+    for (const std::string& line : compiled.plan.ExplainLines()) {
+      result.rows.push_back(Row{Value::String(line)});
+    }
+    return result;
+  }
+  if (const auto* create = std::get_if<CreateTableStmt>(&statement)) {
+    QBISM_RETURN_NOT_OK(
+        catalog_.CreateTable(TableSchema(create->table, create->columns)));
+    return ResultSet{};
+  }
+  if (const auto* index = std::get_if<CreateIndexStmt>(&statement)) {
+    QBISM_RETURN_NOT_OK(catalog_.CreateIndex(index->table, index->column));
+    return ResultSet{};
+  }
+  vm::Compiler compiler(&catalog_, &udfs_);
+  return RunMutation(statement, compiler, machine);
+}
+
+Result<vm::CompiledSelect> Database::CompileSelect(const SelectStmt& stmt) {
+  SelectStmt folded = FoldSelect(stmt);
+  planner::SelectPlan plan;
+  {
+    obs::Span span(obs::Stage::kOptimize);
+    planner::Planner planner(
+        &catalog_, &planner_stats_, udf_cost_hook_ ? &udf_cost_hook_ : nullptr,
+        candidate_index_hook_ ? &candidate_index_hook_ : nullptr);
+    QBISM_ASSIGN_OR_RETURN(plan, planner.PlanSelect(folded));
+  }
+  obs::Span span(obs::Stage::kCompile);
+  return vm::Compiler(&catalog_, &udfs_).CompileSelect(folded,
+                                                       std::move(plan));
 }
 
 Status Database::CreateTable(TableSchema schema) {

@@ -8,11 +8,12 @@
 #include <vector>
 
 #include "common/result.h"
+#include "sql/ast.h"
 #include "sql/catalog.h"
-#include "sql/executor.h"
 #include "sql/plan_cache.h"
 #include "sql/planner/cost.h"
 #include "sql/planner/stats.h"
+#include "sql/result_set.h"
 #include "sql/udf.h"
 #include "storage/buffer_pool.h"
 #include "storage/disk_device.h"
@@ -59,7 +60,11 @@ class Database {
  public:
   explicit Database(DatabaseOptions options = DatabaseOptions{});
 
-  /// Parses and executes one SQL statement.
+  /// Parses and executes one SQL statement: the one path from SQL text
+  /// to rows. The plan cache is probed once, by the text; only SELECT
+  /// plans are cached, so a hit skips parse, plan and compile. EXPLAIN
+  /// plans afresh and is never cached. Per-call state lives on the
+  /// stack, so service threads may run queries concurrently.
   Result<ResultSet> Execute(const std::string& sql);
 
   /// Direct (non-SQL) APIs used by loaders and tests. With the WAL
@@ -110,8 +115,10 @@ class Database {
   /// columns); the planner falls back to defaults when empty.
   planner::PlannerStats* planner_stats() { return &planner_stats_; }
 
-  /// Compiled-plan cache keyed by SQL text, invalidated by catalog DDL
-  /// or statistics refresh. Execute() probes it before parsing.
+  /// Compiled-SELECT cache keyed by SQL text, invalidated by catalog
+  /// DDL, statistics refresh or an index publish. Execute() probes it
+  /// before parsing; a hit is a SELECT served from a cached plan, a
+  /// miss a SELECT that had to be planned.
   PlanCache* plan_cache() { return &plan_cache_; }
 
   /// Extension cost hook consulted by the planner for UDF conjuncts
@@ -160,6 +167,10 @@ class Database {
   void ResetIoStats();
 
  private:
+  /// Constant-folds, plans and compiles one SELECT against the current
+  /// catalog, statistics and extension hooks.
+  Result<vm::CompiledSelect> CompileSelect(const SelectStmt& stmt);
+
   /// Appends one catalog redo record, joining the LFM's open
   /// transaction or auto-committing. No-op without a WAL.
   Status LogCatalogRecord(storage::WalRecordType type,

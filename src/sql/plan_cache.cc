@@ -10,16 +10,12 @@ std::shared_ptr<const CachedPlan> PlanCache::Get(const std::string& sql,
                                                  uint64_t index_version) {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = entries_.find(sql);
-  if (it == entries_.end()) {
-    ++misses_;
-    return nullptr;
-  }
+  if (it == entries_.end()) return nullptr;
   if (it->second.plan->catalog_version != catalog_version ||
       it->second.plan->stats_version != stats_version ||
       it->second.plan->index_version != index_version) {
     lru_.erase(it->second.lru_pos);
     entries_.erase(it);
-    ++misses_;
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -30,6 +26,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Get(const std::string& sql,
 void PlanCache::Put(const std::string& sql,
                     std::shared_ptr<const CachedPlan> plan) {
   std::lock_guard<std::mutex> lock(mu_);
+  ++misses_;
   auto it = entries_.find(sql);
   if (it != entries_.end()) {
     it->second.plan = std::move(plan);

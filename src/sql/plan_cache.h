@@ -29,20 +29,24 @@ struct CachedPlan {
   uint64_t index_version = 0;
 };
 
-/// LRU cache of compiled plans keyed by raw SQL text. Amortizes the
+/// LRU cache of compiled SELECTs keyed by raw SQL text. Amortizes the
 /// parse + optimize + compile pipeline for repeated statements (the
 /// hot path of the query service); thread-safe so sessions share it.
+/// Only SELECTs are cached, and each counts once: a hit when a cached
+/// plan serves it, a miss when it had to be planned (Put).
 class PlanCache {
  public:
   explicit PlanCache(size_t capacity = 128) : capacity_(capacity) {}
 
-  /// Returns the cached plan for `sql` when all versions still match;
-  /// stale entries are evicted on the spot and count as misses.
+  /// Returns the cached plan for `sql` when all versions still match,
+  /// counting a hit; a stale entry is evicted on the spot. Counts no
+  /// miss: the caller may probe before it knows the text is a SELECT.
   std::shared_ptr<const CachedPlan> Get(const std::string& sql,
                                         uint64_t catalog_version,
                                         uint64_t stats_version,
-                                        uint64_t index_version = 0);
+                                        uint64_t index_version);
 
+  /// Caches a freshly planned SELECT, counting one miss.
   void Put(const std::string& sql, std::shared_ptr<const CachedPlan> plan);
 
   uint64_t hits() const;

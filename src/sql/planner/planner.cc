@@ -179,41 +179,47 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) {
     tp.analyzed = snaps[t] != nullptr;
     tp.base_rows = snaps[t] ? static_cast<double>(snaps[t]->rows)
                             : CostParams::kDefaultRows;
+    AccessPath& access = tp.access;
     if (auto probe = FindIndexProbeSpec(pushed[t], tp.alias, *infos[t])) {
-      tp.use_probe = true;
-      tp.probe_column = probe->column;
-      tp.probe_key = probe->key;
+      access.kind = AccessKind::kIndexProbe;
+      access.column = probe->column;
+      access.lo = probe->key;
     } else if (candidate_hook_ != nullptr && *candidate_hook_) {
       // Extension index (the cross-study spatial index): a candidate
-      // key set restricts the scan; the pushed conjuncts below remain
-      // the exact re-check, so this never loses rows.
+      // key set restricts the table; the pushed conjuncts below remain
+      // the exact re-check, so this never loses rows. Per-key probes
+      // need a B+-tree on the key column, else the scan drops
+      // non-candidate rows before the filter runs.
       if (auto cand = (*candidate_hook_)(tp.table, tp.alias, pushed[t])) {
         double population = std::max(cand->population, 1.0);
         double keys = static_cast<double>(cand->keys.size());
         if (keys < population) {
-          tp.use_candidates = true;
-          tp.candidate_column = cand->column;
-          tp.candidate_keys = std::move(cand->keys);
-          tp.candidate_population = cand->population;
-          tp.candidate_rows = tp.base_rows * std::min(1.0, keys / population);
-          tp.candidate_source = std::move(cand->source);
+          access.kind = infos[t]->indexes.count(cand->column)
+                            ? AccessKind::kCandidateProbe
+                            : AccessKind::kCandidateScan;
+          access.column = cand->column;
+          access.keys = std::move(cand->keys);
+          access.key_population = cand->population;
+          access.touched_rows =
+              tp.base_rows * std::min(1.0, keys / population);
+          access.source = std::move(cand->source);
         }
       }
     }
-    if (!tp.use_probe && !tp.use_candidates) {
+    if (access.kind == AccessKind::kScan) {
       if (auto range = FindIndexRangeSpec(pushed[t], tp.alias, *infos[t])) {
         double touched = tp.base_rows * RangeSelectivity(*range, snaps[t].get());
         // One descent plus a partial leaf walk vs decoding every row:
         // narrow (or unanalyzed) ranges probe, wide ranges scan.
         if (CostParams::kIndexProbe + touched * CostParams::kRowDecode <
             tp.base_rows * CostParams::kRowDecode) {
-          tp.use_range = true;
-          tp.range_column = range->column;
-          tp.range_lo = range->lo;
-          tp.range_hi = range->hi;
-          tp.range_has_lo = range->has_lo;
-          tp.range_has_hi = range->has_hi;
-          tp.range_rows = touched;
+          access.kind = AccessKind::kIndexRangeProbe;
+          access.column = range->column;
+          access.lo = range->lo;
+          access.hi = range->hi;
+          access.has_lo = range->has_lo;
+          access.has_hi = range->has_hi;
+          access.touched_rows = touched;
         }
       }
     }
@@ -236,7 +242,10 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) {
     // The candidate set bounds the qualifying rows from above (its
     // conjuncts are already in sel_product, so take the min rather
     // than multiplying the restriction in twice).
-    if (tp.use_candidates) tp.est_rows = std::min(tp.est_rows, tp.candidate_rows);
+    if (access.kind == AccessKind::kCandidateProbe ||
+        access.kind == AccessKind::kCandidateScan) {
+      tp.est_rows = std::min(tp.est_rows, access.touched_rows);
+    }
   }
 
   // Classify residuals: referenced FROM set, equi-join selectivity.
@@ -353,20 +362,26 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) {
   // Totals: scan cost per table, then nested-loop cost level by level.
   double cost = 0.0;
   for (const TablePlan& tp : plan.tables) {
-    double examined;
-    if (tp.use_probe) {
-      examined = std::max(1.0, tp.est_rows) + CostParams::kIndexProbe;
-    } else if (tp.use_range) {
-      examined = std::max(1.0, tp.range_rows) + CostParams::kIndexProbe;
-    } else if (tp.use_candidates) {
-      // One B+-tree descent per candidate key (or a filtered scan when
-      // no key index exists — same order of magnitude either way).
-      examined = std::max(1.0, tp.candidate_rows) +
-                 CostParams::kIndexProbe *
-                     std::max<double>(1.0, static_cast<double>(
-                                               tp.candidate_keys.size()));
-    } else {
-      examined = tp.base_rows;
+    // A scan and a candidate scan both decode every row.
+    double examined = tp.base_rows;
+    switch (tp.access.kind) {
+      case AccessKind::kIndexProbe:
+        examined = std::max(1.0, tp.est_rows) + CostParams::kIndexProbe;
+        break;
+      case AccessKind::kIndexRangeProbe:
+        examined = std::max(1.0, tp.access.touched_rows) +
+                   CostParams::kIndexProbe;
+        break;
+      case AccessKind::kCandidateProbe:
+        // One B+-tree descent per candidate key.
+        examined = std::max(1.0, tp.access.touched_rows) +
+                   CostParams::kIndexProbe *
+                       std::max<double>(
+                           1.0, static_cast<double>(tp.access.keys.size()));
+        break;
+      case AccessKind::kScan:
+      case AccessKind::kCandidateScan:
+        break;
     }
     cost += examined * CostParams::kRowDecode;
     double remaining = examined;
@@ -390,26 +405,15 @@ Result<SelectPlan> Planner::PlanSelect(const SelectStmt& stmt) {
   return plan;
 }
 
-std::vector<std::string> SelectPlan::PlanNotes() const {
-  std::vector<std::string> notes;
-  // FROM order, same wording as the tree-walking interpreter.
-  std::vector<const TablePlan*> by_from(tables.size());
-  for (const TablePlan& tp : tables) by_from[tp.from_index] = &tp;
-  for (const TablePlan* tp : by_from) {
-    std::ostringstream note;
-    const char* path = tp->use_probe        ? "index probe"
-                       : tp->use_range      ? "index range probe"
-                       : tp->use_candidates ? "candidate probe"
-                                            : "scan";
-    note << tp->table << " " << tp->alias << ": " << path << ", "
-         << tp->pushed.size() << " pushed predicate(s)";
-    notes.push_back(note.str());
+const char* AccessKindName(AccessKind kind) {
+  switch (kind) {
+    case AccessKind::kScan: return "scan";
+    case AccessKind::kIndexProbe: return "index probe";
+    case AccessKind::kIndexRangeProbe: return "index range probe";
+    case AccessKind::kCandidateProbe: return "candidate probe";
+    case AccessKind::kCandidateScan: return "candidate scan";
   }
-  if (!residuals.empty()) {
-    notes.push_back("join: " + std::to_string(residuals.size()) +
-                    " residual predicate(s), nested loop");
-  }
-  return notes;
+  return "scan";
 }
 
 std::vector<std::string> SelectPlan::ExplainLines() const {
@@ -418,21 +422,27 @@ std::vector<std::string> SelectPlan::ExplainLines() const {
                   " est_cost=" + Fmt(est_cost));
   for (const TablePlan& tp : tables) {
     std::ostringstream line;
-    line << tp.table << " " << tp.alias << ": ";
-    if (tp.use_probe) {
-      line << "index probe on " << tp.probe_column << " = " << tp.probe_key;
-    } else if (tp.use_range) {
-      line << "index range probe on " << tp.range_column << " in [";
-      if (tp.range_has_lo) line << tp.range_lo;
-      line << "..";
-      if (tp.range_has_hi) line << tp.range_hi;
-      line << "], est " << Fmt(tp.range_rows) << " touched";
-    } else if (tp.use_candidates) {
-      line << "candidate probe on " << tp.candidate_column << " in "
-           << tp.candidate_keys.size() << " of " << Fmt(tp.candidate_population)
-           << " key(s) via " << tp.candidate_source;
-    } else {
-      line << "scan";
+    const AccessPath& access = tp.access;
+    line << tp.table << " " << tp.alias << ": " << AccessKindName(access.kind);
+    switch (access.kind) {
+      case AccessKind::kScan:
+        break;
+      case AccessKind::kIndexProbe:
+        line << " on " << access.column << " = " << access.lo;
+        break;
+      case AccessKind::kIndexRangeProbe:
+        line << " on " << access.column << " in [";
+        if (access.has_lo) line << access.lo;
+        line << "..";
+        if (access.has_hi) line << access.hi;
+        line << "], est " << Fmt(access.touched_rows) << " touched";
+        break;
+      case AccessKind::kCandidateProbe:
+      case AccessKind::kCandidateScan:
+        line << " on " << access.column << " in " << access.keys.size()
+             << " of " << Fmt(access.key_population) << " key(s) via "
+             << access.source;
+        break;
     }
     line << ", est " << Fmt(tp.est_rows) << " of " << Fmt(tp.base_rows)
          << " row(s)" << (tp.analyzed ? "" : " (no statistics)");

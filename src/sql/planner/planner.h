@@ -21,6 +21,41 @@ struct PlannedConjunct {
   double rank() const { return PredicateRank(selectivity, cost); }
 };
 
+/// How the VM reads one FROM table. The planner picks the kind once;
+/// the VM runs exactly that kind, and EXPLAIN prints AccessKindName.
+enum class AccessKind {
+  kScan,             // decode every row, then the filter program
+  kIndexProbe,       // B+-tree lookup of `column` = `lo`, in leaf order
+  kIndexRangeProbe,  // B+-tree leaf walk over [lo, hi], in heap order
+  kCandidateProbe,   // B+-tree lookup per candidate key, in heap order
+  kCandidateScan,    // scan dropping rows whose key is not a candidate
+};
+
+/// The one name EXPLAIN prints for each access kind.
+const char* AccessKindName(AccessKind kind);
+
+/// Access path for one FROM table.
+struct AccessPath {
+  AccessKind kind = AccessKind::kScan;
+  std::string column;  // the probed or candidate key column
+  /// Index probe: the key, in `lo`. Range probe: the bounds, each set
+  /// only when its `has_` flag is.
+  int64_t lo = 0;
+  int64_t hi = 0;
+  bool has_lo = false;
+  bool has_hi = false;
+  /// Estimated rows the range walk touches, or that carry a candidate
+  /// key.
+  double touched_rows = 0.0;
+  /// Candidate kinds: the extension index hook (the cross-study spatial
+  /// index) proved that only rows whose `column` value is in `keys` can
+  /// satisfy the pushed conjuncts. A superset guarantee, so the
+  /// conjuncts remain the exact re-check.
+  std::vector<int64_t> keys;  // sorted ascending, deduplicated
+  double key_population = 0.0;
+  std::string source;  // EXPLAIN tag, e.g. "rtree+bitmap"
+};
+
 /// Access plan for one FROM table.
 struct TablePlan {
   std::string table;
@@ -29,30 +64,7 @@ struct TablePlan {
   bool analyzed = false;  // statistics were available
   double base_rows = 0.0;
   double est_rows = 0.0;  // after pushed predicates
-  bool use_probe = false;
-  std::string probe_column;
-  int64_t probe_key = 0;
-  /// Range probe: one B+-tree descent on `range_column`, then a leaf
-  /// walk over [range_lo, range_hi]. Chosen cost-based — only when the
-  /// estimated touched fraction beats decoding the whole heap file.
-  bool use_range = false;
-  std::string range_column;
-  int64_t range_lo = 0;
-  int64_t range_hi = 0;
-  bool range_has_lo = false;
-  bool range_has_hi = false;
-  double range_rows = 0.0;  // estimated rows the leaf walk touches
-  /// Candidate restriction from the extension index hook (the
-  /// cross-study spatial index): only rows whose `candidate_column`
-  /// value appears in `candidate_keys` can satisfy the pushed
-  /// conjuncts. A superset guarantee, so the conjuncts below remain the
-  /// exact re-check.
-  bool use_candidates = false;
-  std::string candidate_column;
-  std::vector<int64_t> candidate_keys;  // sorted ascending, deduplicated
-  double candidate_population = 0.0;
-  double candidate_rows = 0.0;  // estimated rows carrying a candidate key
-  std::string candidate_source;  // EXPLAIN tag, e.g. "rtree+bitmap"
+  AccessPath access;
   /// Pushed single-table conjuncts in evaluation (ascending rank) order.
   /// The probe equality conjunct stays in this list: stale index entries
   /// make the re-check necessary.
@@ -71,8 +83,7 @@ struct ResidualPlan {
 
 /// Cost-based plan for one SELECT. `tables` is the chosen join order;
 /// `from_to_plan[f]` maps FROM position f to its index in `tables`
-/// (star projection and plan notes stay in FROM order regardless of the
-/// join order).
+/// (star projection stays in FROM order regardless of the join order).
 struct SelectPlan {
   std::vector<TablePlan> tables;
   std::vector<ResidualPlan> residuals;  // sorted by (depth, rank)
@@ -84,16 +95,13 @@ struct SelectPlan {
   int extract_pref = -1;
   bool encoded_chain() const { return extract_pref == 1; }
 
-  /// The legacy executor's plan-note lines (access path per FROM table
-  /// plus the join residual note), kept format-compatible.
-  std::vector<std::string> PlanNotes() const;
-  /// Full EXPLAIN rendering: estimates, conjunct order, join order,
-  /// extraction strategy.
+  /// The one plan description (EXPLAIN): access paths with estimates,
+  /// conjunct order, join order, extraction strategy.
   std::vector<std::string> ExplainLines() const;
 };
 
 /// Cost-based SELECT planner. Orders filter conjuncts by predicate
-/// rank, chooses index probe vs scan, picks a greedy join order from
+/// rank, chooses each table's access path, picks a greedy join order from
 /// estimated cardinalities, and selects the spatial extraction strategy
 /// from the UDF cost hook. Join reordering only engages when every FROM
 /// table has statistics — without them the FROM order is kept, which

@@ -434,12 +434,12 @@ Result<CompiledSelect> Compiler::CompileSelect(const SelectStmt& stmt,
     for (const planner::ResidualPlan& r : plan.residuals) {
       MarkNeededColumns(*r.expr, scopes, &cs.needed_columns);
     }
-    // The candidate membership pre-filter reads the key column even when
-    // no compiled predicate references it directly.
+    // The candidate scan's membership pre-filter reads the key column
+    // even when no compiled predicate references it directly.
     for (size_t d = 0; d < cs.num_tables; ++d) {
-      const planner::TablePlan& tp = plan.tables[d];
-      if (!tp.use_candidates) continue;
-      auto idx = scopes[d].schema->ColumnIndex(tp.candidate_column);
+      const planner::AccessPath& access = plan.tables[d].access;
+      if (access.kind != planner::AccessKind::kCandidateScan) continue;
+      auto idx = scopes[d].schema->ColumnIndex(access.column);
       if (idx.ok()) cs.needed_columns[d][idx.value()] = 1;
     }
   }

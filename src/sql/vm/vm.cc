@@ -28,10 +28,38 @@ bool TruthOfCompare(Expr::BinOp op, int cmp) {
   }
 }
 
+/// The VM's one batched heap scan (full scan, candidate scan, UPDATE
+/// and DELETE): decodes each live record's `needed` columns into
+/// `batch[lane]`, keeps the row when `keep(lane, rid)` says so, and
+/// hands every kBatchRows kept rows, then the remainder, to
+/// `flush(count)`. Both callbacks inline; ScanBatched's own callback
+/// runs once per page.
+template <typename Keep, typename Flush>
+Status ScanHeapBatched(TableInfo* info, const std::vector<char>& needed,
+                       std::vector<Row>& batch, Keep keep, Flush flush) {
+  size_t filled = 0;
+  Status status = Status::OK();
+  QBISM_RETURN_NOT_OK(info->file->ScanBatched(
+      [&](const std::vector<uint8_t>& bytes,
+          const std::vector<storage::HeapFile::RecordRef>& records) {
+        for (const storage::HeapFile::RecordRef& rec : records) {
+          status = DeserializeRowProjected(info->schema, bytes, rec.offset,
+                                           rec.length, needed, &batch[filled]);
+          if (!status.ok()) return false;
+          if (!keep(filled, rec.rid) || ++filled < kBatchRows) continue;
+          status = flush(filled);
+          filled = 0;
+          if (!status.ok()) return false;
+        }
+        return true;
+      }));
+  QBISM_RETURN_NOT_OK(status);
+  return filled == 0 ? Status::OK() : flush(filled);
+}
+
 }  // namespace
 
 struct BatchVM::Level {
-  const TableSchema* schema = nullptr;
   std::vector<Row> rows;
   /// Batch scratch, sized kBatchRows once per query (the inner join
   /// loops re-slice these instead of allocating).
@@ -244,154 +272,92 @@ Status BatchVM::RunProgram(const Program& prog, const Row* const* lanes,
 
 Status BatchVM::ScanLevel(const CompiledSelect& cs, size_t depth,
                           TableInfo* info, Level* level) {
-  const planner::TablePlan& tp = cs.plan.tables[depth];
+  using planner::AccessKind;
+  const planner::AccessPath& access = cs.plan.tables[depth].access;
   const Program& filter = cs.scan_filters[depth];
   const std::vector<char>& needed = cs.needed_columns[depth];
-  std::vector<Row> scratch(kBatchRows);
-  size_t filled = 0;
+  std::vector<Row> batch(kBatchRows);
 
-  auto flush = [&]() -> Status {
-    if (filled == 0) return Status::OK();
-    for (size_t i = 0; i < filled; ++i) {
-      level->lanes[i] = &scratch[i];
+  // Runs the pushed filter over batch[0, count) and keeps the survivors.
+  auto flush = [&](size_t count) -> Status {
+    for (size_t i = 0; i < count; ++i) {
+      level->lanes[i] = &batch[i];
       level->sel[i] = static_cast<uint16_t>(i);
     }
-    size_t sel_size = filled;
+    size_t sel_size = count;
     QBISM_RETURN_NOT_OK(RunProgram(filter, level->lanes.data(), nullptr,
                                    level->sel.data(), &sel_size));
     for (size_t i = 0; i < sel_size; ++i) {
-      level->rows.push_back(std::move(scratch[level->sel[i]]));
+      level->rows.push_back(std::move(batch[level->sel[i]]));
     }
-    filled = 0;
     return Status::OK();
   };
 
-  auto read_rids = [&](std::vector<storage::RecordId> rids,
-                       bool heap_order) -> Status {
-    if (heap_order) {
-      // Heap (page, slot) order: the emitted rows are byte-identical to
-      // a filtered full scan, so index pruning never perturbs row
-      // order. The eq probe keeps leaf order instead — that is what
-      // the tree-walking interpreter emits for the same query.
-      std::sort(rids.begin(), rids.end(),
-                [](const storage::RecordId& a, const storage::RecordId& b) {
-                  return a.page_no != b.page_no ? a.page_no < b.page_no
-                                                : a.slot < b.slot;
-                });
-    }
-    for (const storage::RecordId& rid : rids) {
-      auto bytes = info->file->Read(rid);
-      if (bytes.status().IsNotFound()) continue;  // deleted: stale entry
-      QBISM_RETURN_NOT_OK(bytes.status());
-      QBISM_RETURN_NOT_OK(DeserializeRowProjected(*level->schema,
-                                                  bytes.value(), needed,
-                                                  &scratch[filled]));
-      if (++filled == kBatchRows) QBISM_RETURN_NOT_OK(flush());
-    }
-    return flush();
-  };
-
-  if (tp.use_probe) {
-    auto it = info->indexes.find(tp.probe_column);
-    if (it == info->indexes.end()) {
-      return Status::Internal("plan references missing index on '" +
-                              tp.probe_column + "'");
-    }
-    QBISM_ASSIGN_OR_RETURN(std::vector<storage::RecordId> rids,
-                           it->second->Find(tp.probe_key));
-    return read_rids(std::move(rids), /*heap_order=*/false);
+  if (access.kind == AccessKind::kScan) {
+    return ScanHeapBatched(
+        info, needed, batch,
+        [](size_t, const storage::RecordId&) { return true; }, flush);
   }
-
-  if (tp.use_range) {
-    auto it = info->indexes.find(tp.range_column);
-    if (it == info->indexes.end()) {
-      return Status::Internal("plan references missing index on '" +
-                              tp.range_column + "'");
-    }
-    int64_t lo = tp.range_has_lo ? tp.range_lo : INT64_MIN;
-    int64_t hi = tp.range_has_hi ? tp.range_hi : INT64_MAX;
-    if (lo > hi) return Status::OK();  // contradictory bounds: no rows
-    QBISM_ASSIGN_OR_RETURN(std::vector<storage::RecordId> rids,
-                           it->second->FindRange(lo, hi));
-    return read_rids(std::move(rids), /*heap_order=*/true);
-  }
-
-  if (tp.use_candidates) {
-    auto it = info->indexes.find(tp.candidate_column);
-    if (it != info->indexes.end()) {
-      // A B+-tree on the key column turns the candidate set into
-      // per-key probes (the common case: studyId is indexed).
-      std::vector<storage::RecordId> rids;
-      for (int64_t key : tp.candidate_keys) {
-        QBISM_ASSIGN_OR_RETURN(std::vector<storage::RecordId> found,
-                               it->second->Find(key));
-        rids.insert(rids.end(), found.begin(), found.end());
-      }
-      return read_rids(std::move(rids), /*heap_order=*/true);
-    }
-    // No index on the key column: scan, but drop rows whose key value
-    // is provably outside the candidate set before running the filter
-    // program. Null / non-integer values are kept — the compiled
-    // conjuncts remain the exact check for them.
+  if (access.kind == AccessKind::kCandidateScan) {
+    // Drop rows whose key value is provably outside the candidate set
+    // before the filter program runs. Null / non-integer values are
+    // kept — the compiled conjuncts remain the exact check for them.
     QBISM_ASSIGN_OR_RETURN(size_t key_col,
-                           level->schema->ColumnIndex(tp.candidate_column));
-    Status scan_status = Status::OK();
-    QBISM_RETURN_NOT_OK(info->file->ScanBatched(
-        [&](const std::vector<uint8_t>& bytes,
-            const std::vector<storage::HeapFile::RecordRef>& records) {
-          for (const storage::HeapFile::RecordRef& rec : records) {
-            Status st = DeserializeRowProjected(*level->schema, bytes,
-                                                rec.offset, rec.length,
-                                                needed, &scratch[filled]);
-            if (!st.ok()) {
-              scan_status = st;
-              return false;
-            }
-            const Value& key = scratch[filled][key_col];
-            if (key.kind() == Value::Kind::kInt &&
-                !std::binary_search(tp.candidate_keys.begin(),
-                                    tp.candidate_keys.end(),
-                                    key.AsInt().value())) {
-              continue;
-            }
-            if (++filled == kBatchRows) {
-              st = flush();
-              if (!st.ok()) {
-                scan_status = st;
-                return false;
-              }
-            }
-          }
-          return true;
-        }));
-    QBISM_RETURN_NOT_OK(scan_status);
-    return flush();
+                           info->schema.ColumnIndex(access.column));
+    auto is_candidate = [&](size_t lane, const storage::RecordId&) {
+      const Value& key = batch[lane][key_col];
+      return key.kind() != Value::Kind::kInt ||
+             std::binary_search(access.keys.begin(), access.keys.end(),
+                                key.AsInt().value());
+    };
+    return ScanHeapBatched(info, needed, batch, is_candidate, flush);
   }
 
-  Status scan_status = Status::OK();
-  QBISM_RETURN_NOT_OK(info->file->ScanBatched(
-      [&](const std::vector<uint8_t>& bytes,
-          const std::vector<storage::HeapFile::RecordRef>& records) {
-        for (const storage::HeapFile::RecordRef& rec : records) {
-          Status st = DeserializeRowProjected(*level->schema, bytes,
-                                              rec.offset, rec.length, needed,
-                                              &scratch[filled]);
-          if (!st.ok()) {
-            scan_status = st;
-            return false;
-          }
-          if (++filled == kBatchRows) {
-            st = flush();
-            if (!st.ok()) {
-              scan_status = st;
-              return false;
-            }
-          }
-        }
-        return true;
-      }));
-  QBISM_RETURN_NOT_OK(scan_status);
-  return flush();
+  // The probe kinds read the record ids the column's B+-tree returns.
+  auto it = info->indexes.find(access.column);
+  if (it == info->indexes.end()) {
+    return Status::Internal("plan references missing index on '" +
+                            access.column + "'");
+  }
+  const storage::BPlusTree& index = *it->second;
+  std::vector<storage::RecordId> rids;
+  if (access.kind == AccessKind::kIndexProbe) {
+    QBISM_ASSIGN_OR_RETURN(rids, index.Find(access.lo));
+  } else if (access.kind == AccessKind::kIndexRangeProbe) {
+    int64_t lo = access.has_lo ? access.lo : INT64_MIN;
+    int64_t hi = access.has_hi ? access.hi : INT64_MAX;
+    if (lo > hi) return Status::OK();  // contradictory bounds: no rows
+    QBISM_ASSIGN_OR_RETURN(rids, index.FindRange(lo, hi));
+  } else {
+    for (int64_t key : access.keys) {
+      QBISM_ASSIGN_OR_RETURN(std::vector<storage::RecordId> found,
+                             index.Find(key));
+      rids.insert(rids.end(), found.begin(), found.end());
+    }
+  }
+  if (access.kind != AccessKind::kIndexProbe) {
+    // Heap (page, slot) order: the emitted rows are byte-identical to a
+    // filtered full scan, so index pruning never perturbs row order.
+    // The equality probe keeps leaf order instead — that is what the
+    // tree-walking interpreter emits for the same query.
+    std::sort(rids.begin(), rids.end(),
+              [](const storage::RecordId& a, const storage::RecordId& b) {
+                return a.page_no != b.page_no ? a.page_no < b.page_no
+                                              : a.slot < b.slot;
+              });
+  }
+  size_t filled = 0;
+  for (const storage::RecordId& rid : rids) {
+    auto bytes = info->file->Read(rid);
+    if (bytes.status().IsNotFound()) continue;  // deleted: stale entry
+    QBISM_RETURN_NOT_OK(bytes.status());
+    QBISM_RETURN_NOT_OK(DeserializeRowProjected(info->schema, bytes.value(),
+                                                needed, &batch[filled]));
+    if (++filled < kBatchRows) continue;
+    QBISM_RETURN_NOT_OK(flush(filled));
+    filled = 0;
+  }
+  return filled == 0 ? Status::OK() : flush(filled);
 }
 
 Status BatchVM::EmitBatch(const CompiledSelect& cs,
@@ -523,7 +489,6 @@ Status BatchVM::JoinLevel(const CompiledSelect& cs,
 Result<ResultSet> BatchVM::RunSelect(const CompiledSelect& cs) {
   ResultSet result;
   result.columns = cs.columns;
-  result.plan = cs.plan.PlanNotes();
   // Extraction strategy chosen by the optimizer: decode-and-extract
   // turns the spatial set-op UDFs' encoded-domain path off for this
   // query.
@@ -534,7 +499,6 @@ Result<ResultSet> BatchVM::RunSelect(const CompiledSelect& cs) {
   for (size_t d = 0; d < n; ++d) {
     QBISM_ASSIGN_OR_RETURN(TableInfo * info,
                            catalog_->GetTable(cs.plan.tables[d].table));
-    levels[d].schema = &info->schema;
     levels[d].lanes.resize(kBatchRows);
     levels[d].sel.resize(kBatchRows);
     QBISM_RETURN_NOT_OK(ScanLevel(cs, d, info, &levels[d]));
@@ -593,25 +557,23 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
   QBISM_ASSIGN_OR_RETURN(TableInfo * table, catalog_->GetTable(cm.table));
   const TableSchema& schema = table->schema;
 
-  std::vector<Row> scratch(kBatchRows);
+  std::vector<Row> batch(kBatchRows);
   std::vector<storage::RecordId> rids(kBatchRows);
   std::vector<const Row*> lanes(kBatchRows);
   std::vector<uint16_t> sel(kBatchRows);
   std::vector<uint16_t> run_sel(kBatchRows);
-  size_t filled = 0;
 
   std::vector<std::pair<storage::RecordId, Row>> updates;
   std::vector<storage::RecordId> victims;
 
   // Phase 1: batched scan, filter, and (for UPDATE) new-image
   // construction — assignment expressions see the pre-update values.
-  auto flush = [&]() -> Status {
-    if (filled == 0) return Status::OK();
-    for (size_t i = 0; i < filled; ++i) {
-      lanes[i] = &scratch[i];
+  auto flush = [&](size_t count) -> Status {
+    for (size_t i = 0; i < count; ++i) {
+      lanes[i] = &batch[i];
       sel[i] = static_cast<uint16_t>(i);
     }
-    size_t sel_size = filled;
+    size_t sel_size = count;
     if (!cm.filter.empty()) {
       QBISM_RETURN_NOT_OK(RunProgram(cm.filter, lanes.data(), nullptr,
                                      sel.data(), &sel_size));
@@ -633,7 +595,7 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
       }
       for (size_t i = 0; i < sel_size; ++i) {
         uint16_t lane = sel[i];
-        Row updated = std::move(scratch[lane]);
+        Row updated = std::move(batch[lane]);
         for (size_t j = 0; j < cm.assignments.size(); ++j) {
           updated[cm.target_columns[j]] = std::move(values[j][i]);
         }
@@ -644,35 +606,15 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
         victims.push_back(rids[sel[i]]);
       }
     }
-    filled = 0;
     return Status::OK();
   };
 
-  Status scan_status = Status::OK();
-  QBISM_RETURN_NOT_OK(table->file->ScanBatched(
-      [&](const std::vector<uint8_t>& bytes,
-          const std::vector<storage::HeapFile::RecordRef>& records) {
-        for (const storage::HeapFile::RecordRef& rec : records) {
-          Status st = DeserializeRowProjected(schema, bytes, rec.offset,
-                                              rec.length, cm.needed_columns,
-                                              &scratch[filled]);
-          if (!st.ok()) {
-            scan_status = st;
-            return false;
-          }
-          rids[filled] = rec.rid;
-          if (++filled == kBatchRows) {
-            st = flush();
-            if (!st.ok()) {
-              scan_status = st;
-              return false;
-            }
-          }
-        }
-        return true;
-      }));
-  QBISM_RETURN_NOT_OK(scan_status);
-  QBISM_RETURN_NOT_OK(flush());
+  auto remember_rid = [&](size_t lane, const storage::RecordId& rid) {
+    rids[lane] = rid;
+    return true;
+  };
+  QBISM_RETURN_NOT_OK(ScanHeapBatched(table, cm.needed_columns, batch,
+                                      remember_rid, flush));
 
   ResultSet result;
   if (cm.is_update) {

@@ -8,7 +8,7 @@
 #include "common/arena.h"
 #include "common/result.h"
 #include "sql/catalog.h"
-#include "sql/executor.h"
+#include "sql/result_set.h"
 #include "sql/udf.h"
 #include "sql/vm/compiler.h"
 

@@ -272,7 +272,7 @@ struct ExtractWorld {
   storage::LongFieldId field;
   std::vector<storage::ByteRange> sparse;
 
-  static Result<std::shared_ptr<ExtractWorld>> Build(int max_io_retries) {
+  static Result<std::shared_ptr<ExtractWorld>> Build() {
     auto world = std::make_shared<ExtractWorld>();
     world->bytes.resize(256 * storage::kPageSize);
     Rng rng(99);
@@ -286,7 +286,6 @@ struct ExtractWorld {
     }
     ExtractOptions options;
     options.min_parallel_pages = 1;
-    options.max_io_retries = max_io_retries;
     world->extractor =
         std::make_unique<ParallelExtractor>(&world->lfm, options);
     world->extractor->set_pool(&world->pool);
@@ -326,7 +325,7 @@ FaultSweepFactory ExtractFactory(const std::shared_ptr<ExtractWorld>& world) {
 }
 
 TEST(FaultSweepTest, ParallelExtractionSurfacesEveryBatchFault) {
-  auto world = ExtractWorld::Build(/*max_io_retries=*/0).MoveValue();
+  auto world = ExtractWorld::Build().MoveValue();
   ASSERT_TRUE(world->RunExtractions().ok());
 
   auto report = RunFaultSweep(ExtractFactory(world)).MoveValue();
@@ -335,26 +334,11 @@ TEST(FaultSweepTest, ParallelExtractionSurfacesEveryBatchFault) {
   // Shard scheduling varies run to run but the batch op count does not,
   // so every targeted transfer exists and fires...
   EXPECT_EQ(report.faults_fired, report.points_tested);
-  // ...and with executor retries off, every fault surfaces.
+  // ...and with no retry below the service, every fault surfaces.
   EXPECT_EQ(report.surfaced, report.points_tested);
   EXPECT_EQ(report.absorbed, 0u);
   // The world is healthy after the sweep.
   EXPECT_TRUE(world->RunExtractions().ok());
-}
-
-TEST(FaultSweepTest, ExtractorRetriesAbsorbEveryTransientBatchFault) {
-  auto world = ExtractWorld::Build(/*max_io_retries=*/2).MoveValue();
-  ASSERT_TRUE(world->RunExtractions().ok());
-
-  auto report = RunFaultSweep(ExtractFactory(world)).MoveValue();
-  EXPECT_TRUE(report.ok()) << report.violations.front();
-  EXPECT_GT(report.points_tested, 0u);
-  EXPECT_EQ(report.faults_fired, report.points_tested);
-  // Opt-in shard retries turn every transient batch fault into a
-  // success, and the retried bytes are verified against the oracle by
-  // RunExtractions itself.
-  EXPECT_EQ(report.absorbed, report.points_tested);
-  EXPECT_EQ(report.surfaced, 0u);
 }
 
 // ---------------------------------------------------------------------

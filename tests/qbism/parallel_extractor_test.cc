@@ -246,28 +246,12 @@ TEST(ParallelExtractorTest, DefaultSurfacesInjectedFaults) {
   DiskDevice device(2048);
   LongFieldManager lfm(&device);
   TestField f = MakeField(&lfm, 64 * kPageSize, 11);
-  ParallelExtractor extractor(&lfm);  // max_io_retries = 0
+  ParallelExtractor extractor(&lfm);
   device.InstallFaultPlan(FaultPlan::FailAtTransfer(0));
   auto got = extractor.ExtractBytes(f.id, {{0, f.bytes.size()}});
   device.ClearFault();
   ASSERT_FALSE(got.ok());
   EXPECT_TRUE(got.status().IsIOError());
-  EXPECT_EQ(extractor.stats().io_retries, 0u);
-}
-
-TEST(ParallelExtractorTest, OptInRetryAbsorbsTransientFault) {
-  DiskDevice device(2048);
-  LongFieldManager lfm(&device);
-  TestField f = MakeField(&lfm, 64 * kPageSize, 12);
-  ExtractOptions options;
-  options.max_io_retries = 2;
-  ParallelExtractor extractor(&lfm, options);
-  device.InstallFaultPlan(FaultPlan::FailAtTransfer(0));
-  auto got = extractor.ExtractBytes(f.id, {{0, f.bytes.size()}});
-  device.ClearFault();
-  ASSERT_TRUE(got.ok()) << got.status().ToString();
-  EXPECT_EQ(got.value(), f.bytes);
-  EXPECT_EQ(extractor.stats().io_retries, 1u);
 }
 
 TEST(ParallelExtractorTest, ScanFieldStreamsEveryByteOnce) {

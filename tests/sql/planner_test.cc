@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/macros.h"
@@ -305,6 +306,50 @@ TEST(PlanCacheTest, CachedPlanSeesRowMutations) {
   EXPECT_EQ(db.plan_cache()->hits(), hits + 1);
   ASSERT_EQ(result->rows.size(), 1u);
   EXPECT_EQ(result->rows[0][0].AsInt().MoveValue(), 99);
+}
+
+TEST(PlanCacheTest, RepeatedExplainReturnsThePlan) {
+  // EXPLAIN is never served from the plan cache, so a repeat plans
+  // afresh and prints the same plan instead of running the query.
+  Database db;
+  ASSERT_TRUE(db.Execute("create table t (a int)").ok());
+  ASSERT_TRUE(db.Insert("t", {Value::Int(7)}).ok());
+  const std::string q = "select a from t where a > 1";
+  auto first = db.Execute("explain " + q);
+  auto second = db.Execute("explain " + q);
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(first->columns, std::vector<std::string>{"plan"});
+  EXPECT_EQ(second->columns, std::vector<std::string>{"plan"});
+  EXPECT_FALSE(first->rows.empty());
+  EXPECT_EQ(second->ToString(), first->ToString());
+  // The SELECT itself still runs.
+  auto rows = db.Execute(q);
+  ASSERT_TRUE(rows.ok());
+  EXPECT_EQ(rows->columns, std::vector<std::string>{"a"});
+  ASSERT_EQ(rows->rows.size(), 1u);
+  EXPECT_EQ(rows->rows[0][0].AsInt().MoveValue(), 7);
+}
+
+TEST(PlanCacheTest, CountsOneMissPerPlannedSelect) {
+  Database db;
+  const PlanCache* cache = db.plan_cache();
+  using Counts = std::pair<uint64_t, uint64_t>;  // (hits, misses)
+  auto counts = [&] { return Counts(cache->hits(), cache->misses()); };
+  for (const char* sql :
+       {"create table t (id int, v int)",
+        "insert into t values (1, 10), (2, 20)",
+        "update t set v = 11 where id = 1", "delete from t where id = 2"}) {
+    ASSERT_TRUE(db.Execute(sql).ok()) << sql;
+    EXPECT_EQ(counts(), Counts(0, 0)) << sql;
+  }
+  const std::string q = "select v from t where id = 1";
+  ASSERT_TRUE(db.Execute(q).ok());
+  EXPECT_EQ(counts(), Counts(0, 1));  // planned once
+  ASSERT_TRUE(db.Execute(q).ok());
+  EXPECT_EQ(counts(), Counts(1, 1));  // served from the cached plan
+  ASSERT_TRUE(db.Execute("explain " + q).ok());
+  EXPECT_EQ(counts(), Counts(1, 1));  // EXPLAIN is planned, not counted
 }
 
 // --- Cost model ---------------------------------------------------------

@@ -4,10 +4,13 @@
 // touched fraction beats a full scan. The EXPLAIN goldens here pin the
 // flip: unanalyzed tables probe (default range selectivity), analyzed
 // wide ranges scan, analyzed narrow ranges probe — and results are
-// byte-identical either way.
+// byte-identical either way. The candidate goldens pin the two paths a
+// candidate key set takes: per-key probes when the key column has a
+// B+-tree, a filtered scan when it has none.
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -159,6 +162,77 @@ TEST(FindIndexRangeSpecTest, TightestBoundWinsAcrossConjuncts) {
       &db, "select id from t where id >= 3 and id >= 10 and id <= 20");
   EXPECT_TRUE(AnyLineContains(lines, "in [10..20]"))
       << "plan was:\n" + lines.front();
+}
+
+// --- Candidate access paths ---------------------------------------------
+
+/// Table `b` holds 60 rows over 12 study keys (study = i % 12). The
+/// hook stands in for the cross-study spatial index: for `b` it answers
+/// the keys {2, 5, 7}, a superset of every key the queries below keep.
+class CandidatePathTest : public ::testing::Test {
+ protected:
+  static void Fill(Database* db) {
+    ASSERT_TRUE(db->Execute("create table b (study int, v int)").ok());
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_TRUE(db->Insert("b", {Value::Int(i % 12), Value::Int(i)}).ok());
+    }
+  }
+
+  void SetUp() override {
+    Fill(&bare_);
+    Fill(&db_);
+    db_.set_candidate_index_hook(
+        [](const std::string& table, const std::string&,
+           const std::vector<const Expr*>& conjuncts)
+            -> std::optional<planner::CandidateSet> {
+          if (table != "b" || conjuncts.empty()) return std::nullopt;
+          return planner::CandidateSet{"study", {2, 5, 7}, 12.0, "test"};
+        });
+  }
+
+  /// Each query's rows through the candidate path equal the plain
+  /// scan's, row order included.
+  void ExpectRowsMatchTheScan() {
+    for (const char* q :
+         {"select study, v from b where study = 2 or study = 5 or study = 7",
+          "select v from b where (study = 5 or study = 7) and v > 20",
+          "select * from b where study = 7 or v = 2"}) {
+      auto scan = bare_.Execute(q);
+      auto pruned = db_.Execute(q);
+      ASSERT_TRUE(scan.ok());
+      ASSERT_TRUE(pruned.ok());
+      EXPECT_FALSE(scan->rows.empty()) << q;
+      EXPECT_EQ(Render(*pruned), Render(*scan)) << q;
+    }
+  }
+
+  Database bare_;  // no hook, no index: the plain scan
+  Database db_;
+};
+
+TEST_F(CandidatePathTest, WithoutAKeyIndexTheCandidateSetFiltersAScan) {
+  // Costed like a scan: every row is decoded before the key check.
+  EXPECT_EQ(ExplainOf(&db_, "select v from b where study = 5 or study = 7"),
+            (std::vector<std::string>{
+                "select: est_rows=190 est_cost=8000",
+                "b b: candidate scan on study in 3 of 12 key(s) via test, "
+                "est 190 of 1000 row(s) (no statistics)",
+                "  filter ((study = 5) or (study = 7)) sel=0.19 cost=4 "
+                "rank=-0.2025"}));
+  ExpectRowsMatchTheScan();
+}
+
+TEST_F(CandidatePathTest, WithAKeyIndexTheCandidateSetProbesIt) {
+  ASSERT_TRUE(db_.Execute("create index b_study on b (study)").ok());
+  // One B+-tree descent per candidate key.
+  EXPECT_EQ(ExplainOf(&db_, "select v from b where study = 5 or study = 7"),
+            (std::vector<std::string>{
+                "select: est_rows=190 est_cost=2768",
+                "b b: candidate probe on study in 3 of 12 key(s) via test, "
+                "est 190 of 1000 row(s) (no statistics)",
+                "  filter ((study = 5) or (study = 7)) sel=0.19 cost=4 "
+                "rank=-0.2025"}));
+  ExpectRowsMatchTheScan();
 }
 
 }  // namespace

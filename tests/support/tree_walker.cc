@@ -2,7 +2,6 @@
 
 #include <map>
 #include <optional>
-#include <sstream>
 #include <utility>
 
 #include "common/macros.h"
@@ -248,13 +247,6 @@ Result<ResultSet> TreeWalker::ExecuteSelect(const SelectStmt& stmt) {
 
     std::optional<IndexProbeSpec> probe =
         FindIndexProbeSpec(pushed[t], bound.alias, *infos[t]);
-    {
-      std::ostringstream note;
-      note << stmt.tables[t].table << " " << bound.alias << ": "
-           << (probe.has_value() ? "index probe" : "scan") << ", "
-           << pushed[t].size() << " pushed predicate(s)";
-      result.plan.push_back(note.str());
-    }
     if (probe.has_value()) {
       // Index access path: fetch only the matching rids.
       const storage::BPlusTree* index =
@@ -291,11 +283,6 @@ Result<ResultSet> TreeWalker::ExecuteSelect(const SelectStmt& stmt) {
     }
     tables.push_back(std::move(bound));
   }
-  if (!join_conjuncts.empty()) {
-    result.plan.push_back("join: " + std::to_string(join_conjuncts.size()) +
-                          " residual predicate(s), nested loop");
-  }
-
   result.columns = BuildSelectColumns(stmt, scopes);
 
   // Aggregation setup. Restricted but practical form: with GROUP BY or

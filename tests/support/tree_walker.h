@@ -8,7 +8,7 @@
 #include "sql/ast.h"
 #include "sql/catalog.h"
 #include "sql/database.h"
-#include "sql/executor.h"
+#include "sql/result_set.h"
 #include "sql/udf.h"
 
 namespace qbism::sql {

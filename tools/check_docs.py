@@ -33,6 +33,10 @@ directory). Verifies, over every tracked markdown file:
    or defines a `Cursor`; and the old WireWriter/WireReader names
    appear in no source file. The bit-level codecs
    (src/common/bitstream.*, src/compress/) are exempt.
+9. EXPLAIN's access-path vocabulary stays documented: the names
+   AccessKindName returns (its `case AccessKind::k...: return "..."`
+   lines in src/sql/planner/planner.cc) are exactly the rows of
+   docs/INDEXING.md's `| access path |` table, one row each.
 
 Exits non-zero with one line per problem.
 """
@@ -98,6 +102,10 @@ PRIVATE_CODEC_RES = [
     ("defines a Cursor", re.compile(r"\b(?:struct|class)[ \t]+Cursor\b")),
 ]
 OLD_WIRE_NAMES_RE = re.compile(r"\bWire(?:Writer|Reader)\b")
+ACCESS_NAMES_SOURCE = "src/sql/planner/planner.cc"
+ACCESS_NAME_RE = re.compile(r'case AccessKind::k\w+:\s*return "([^"]+)"')
+ACCESS_TABLE_HEADER = "| access path |"
+ACCESS_ROW_RE = re.compile(r"^\|\s*`([^`]+)`\s*\|")
 
 
 def expand_braces(path):
@@ -165,6 +173,37 @@ def check_byte_codec():
                     lineno = text.count("\n", 0, match.start()) + 1
                     problems.append(f"{rel}:{lineno}: {what}; use "
                                     f"{BYTE_CODEC}")
+    return problems
+
+
+def check_access_paths(indexing_doc):
+    """Rule 9: problems where docs/INDEXING.md's access-path table and
+    the names EXPLAIN can print disagree."""
+    source = (ROOT / ACCESS_NAMES_SOURCE).read_text(encoding="utf-8")
+    names = ACCESS_NAME_RE.findall(source)
+    rel = "docs/INDEXING.md"
+    if not names:
+        return [f"{ACCESS_NAMES_SOURCE}: AccessKindName returns no name"]
+    lines = indexing_doc.splitlines()
+    start = next((i for i, line in enumerate(lines)
+                  if line.startswith(ACCESS_TABLE_HEADER)), None)
+    if start is None:
+        return [f"{rel}: no '{ACCESS_TABLE_HEADER}' table"]
+    rows = []
+    for line in lines[start + 2:]:  # skip the header's separator row
+        if not line.startswith("|"):
+            break
+        match = ACCESS_ROW_RE.match(line)
+        rows.append(match.group(1) if match else line)
+    problems = []
+    for name in names:
+        if rows.count(name) != 1:
+            problems.append(f"{rel}: access-path table lists `{name}` "
+                            f"{rows.count(name)} times, EXPLAIN prints it")
+    for row in rows:
+        if row not in names:
+            problems.append(f"{rel}: access-path table row `{row}` is not "
+                            f"a name AccessKindName returns")
     return problems
 
 
@@ -260,6 +299,9 @@ def main() -> int:
 
     # 8. One byte codec.
     problems += check_byte_codec()
+
+    # 9. EXPLAIN's access paths are documented, one row each.
+    problems += check_access_paths(texts.get("docs/INDEXING.md", ""))
 
     if problems:
         for p in sorted(set(problems)):
