@@ -13,6 +13,7 @@
 #include "qbism/spatial_extension.h"
 #include "warp/warp.h"
 
+using qbism::RunByteRanges;
 using qbism::SpatialConfig;
 using qbism::SpatialExtension;
 using qbism::curve::CurveKind;
@@ -49,8 +50,10 @@ int main() {
   for (const auto& s : qbism::med::StandardAtlasStructures()) {
     Region r_h = Region::FromShape(grid, CurveKind::kHilbert, *s.shape);
     Region r_z = r_h.ConvertTo(CurveKind::kZ);
-    uint64_t pages_h = ext_h->ExtractionPages(field_h, r_h).MoveValue();
-    uint64_t pages_z = ext_z->ExtractionPages(field_z, r_z).MoveValue();
+    uint64_t pages_h =
+        db_h.lfm()->PlanRead(field_h, RunByteRanges(r_h))->pages_touched;
+    uint64_t pages_z =
+        db_z.lfm()->PlanRead(field_z, RunByteRanges(r_z))->pages_touched;
     double run_ratio =
         static_cast<double>(r_z.RunCount()) / static_cast<double>(r_h.RunCount());
     double page_ratio =

@@ -11,6 +11,7 @@
 #include "common/macros.h"
 #include "qbism/spatial_extension.h"
 
+using qbism::RunByteRanges;
 using qbism::SpatialConfig;
 using qbism::SpatialExtension;
 using qbism::curve::CurveKind;
@@ -79,7 +80,8 @@ int main() {
 
   // 6. Early filtering in action: pages touched by the extraction
   //    versus a full-volume read.
-  uint64_t roi_pages = ext->ExtractionPages(volume_field, box).MoveValue();
+  uint64_t roi_pages =
+      db.lfm()->PlanRead(volume_field, RunByteRanges(box))->pages_touched;
   uint64_t full_pages = config.grid.NumCells() / qbism::storage::kPageSize;
   std::printf("LFM pages: ROI extraction %llu vs full study %llu\n",
               static_cast<unsigned long long>(roi_pages),

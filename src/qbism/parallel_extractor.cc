@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -35,8 +36,19 @@ Status Poll(const std::function<Status()>& interrupt) {
   return interrupt ? interrupt() : Status::OK();
 }
 
-/// Pages the seed per-run path would transfer: every run pays for each
-/// of its own pages, shared pages counted once per run.
+/// The epoch one extraction or scan reads as of: the caller's snapshot
+/// when it holds one, otherwise a pin taken into `own` for the run. A
+/// fresh pin over the caller's would move the caller's view (nested
+/// snapshots stack and the innermost wins), so it is never taken.
+uint64_t PinRun(storage::EpochManager* epochs,
+                std::optional<storage::ReadSnapshot>* own) {
+  uint64_t epoch = storage::EpochManager::PinnedEpoch(epochs);
+  if (epoch == 0 && epochs != nullptr) epoch = own->emplace(epochs).epoch();
+  return epoch;
+}
+
+/// Pages a read-per-run execution would transfer: every run pays for
+/// each of its own pages, shared pages counted once per run.
 uint64_t PagesDemanded(const std::vector<ByteRange>& ranges) {
   uint64_t pages = 0;
   for (const ByteRange& r : ranges) {
@@ -85,7 +97,7 @@ ExtractorStatsSnapshot ParallelExtractor::stats() const {
 /// Per-extraction scratchpad shared by its shard tasks.
 struct ParallelExtractor::ShardOutcome {
   std::thread::id owner;
-  uint64_t owner_epoch = 0;  // the owner's pinned snapshot, 0 = latest
+  uint64_t owner_epoch = 0;  // the run's pinned epoch, 0 = no epochs
   std::mutex mu;
   storage::IoStats helper_io;  // I/O charged to non-owner threads; mu
   uint64_t helper_tasks = 0;   // mu
@@ -105,10 +117,10 @@ Status ParallelExtractor::RunShard(
   // query's trace regardless of which thread runs the shard.
   obs::Span shard(obs::Stage::kShard);
   obs::ScopedTraceContext shard_ctx(shard.context());
-  // Same for the owner's epoch: a helper thread holds no snapshot of
-  // its own, so it adopts the owner's pinned epoch (the owner blocks on
-  // its shards, keeping that pin alive) and every version lookup below
-  // resolves against the same consistent view the planner saw.
+  // Same for the run's epoch: a helper thread holds no snapshot of its
+  // own, so it adopts the owner's pinned epoch (the owner blocks on its
+  // shards, keeping that pin alive) and every version lookup below
+  // resolves against the same version the planner saw.
   storage::ReadSnapshot shard_snap(lfm_->epochs(), outcome->owner_epoch);
   storage::DiskDevice* device = lfm_->device();
   storage::IoStats io_before = device->thread_stats();
@@ -206,6 +218,13 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
     prev_end = ranges[i].offset + ranges[i].length;
   }
 
+  // One snapshot for the whole run: the plan and every shard resolve
+  // the same version of the field, whatever commits meanwhile.
+  std::optional<storage::ReadSnapshot> own_snapshot;
+  ShardOutcome outcome;
+  outcome.owner = std::this_thread::get_id();
+  outcome.owner_epoch = PinRun(lfm_->epochs(), &own_snapshot);
+
   storage::ReadPlanOptions plan_options{options_.gap_fill_pages};
   QBISM_ASSIGN_OR_RETURN(ReadPlan plan,
                          lfm_->PlanRead(field, ranges, plan_options));
@@ -252,9 +271,6 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
     range_lo[i] = j;
   }
 
-  ShardOutcome outcome;
-  outcome.owner = std::this_thread::get_id();
-  outcome.owner_epoch = storage::EpochManager::PinnedEpoch(lfm_->epochs());
   const std::function<Status()> interrupt = ThreadInterrupt();
 
   Status status;
@@ -322,6 +338,10 @@ Status ParallelExtractor::ScanField(
   WallTimer wall;
   obs::Span scan(obs::Stage::kScan);
   obs::ScopedTraceContext scan_ctx(scan.context());
+  // One snapshot for the whole scan: every chunk reads the version
+  // whose size is taken here.
+  std::optional<storage::ReadSnapshot> own_snapshot;
+  PinRun(lfm_->epochs(), &own_snapshot);
   QBISM_ASSIGN_OR_RETURN(uint64_t size, lfm_->Size(field));
   const std::function<Status()> interrupt = ThreadInterrupt();
   uint64_t chunk_pages = std::max<uint64_t>(1, chunk_bytes / kPageSize);

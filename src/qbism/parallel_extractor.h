@@ -33,15 +33,15 @@ struct ExtractorStatsSnapshot {
   uint64_t runs = 0;           // input byte ranges (region runs)
   uint64_t extents_planned = 0;
   uint64_t pages_read = 0;     // pages actually transferred
-  uint64_t pages_demanded = 0; // per-run page sum (the seed path's cost)
+  uint64_t pages_demanded = 0; // per-run page sum (a read per run)
   uint64_t bytes_moved = 0;    // payload bytes delivered
   uint64_t shard_tasks = 0;    // tasks executed (caller + helpers)
   uint64_t helper_tasks = 0;   // tasks executed by donated threads
   double busy_seconds = 0.0;   // summed wall time inside shard tasks
   double wall_seconds = 0.0;   // summed wall time of extractions
 
-  /// How many page transfers the per-run seed path would have issued for
-  /// each page the planner actually read (>= 1; higher is better).
+  /// How many page transfers a read per run would have issued for each
+  /// page the planner actually read (>= 1; higher is better).
   double CoalescingRatio() const {
     return pages_read == 0
                ? 1.0
@@ -86,7 +86,9 @@ class ParallelExtractor {
   /// Reads `ranges` (sorted ascending, pairwise disjoint — a region's
   /// run list in byte form) from the field and returns their bytes
   /// concatenated in range order. This is the EXTRACT_DATA data path:
-  /// the returned buffer is exactly a DATA_REGION's value array.
+  /// the returned buffer is exactly a DATA_REGION's value array. The
+  /// plan and every shard read one version of the field: the caller's
+  /// snapshot when it holds one, else a snapshot pinned for the call.
   Result<std::vector<uint8_t>> ExtractBytes(
       storage::LongFieldId field,
       const std::vector<storage::ByteRange>& ranges) const;
@@ -96,7 +98,8 @@ class ParallelExtractor {
   /// using a single reused buffer — whole-volume operators (banding,
   /// statistics) run in O(chunk) memory instead of materializing the
   /// volume. `fn(offset, data, len)` sees each byte exactly once; a
-  /// non-OK return aborts the scan with that status.
+  /// non-OK return aborts the scan with that status. Every chunk comes
+  /// from one version of the field, pinned as in ExtractBytes.
   Status ScanField(
       storage::LongFieldId field, uint64_t chunk_bytes,
       const std::function<Status(uint64_t offset, const uint8_t* data,

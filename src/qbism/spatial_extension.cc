@@ -54,6 +54,37 @@ Value EncodedRegionValue(EncodedRegion r) {
                        std::string(sql::kEncodedRegionTypeName));
 }
 
+/// A stored REGION is one RegionEncoding tag byte, then the encoded
+/// payload (a stored DATA_REGION embeds one). FrameRegion is the one
+/// writer of that framing and ParseStoredRegion its one reader.
+std::vector<uint8_t> FrameRegion(RegionEncoding encoding,
+                                 const std::vector<uint8_t>& payload) {
+  std::vector<uint8_t> bytes;
+  bytes.reserve(payload.size() + 1);
+  bytes.push_back(static_cast<uint8_t>(encoding));
+  bytes.insert(bytes.end(), payload.begin(), payload.end());
+  return bytes;
+}
+
+struct StoredRegion {
+  RegionEncoding encoding = RegionEncoding::kNaiveRuns;
+  std::vector<uint8_t> payload;
+};
+
+/// Strips a stored REGION's tag byte in place (the payload keeps the
+/// buffer `framed` was read into).
+Result<StoredRegion> ParseStoredRegion(Result<std::vector<uint8_t>> framed) {
+  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, std::move(framed));
+  if (bytes.empty()) {
+    return Status::Corruption("stored region is empty");
+  }
+  StoredRegion out;
+  out.encoding = static_cast<RegionEncoding>(bytes[0]);
+  bytes.erase(bytes.begin());
+  out.payload = std::move(bytes);
+  return out;
+}
+
 /// Chunk size for whole-volume streaming scans: 64 pages keeps the
 /// working set at 256 KB while leaving sequential transfers long enough
 /// that the per-chunk seek charge is noise.
@@ -133,23 +164,16 @@ Result<LongFieldId> SpatialExtension::StoreRegionAs(
     const Region& r, RegionEncoding encoding) const {
   QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
                          region::EncodeRegion(r, encoding));
-  std::vector<uint8_t> bytes;
-  bytes.reserve(payload.size() + 1);
-  bytes.push_back(static_cast<uint8_t>(encoding));
-  bytes.insert(bytes.end(), payload.begin(), payload.end());
-  return db_->lfm()->Create(bytes);
+  return db_->lfm()->Create(FrameRegion(encoding, payload));
 }
 
 Result<Region> SpatialExtension::LoadRegion(LongFieldId id) const {
-  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, db_->lfm()->Read(id));
-  if (bytes.empty()) {
-    return Status::Corruption("region long field is empty");
-  }
-  auto encoding = static_cast<RegionEncoding>(bytes[0]);
+  QBISM_ASSIGN_OR_RETURN(StoredRegion stored,
+                         ParseStoredRegion(db_->lfm()->Read(id)));
   obs::Span decode(obs::Stage::kDecode);
-  decode.AddBytes(bytes.size());
-  std::vector<uint8_t> payload(bytes.begin() + 1, bytes.end());
-  return region::DecodeRegion(config_.grid, config_.curve, encoding, payload);
+  decode.AddBytes(stored.payload.size());
+  return region::DecodeRegion(config_.grid, config_.curve, stored.encoding,
+                              stored.payload);
 }
 
 Result<LongFieldId> SpatialExtension::StoreDataRegion(
@@ -162,12 +186,13 @@ Result<LongFieldId> SpatialExtension::StoreDataRegion(
   QBISM_ASSIGN_OR_RETURN(
       std::vector<uint8_t> region_payload,
       region::EncodeRegion(dr.region(), config_.region_encoding));
+  std::vector<uint8_t> region = FrameRegion(config_.region_encoding,
+                                            region_payload);
   std::vector<uint8_t> bytes;
-  bytes.reserve(1 + 4 + region_payload.size() + dr.values().size());
+  bytes.reserve(4 + region.size() + dr.values().size());
   ByteWriter w(&bytes);
-  w.PutU8(static_cast<uint8_t>(config_.region_encoding));
-  w.PutU32(static_cast<uint32_t>(region_payload.size()));
-  w.PutBytes(region_payload.data(), region_payload.size());
+  w.PutU32(static_cast<uint32_t>(region.size()));
+  w.PutBytes(region.data(), region.size());
   w.PutBytes(dr.values().data(), dr.values().size());
   return db_->lfm()->Create(bytes);
 }
@@ -177,13 +202,12 @@ Result<DataRegion> SpatialExtension::LoadDataRegion(LongFieldId id) const {
   obs::Span decode(obs::Stage::kDecode);
   decode.AddBytes(bytes.size());
   ByteReader in(bytes);
-  QBISM_ASSIGN_OR_RETURN(uint8_t encoding, in.GetU8());
   QBISM_ASSIGN_OR_RETURN(uint32_t len, in.GetU32());
-  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> region_payload, in.GetRaw(len));
+  QBISM_ASSIGN_OR_RETURN(StoredRegion stored,
+                         ParseStoredRegion(in.GetRaw(len)));
   QBISM_ASSIGN_OR_RETURN(
       Region r, region::DecodeRegion(config_.grid, config_.curve,
-                                     static_cast<RegionEncoding>(encoding),
-                                     region_payload));
+                                     stored.encoding, stored.payload));
   if (in.remaining() != r.VoxelCount()) {
     return Status::Corruption("data-region value count mismatch");
   }
@@ -216,27 +240,6 @@ Result<DataRegion> SpatialExtension::ExtractFromLongField(
       std::vector<uint8_t> values,
       extractor_->ExtractBytes(volume_field, RunByteRanges(r)));
   return DataRegion(r, std::move(values));
-}
-
-Result<DataRegion> SpatialExtension::ExtractFromLongFieldSerial(
-    LongFieldId volume_field, const Region& r) const {
-  if (!(r.grid() == config_.grid) || r.curve_kind() != config_.curve) {
-    return Status::InvalidArgument(
-        "EXTRACT_DATA: region grid/curve differs from extension config");
-  }
-  QBISM_ASSIGN_OR_RETURN(
-      auto buffers, db_->lfm()->ReadRanges(volume_field, RunByteRanges(r)));
-  std::vector<uint8_t> values;
-  values.reserve(static_cast<size_t>(r.VoxelCount()));
-  for (const auto& buffer : buffers) {
-    values.insert(values.end(), buffer.begin(), buffer.end());
-  }
-  return DataRegion(r, std::move(values));
-}
-
-Result<uint64_t> SpatialExtension::ExtractionPages(LongFieldId volume_field,
-                                                   const Region& r) const {
-  return db_->lfm()->PagesTouched(volume_field, RunByteRanges(r));
 }
 
 Status SpatialExtension::ScanVolume(
@@ -295,19 +298,8 @@ Result<double> SpatialExtension::MeanIntensityFromField(
 
 Result<std::shared_ptr<const Region>> SpatialExtension::RegionArg(
     const Value& value) const {
-  if (value.kind() == Value::Kind::kObject) {
-    if (value.object_type() == sql::kEncodedRegionTypeName) {
-      QBISM_ASSIGN_OR_RETURN(
-          auto encoded,
-          value.AsObject<EncodedRegion>(sql::kEncodedRegionTypeName));
-      QBISM_ASSIGN_OR_RETURN(Region r, encoded->Decode());
-      return std::make_shared<const Region>(std::move(r));
-    }
-    return value.AsObject<Region>(sql::kRegionTypeName);
-  }
-  QBISM_ASSIGN_OR_RETURN(LongFieldId id, value.AsLongField());
-  QBISM_ASSIGN_OR_RETURN(Region r, LoadRegion(id));
-  return std::make_shared<const Region>(std::move(r));
+  QBISM_ASSIGN_OR_RETURN(RegionOperand operand, RegionOperandArg(value));
+  return MaterializeOperand(operand);
 }
 
 Result<SpatialExtension::RegionOperand> SpatialExtension::RegionOperandArg(
@@ -325,24 +317,20 @@ Result<SpatialExtension::RegionOperand> SpatialExtension::RegionOperandArg(
     return out;
   }
   QBISM_ASSIGN_OR_RETURN(LongFieldId id, value.AsLongField());
-  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, db_->lfm()->Read(id));
-  if (bytes.empty()) {
-    return Status::Corruption("region long field is empty");
-  }
-  auto encoding = static_cast<RegionEncoding>(bytes[0]);
-  std::vector<uint8_t> payload(bytes.begin() + 1, bytes.end());
-  if (encoding == RegionEncoding::kEliasDeltas) {
+  QBISM_ASSIGN_OR_RETURN(StoredRegion stored,
+                         ParseStoredRegion(db_->lfm()->Read(id)));
+  if (stored.encoding == RegionEncoding::kEliasDeltas) {
     // Stored in the streamable form: stay encoded, no decode at all.
     out.encoded = std::make_shared<const EncodedRegion>(
         EncodedRegion::FromBytes(config_.grid, config_.curve,
-                                 std::move(payload)));
+                                 std::move(stored.payload)));
     return out;
   }
   obs::Span decode(obs::Stage::kDecode);
-  decode.AddBytes(bytes.size());
-  QBISM_ASSIGN_OR_RETURN(
-      Region r,
-      region::DecodeRegion(config_.grid, config_.curve, encoding, payload));
+  decode.AddBytes(stored.payload.size());
+  QBISM_ASSIGN_OR_RETURN(Region r,
+                         region::DecodeRegion(config_.grid, config_.curve,
+                                              stored.encoding, stored.payload));
   out.decoded = std::make_shared<const Region>(std::move(r));
   return out;
 }
@@ -359,11 +347,8 @@ Result<std::shared_ptr<const Region>> SpatialExtension::MaterializeOperand(
 
 Result<LongFieldId> SpatialExtension::StoreEncodedRegion(
     const EncodedRegion& r) const {
-  std::vector<uint8_t> bytes;
-  bytes.reserve(r.bytes().size() + 1);
-  bytes.push_back(static_cast<uint8_t>(RegionEncoding::kEliasDeltas));
-  bytes.insert(bytes.end(), r.bytes().begin(), r.bytes().end());
-  return db_->lfm()->Create(bytes);
+  return db_->lfm()->Create(
+      FrameRegion(RegionEncoding::kEliasDeltas, r.bytes()));
 }
 
 Status SpatialExtension::RegisterUdfs() {
@@ -939,26 +924,23 @@ Status SpatialExtension::RefreshPlannerStats() const {
               return true;
             }
             if (row[c].kind() != Value::Kind::kLongField) return true;
-            auto bytes = db_->lfm()->Read(row[c].AsLongField().value());
-            if (!bytes.ok() || bytes.value().empty()) return true;
-            const std::vector<uint8_t>& payload = bytes.value();
+            LongFieldId id = row[c].AsLongField().value();
             // A stored VOLUME is exactly one byte per grid cell with no
-            // tag; don't try to parse intensities as a region.
-            if (payload.size() == num_cells) return true;
+            // tag: skip it by its size, without reading its pages.
+            auto size = db_->lfm()->Size(id);
+            if (!size.ok() || size.value() == num_cells) return true;
+            auto stored = ParseStoredRegion(db_->lfm()->Read(id));
+            if (!stored.ok()) return true;
+            const std::vector<uint8_t>& payload = stored.value().payload;
 
             uint64_t runs = 0;
             uint64_t voxels = 0;
             std::vector<uint64_t> deltas;
-            auto encoding = static_cast<RegionEncoding>(payload[0]);
-            if (encoding == RegionEncoding::kEliasDeltas) {
+            if (stored.value().encoding == RegionEncoding::kEliasDeltas) {
               // Stream the γ-coded form: runs, voxels, and the
               // alternating run/gap (delta) lengths, no decode.
               region::EliasRunCursor cursor;
-              if (!cursor.Init(config_.grid, payload.data() + 1,
-                               payload.size() - 1)
-                       .ok()) {
-                return true;
-              }
+              if (!cursor.Init(config_.grid, payload).ok()) return true;
               uint64_t prev_end = 0;
               bool first = true;
               while (!cursor.done()) {
@@ -976,9 +958,9 @@ Status SpatialExtension::RefreshPlannerStats() const {
                 deltas.push_back(num_cells - prev_end - 1);
               }
             } else {
-              std::vector<uint8_t> body(payload.begin() + 1, payload.end());
-              auto decoded = region::DecodeRegion(config_.grid, config_.curve,
-                                                  encoding, body);
+              auto decoded =
+                  region::DecodeRegion(config_.grid, config_.curve,
+                                       stored.value().encoding, payload);
               if (!decoded.ok()) return true;  // not a region column value
               runs = decoded.value().RunCount();
               voxels = decoded.value().VoxelCount();
@@ -988,7 +970,7 @@ Status SpatialExtension::RefreshPlannerStats() const {
             acc.stats.rows += 1;
             acc.stats.total_runs += runs;
             acc.stats.total_voxels += voxels;
-            acc.stats.total_bytes += payload.size() - 1;
+            acc.stats.total_bytes += payload.size();
             acc.stats.runs_log2[planner::RegionColumnStats::BucketOf(runs)] +=
                 1;
             acc.stats

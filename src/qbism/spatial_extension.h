@@ -93,8 +93,9 @@ class SpatialExtension {
   Result<region::Region> LoadRegion(storage::LongFieldId id) const;
 
   /// Serializes a DATA_REGION (footnote 6: the storable return type of
-  /// EXTRACT_DATA) — region encoding + per-voxel values — so derived
-  /// extraction results can be kept as first-class long fields.
+  /// EXTRACT_DATA) — a u32 length, the region in stored-REGION framing,
+  /// then the per-voxel values — so derived extraction results can be
+  /// kept as first-class long fields.
   Result<storage::LongFieldId> StoreDataRegion(
       const volume::DataRegion& dr) const;
 
@@ -114,16 +115,6 @@ class SpatialExtension {
   /// value buffer.
   Result<volume::DataRegion> ExtractFromLongField(
       storage::LongFieldId volume_field, const region::Region& r) const;
-
-  /// The seed per-run extraction path (one ReadRanges + concat), kept as
-  /// the differential-testing oracle and benchmark baseline for the
-  /// vectored path above.
-  Result<volume::DataRegion> ExtractFromLongFieldSerial(
-      storage::LongFieldId volume_field, const region::Region& r) const;
-
-  /// Number of LFM pages the extraction of `r` would touch.
-  Result<uint64_t> ExtractionPages(storage::LongFieldId volume_field,
-                                   const region::Region& r) const;
 
   /// Streams a stored VOLUME through `fn` in curve order in page-aligned
   /// chunks of at most `chunk_bytes` (the offset doubles as the first

@@ -1,5 +1,6 @@
 #include "storage/disk_device.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -31,8 +32,14 @@ std::unordered_map<uint64_t, IoStats>& ThreadLedgers() {
 DiskDevice::DiskDevice(uint64_t num_pages, DiskCostModel model)
     : num_pages_(num_pages),
       model_(model),
-      bytes_(num_pages * kPageSize, 0),
-      device_id_(NewDeviceId()) {}
+      // calloc hands out zero pages the OS commits on first touch, where
+      // a zero-filled vector would write (and keep resident) every page
+      // of a 128 MB device before its first transfer.
+      bytes_(static_cast<uint8_t*>(
+          std::calloc(std::max<uint64_t>(num_pages, 1), kPageSize))),
+      device_id_(NewDeviceId()) {
+  QBISM_CHECK(bytes_ != nullptr);
+}
 
 double DiskDevice::Charge(uint64_t page_no, uint64_t count, bool write) {
   IoStats delta;
@@ -174,21 +181,22 @@ Status DiskDevice::AccountTransfer(uint64_t page_no, uint64_t count,
   return Status::OK();
 }
 
-Status DiskDevice::ReadPages(uint64_t page_no, uint64_t count, uint8_t* out) {
-  if (page_no + count > num_pages_) {
-    return Status::OutOfRange("DiskDevice::ReadPages: beyond device end");
+Status DiskDevice::CheckBounds(uint64_t page_no, uint64_t count,
+                               const char* op) const {
+  if (page_no > num_pages_ || count > num_pages_ - page_no) {
+    return Status::OutOfRange(std::string("DiskDevice::") + op +
+                              ": beyond device end");
   }
-  std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-  QBISM_RETURN_NOT_OK(AccountTransfer(page_no, count, /*write=*/false));
-  std::memcpy(out, bytes_.data() + page_no * kPageSize, count * kPageSize);
   return Status::OK();
+}
+
+Status DiskDevice::ReadPages(uint64_t page_no, uint64_t count, uint8_t* out) {
+  return ReadPagesBatch({PageReadOp{page_no, count, out}});
 }
 
 Status DiskDevice::ReadPagesBatch(const std::vector<PageReadOp>& ops) {
   for (const PageReadOp& op : ops) {
-    if (op.page_no + op.count > num_pages_ || op.count > num_pages_) {
-      return Status::OutOfRange("DiskDevice::ReadPagesBatch: beyond device end");
-    }
+    QBISM_RETURN_NOT_OK(CheckBounds(op.page_no, op.count, "ReadPagesBatch"));
     if (op.count > 0 && op.out == nullptr) {
       return Status::InvalidArgument(
           "DiskDevice::ReadPagesBatch: null destination");
@@ -198,7 +206,7 @@ Status DiskDevice::ReadPagesBatch(const std::vector<PageReadOp>& ops) {
   for (const PageReadOp& op : ops) {
     if (op.count == 0) continue;
     QBISM_RETURN_NOT_OK(AccountTransfer(op.page_no, op.count, /*write=*/false));
-    std::memcpy(op.out, bytes_.data() + op.page_no * kPageSize,
+    std::memcpy(op.out, bytes_.get() + op.page_no * kPageSize,
                 op.count * kPageSize);
   }
   return Status::OK();
@@ -206,29 +214,28 @@ Status DiskDevice::ReadPagesBatch(const std::vector<PageReadOp>& ops) {
 
 Status DiskDevice::WritePages(uint64_t page_no, uint64_t count,
                               const uint8_t* in) {
-  if (page_no + count > num_pages_) {
-    return Status::OutOfRange("DiskDevice::WritePages: beyond device end");
-  }
+  QBISM_RETURN_NOT_OK(CheckBounds(page_no, count, "WritePages"));
   std::unique_lock<std::shared_mutex> data_lock(data_mu_);
   QBISM_RETURN_NOT_OK(AccountTransfer(page_no, count, /*write=*/true));
-  std::memcpy(bytes_.data() + page_no * kPageSize, in, count * kPageSize);
+  std::memcpy(bytes_.get() + page_no * kPageSize, in, count * kPageSize);
   return Status::OK();
 }
 
 std::vector<uint8_t> DiskDevice::CloneContents() const {
   std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-  return bytes_;
+  return std::vector<uint8_t>(bytes_.get(),
+                              bytes_.get() + num_pages_ * kPageSize);
 }
 
 Status DiskDevice::RestoreContents(const std::vector<uint8_t>& contents) {
   std::unique_lock<std::shared_mutex> data_lock(data_mu_);
-  if (contents.size() != bytes_.size()) {
+  if (contents.size() != num_pages_ * kPageSize) {
     return Status::InvalidArgument(
         "DiskDevice::RestoreContents: size mismatch (" +
         std::to_string(contents.size()) + " vs " +
-        std::to_string(bytes_.size()) + " bytes)");
+        std::to_string(num_pages_ * kPageSize) + " bytes)");
   }
-  bytes_ = contents;
+  std::memcpy(bytes_.get(), contents.data(), contents.size());
   return Status::OK();
 }
 

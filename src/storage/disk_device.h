@@ -3,6 +3,8 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <memory>
 #include <mutex>
 #include <shared_mutex>
 #include <vector>
@@ -53,7 +55,9 @@ struct PageReadOp {
 /// An in-memory simulated raw disk device with page-granular access,
 /// exact I/O counting, and a deterministic cost model. Stands in for the
 /// AIX logical volume the Starburst LFM wrote to (§5.1): storage is
-/// page-addressed, unbuffered, and every access is charged.
+/// page-addressed, unbuffered, and every access is charged. The store
+/// is zero pages the OS commits on first touch, so an idle device costs
+/// neither construction time nor resident memory.
 ///
 /// Thread-safe. Accounting (stats, cost model, fault plan) is
 /// serialized on a small internal mutex, but the page *copies* run
@@ -76,7 +80,8 @@ class DiskDevice {
   /// Writes one page from `in` (kPageSize bytes).
   Status WritePage(uint64_t page_no, const uint8_t* in);
 
-  /// Reads `count` consecutive pages starting at `page_no`.
+  /// Reads `count` consecutive pages starting at `page_no`: a one-op
+  /// ReadPagesBatch.
   Status ReadPages(uint64_t page_no, uint64_t count, uint8_t* out);
 
   /// Writes `count` consecutive pages.
@@ -151,6 +156,9 @@ class DiskDevice {
   Status RestoreContents(const std::vector<uint8_t>& contents);
 
  private:
+  /// OutOfRange unless pages [page_no, page_no + count) lie on the
+  /// device; overflow-safe, so a huge page_no cannot wrap into range.
+  Status CheckBounds(uint64_t page_no, uint64_t count, const char* op) const;
   /// Returns the simulated seconds charged for this transfer.
   double Charge(uint64_t page_no, uint64_t count, bool write);
   /// Counts the transfer and applies the active fault plan. Caller
@@ -166,7 +174,10 @@ class DiskDevice {
   /// Guards the backing store only: shared for reads, exclusive for
   /// writes. Always acquired before mu_ (never the other way around).
   mutable std::shared_mutex data_mu_;
-  std::vector<uint8_t> bytes_;  // guarded by data_mu_
+  struct FreeDeleter {
+    void operator()(uint8_t* p) const { std::free(p); }
+  };
+  std::unique_ptr<uint8_t[], FreeDeleter> bytes_;  // calloc'd; data_mu_
   uint64_t device_id_;
   mutable std::mutex mu_;
   IoStats stats_;                               // guarded by mu_

@@ -26,8 +26,11 @@ uint64_t EpochManager::Advance() {
 }
 
 uint64_t EpochManager::EnterReader() {
-  uint64_t epoch = current();
+  // Sample and register under one hold: a MinActiveReader() between a
+  // sample taken outside and the registration would miss this reader,
+  // and a vacuum at that horizon could free the versions it sees.
   std::lock_guard<std::mutex> lock(mu_);
+  uint64_t epoch = current();
   ++active_[epoch];
   return epoch;
 }

@@ -80,21 +80,24 @@ const LongFieldManager::Entry* LongFieldManager::LatestLiveLocked(
   return const_cast<LongFieldManager*>(this)->LatestLiveLocked(id);
 }
 
-Status LongFieldManager::WritePadded(uint64_t start, uint64_t pages,
-                                     const std::vector<uint8_t>& bytes) {
-  // Write full pages; the tail page is zero-padded.
-  std::vector<uint8_t> padded(pages * kPageSize, 0);
-  if (!bytes.empty()) {
-    std::memcpy(padded.data(), bytes.data(), bytes.size());
-  }
-  return device_->WritePages(start, pages, padded.data());
+Status LongFieldManager::DropVersionLocked(uint64_t id, Entry* entry) {
+  QBISM_RETURN_NOT_OK(allocator_.Free(
+      entry->start_page, std::max<uint64_t>(1, entry->PageCount())));
+  auto it = directory_.find(id);
+  it->second.erase(it->second.begin() + (entry - it->second.data()));
+  if (it->second.empty()) directory_.erase(it);
+  return Status::OK();
 }
 
-void LongFieldManager::ApplyOpLocked(const StagedOp& op, uint64_t epoch) {
-  Entry* old = LatestLiveLocked(op.id);
-  if (old != nullptr) {
-    old->dropped_epoch = epoch;
-    dead_.push_back(DeadExtent{op.id, old->start_page, epoch});
+Status LongFieldManager::ApplyOpLocked(const StagedOp& op, uint64_t epoch) {
+  if (Entry* old = LatestLiveLocked(op.id)) {
+    if (epochs_ == nullptr) {
+      // No reader can pin the superseded version: free it now.
+      QBISM_RETURN_NOT_OK(DropVersionLocked(op.id, old));
+    } else {
+      old->dropped_epoch = epoch;
+      dead_.push_back(DeadExtent{op.id, old->start_page, epoch});
+    }
   }
   if (op.kind == StagedOp::kSet) {
     Entry entry;
@@ -103,81 +106,88 @@ void LongFieldManager::ApplyOpLocked(const StagedOp& op, uint64_t epoch) {
     entry.created_epoch = epoch;
     directory_[op.id].push_back(entry);
   }
+  return Status::OK();
 }
 
-Status LongFieldManager::LogAndPublish(WalRecordType type,
-                                       const std::vector<uint8_t>& payload,
-                                       const StagedOp& op) {
+Status LongFieldManager::LogAndPublish(const StagedOp& op,
+                                       const std::vector<uint8_t>& content) {
   std::lock_guard<std::mutex> commit_lock(commit_mu_);
-  uint64_t txn = 0;
-  {
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    txn = open_txn_;
-  }
-  if (txn != 0) {
-    // Join the open transaction: log now, publish at CommitTxn.
+  if (wal_ != nullptr) {
+    WalRecordType type = WalRecordType::kLfmDrop;
+    std::vector<uint8_t> payload = EncodeDropPayload(op.id);
+    if (op.kind == StagedOp::kSet) {
+      type = WalRecordType::kLfmSet;
+      payload = EncodeSetPayload(op.id, op.start_page, PagesFor(op.size_bytes),
+                                 op.size_bytes, Crc32(content));
+    }
+    uint64_t txn = 0;
+    {
+      std::shared_lock<std::shared_mutex> lock(mu_);
+      txn = open_txn_;
+    }
+    if (txn != 0) {
+      // Join the open transaction: log now, publish at CommitTxn.
+      QBISM_RETURN_NOT_OK(wal_->Append(type, txn, payload));
+      std::unique_lock<std::shared_mutex> lock(mu_);
+      staged_.push_back(op);
+      return Status::OK();
+    }
+    // Auto-commit: this single mutation is its own transaction.
+    txn = wal_->BeginTxn();
     QBISM_RETURN_NOT_OK(wal_->Append(type, txn, payload));
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    staged_.push_back(op);
-    return Status::OK();
+    QBISM_RETURN_NOT_OK(wal_->Commit(txn));
   }
-  // Auto-commit: this single mutation is its own transaction.
-  txn = wal_->BeginTxn();
-  QBISM_RETURN_NOT_OK(wal_->Append(type, txn, payload));
-  QBISM_RETURN_NOT_OK(wal_->Commit(txn));
-  // Durable; publish as the next epoch (stamped before Advance so a
-  // reader pinned now cannot see it, and one pinned after sees all of
-  // it — see EpochManager's commit protocol).
+  // Durable (or unlogged); publish as the next epoch (stamped before
+  // Advance so a reader pinned now cannot see it, and one pinned after
+  // sees all of it — see EpochManager's commit protocol).
   uint64_t next_epoch = epochs_ ? epochs_->current() + 1 : 0;
+  Status applied;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    ApplyOpLocked(op, next_epoch);
+    applied = ApplyOpLocked(op, next_epoch);
   }
   if (epochs_ != nullptr) epochs_->Advance();
-  return Status::OK();
+  return applied;
+}
+
+Status LongFieldManager::WriteAndPublish(uint64_t id, uint64_t start,
+                                         const std::vector<uint8_t>& bytes) {
+  // The extent is private until published, so the data write happens
+  // outside the directory lock: readers never block on it. Full pages;
+  // the tail page is zero-padded.
+  uint64_t pages = PagesFor(bytes.size());
+  std::vector<uint8_t> padded(pages * kPageSize, 0);
+  if (!bytes.empty()) {
+    std::memcpy(padded.data(), bytes.data(), bytes.size());
+  }
+  Status status = device_->WritePages(start, pages, padded.data());
+  if (status.ok()) {
+    StagedOp op;
+    op.kind = StagedOp::kSet;
+    op.id = id;
+    op.start_page = start;
+    op.size_bytes = bytes.size();
+    status = LogAndPublish(op, bytes);
+  }
+  if (!status.ok()) {
+    // The version never became visible: hand its extent back so a
+    // failed write or log cannot leak pages.
+    std::unique_lock<std::shared_mutex> lock(mu_);
+    QBISM_RETURN_NOT_OK(allocator_.Free(start, pages));
+  }
+  return status;
 }
 
 Result<LongFieldId> LongFieldManager::Create(
     const std::vector<uint8_t>& bytes) {
-  uint64_t pages = PagesFor(bytes.size());
   uint64_t start = 0;
   uint64_t id = 0;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
-    QBISM_ASSIGN_OR_RETURN(start, allocator_.Allocate(pages));
+    QBISM_ASSIGN_OR_RETURN(start, allocator_.Allocate(PagesFor(bytes.size())));
     id = next_id_++;
   }
-  // The extent is private until published, so the data write happens
-  // outside the directory lock: readers never block on it.
-  Status write = WritePadded(start, pages, bytes);
-  if (!write.ok()) {
-    // The field never existed: hand its extent back so a failed write
-    // cannot leak pages.
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    QBISM_RETURN_NOT_OK(allocator_.Free(start, pages));
-    return write;
-  }
-  if (wal_ == nullptr) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry entry;
-    entry.start_page = start;
-    entry.size_bytes = bytes.size();
-    directory_[id].push_back(entry);
-    return LongFieldId{id};
-  }
-  StagedOp op;
-  op.kind = StagedOp::kSet;
-  op.id = id;
-  op.start_page = start;
-  op.size_bytes = bytes.size();
-  Status logged = LogAndPublish(
-      WalRecordType::kLfmSet,
-      EncodeSetPayload(id, start, pages, bytes.size(), Crc32(bytes)), op);
-  if (!logged.ok()) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    QBISM_RETURN_NOT_OK(allocator_.Free(start, pages));
-    return logged;
-  }
+  QBISM_RETURN_NOT_OK(WriteAndPublish(id, start, bytes));
   return LongFieldId{id};
 }
 
@@ -188,101 +198,13 @@ Result<uint64_t> LongFieldManager::Size(LongFieldId id) const {
 }
 
 Result<std::vector<uint8_t>> LongFieldManager::Read(LongFieldId id) const {
-  uint64_t size = 0;
-  {
-    // ReadRange re-acquires the shared lock; shared_mutex is not
-    // recursive, so fetch the size in its own critical section.
-    std::shared_lock<std::shared_mutex> lock(mu_);
-    QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-    size = entry->size_bytes;
-  }
-  return ReadRange(id, 0, size);
-}
-
-Result<std::vector<uint8_t>> LongFieldManager::ReadRange(
-    LongFieldId id, uint64_t offset, uint64_t length) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-  // Overflow-safe form of `offset + length > size`: a huge offset must
-  // not wrap around and pass the check.
-  if (offset > entry->size_bytes || length > entry->size_bytes - offset) {
-    return Status::OutOfRange("LongFieldManager::ReadRange: past field end");
-  }
-  if (length == 0) return std::vector<uint8_t>{};
-  uint64_t first_page = offset / kPageSize;
-  uint64_t last_page = (offset + length - 1) / kPageSize;
-  uint64_t count = last_page - first_page + 1;
-  obs::Span span(obs::Stage::kIo);
-  span.AddPages(count);
-  span.AddBytes(length);
-  std::vector<uint8_t> pages(count * kPageSize);
-  QBISM_RETURN_NOT_OK(
-      device_->ReadPages(entry->start_page + first_page, count, pages.data()));
-  std::vector<uint8_t> out(length);
-  std::memcpy(out.data(), pages.data() + (offset - first_page * kPageSize),
-              length);
-  return out;
-}
-
-Result<std::vector<std::vector<uint8_t>>> LongFieldManager::ReadRanges(
-    LongFieldId id, const std::vector<ByteRange>& ranges) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-  for (const ByteRange& r : ranges) {
-    if (r.offset > entry->size_bytes ||
-        r.length > entry->size_bytes - r.offset) {
-      return Status::OutOfRange("LongFieldManager::ReadRanges: past field end");
-    }
-  }
-  // Distinct pages touched by any range, ascending.
-  std::vector<uint64_t> pages;
-  for (const ByteRange& r : ranges) {
-    if (r.length == 0) continue;
-    uint64_t first = r.offset / kPageSize;
-    uint64_t last = (r.offset + r.length - 1) / kPageSize;
-    for (uint64_t p = first; p <= last; ++p) pages.push_back(p);
-  }
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-
-  obs::Span span(obs::Stage::kIo);
-  span.AddPages(pages.size());
-
-  // Read runs of consecutive pages as single sequential transfers.
-  std::unordered_map<uint64_t, std::vector<uint8_t>> cache;
-  size_t i = 0;
-  while (i < pages.size()) {
-    size_t j = i;
-    while (j + 1 < pages.size() && pages[j + 1] == pages[j] + 1) ++j;
-    uint64_t count = pages[j] - pages[i] + 1;
-    std::vector<uint8_t> buf(count * kPageSize);
-    QBISM_RETURN_NOT_OK(
-        device_->ReadPages(entry->start_page + pages[i], count, buf.data()));
-    for (uint64_t k = 0; k < count; ++k) {
-      std::vector<uint8_t> page(kPageSize);
-      std::memcpy(page.data(), buf.data() + k * kPageSize, kPageSize);
-      cache[pages[i] + k] = std::move(page);
-    }
-    i = j + 1;
-  }
-
-  // Assemble each requested range from the page cache.
-  std::vector<std::vector<uint8_t>> out;
-  out.reserve(ranges.size());
-  for (const ByteRange& r : ranges) {
-    span.AddBytes(r.length);
-    std::vector<uint8_t> buf(r.length);
-    uint64_t copied = 0;
-    while (copied < r.length) {
-      uint64_t pos = r.offset + copied;
-      uint64_t page = pos / kPageSize;
-      uint64_t in_page = pos % kPageSize;
-      uint64_t n = std::min(kPageSize - in_page, r.length - copied);
-      std::memcpy(buf.data() + copied, cache.at(page).data() + in_page, n);
-      copied += n;
-    }
-    out.push_back(std::move(buf));
-  }
+  if (entry->size_bytes == 0) return std::vector<uint8_t>{};
+  std::vector<uint8_t> out(entry->PageCount() * kPageSize);
+  QBISM_RETURN_NOT_OK(ReadExtentsLocked(
+      *entry, {PlannedExtent{0, entry->PageCount()}}, {out.data()}));
+  out.resize(entry->size_bytes);
   return out;
 }
 
@@ -290,8 +212,8 @@ Result<ReadPlan> LongFieldManager::BuildReadPlan(
     const std::vector<ByteRange>& ranges, uint64_t field_size_bytes,
     const ReadPlanOptions& options) {
   ReadPlan plan;
-  // Page intervals (inclusive) per non-empty range, validated the same
-  // overflow-safe way as ReadRange.
+  // Page intervals (inclusive) per non-empty range. Overflow-safe form
+  // of `offset + length > size`: a huge offset must not wrap into range.
   std::vector<std::pair<uint64_t, uint64_t>> intervals;
   intervals.reserve(ranges.size());
   for (const ByteRange& r : ranges) {
@@ -358,7 +280,13 @@ Status LongFieldManager::ReadExtents(LongFieldId id,
   }
   std::shared_lock<std::shared_mutex> lock(mu_);
   QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-  uint64_t field_pages = entry->PageCount();
+  return ReadExtentsLocked(*entry, extents, outs);
+}
+
+Status LongFieldManager::ReadExtentsLocked(
+    const Entry& entry, const std::vector<PlannedExtent>& extents,
+    const std::vector<uint8_t*>& outs) const {
+  uint64_t field_pages = entry.PageCount();
   obs::Span span(obs::Stage::kIo);
   std::vector<storage::PageReadOp> ops;
   ops.reserve(extents.size());
@@ -370,7 +298,7 @@ Status LongFieldManager::ReadExtents(LongFieldId id,
     }
     span.AddPages(e.page_count);
     span.AddBytes(e.ByteCount());
-    ops.push_back(PageReadOp{entry->start_page + e.first_page, e.page_count,
+    ops.push_back(PageReadOp{entry.start_page + e.first_page, e.page_count,
                              outs[i]});
   }
   Status status = device_->ReadPagesBatch(ops);
@@ -378,114 +306,24 @@ Status LongFieldManager::ReadExtents(LongFieldId id,
   return status;
 }
 
-Result<uint64_t> LongFieldManager::PagesTouched(
-    LongFieldId id, const std::vector<ByteRange>& ranges) const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-  (void)entry;
-  std::vector<uint64_t> pages;
-  for (const ByteRange& r : ranges) {
-    if (r.length == 0) continue;
-    uint64_t first = r.offset / kPageSize;
-    uint64_t last = (r.offset + r.length - 1) / kPageSize;
-    for (uint64_t p = first; p <= last; ++p) pages.push_back(p);
-  }
-  std::sort(pages.begin(), pages.end());
-  pages.erase(std::unique(pages.begin(), pages.end()), pages.end());
-  return pages.size();
-}
-
 Status LongFieldManager::Update(LongFieldId id,
                                 const std::vector<uint8_t>& bytes) {
-  if (wal_ == nullptr) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry* entry = LatestLiveLocked(id.value);
-    if (entry == nullptr) {
-      return Status::NotFound("LongFieldManager::Update: unknown id");
-    }
-    uint64_t new_pages = PagesFor(bytes.size());
-    std::vector<uint8_t> padded(new_pages * kPageSize, 0);
-    if (!bytes.empty()) {
-      std::memcpy(padded.data(), bytes.data(), bytes.size());
-    }
-    if (BuddyAllocator::ExtentPages(new_pages) ==
-        BuddyAllocator::ExtentPages(std::max<uint64_t>(1, entry->PageCount()))) {
-      // Fits in place. On a write fault the device performed nothing (the
-      // simulated transfer is atomic), so the entry stays as it was.
-      QBISM_RETURN_NOT_OK(
-          device_->WritePages(entry->start_page, new_pages, padded.data()));
-      entry->size_bytes = bytes.size();
-      return Status::OK();
-    }
-    // Reallocate: write the new extent first and only then free the old
-    // one, so a failed write neither leaks the new pages nor leaves the
-    // directory pointing at a freed extent.
-    QBISM_ASSIGN_OR_RETURN(uint64_t start, allocator_.Allocate(new_pages));
-    Status write = device_->WritePages(start, new_pages, padded.data());
-    if (!write.ok()) {
-      QBISM_RETURN_NOT_OK(allocator_.Free(start, new_pages));
-      return write;
-    }
-    QBISM_RETURN_NOT_OK(allocator_.Free(
-        entry->start_page, std::max<uint64_t>(1, entry->PageCount())));
-    entry->start_page = start;
-    entry->size_bytes = bytes.size();
-    return Status::OK();
-  }
-
-  // Durable mode: always out of place, so pinned readers keep a
-  // consistent view of the superseded version until vacuum.
-  uint64_t new_pages = PagesFor(bytes.size());
   uint64_t start = 0;
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (LatestLiveLocked(id.value) == nullptr) {
       return Status::NotFound("LongFieldManager::Update: unknown id");
     }
-    QBISM_ASSIGN_OR_RETURN(start, allocator_.Allocate(new_pages));
+    QBISM_ASSIGN_OR_RETURN(start, allocator_.Allocate(PagesFor(bytes.size())));
   }
-  Status write = WritePadded(start, new_pages, bytes);
-  if (!write.ok()) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    QBISM_RETURN_NOT_OK(allocator_.Free(start, new_pages));
-    return write;
-  }
-  StagedOp op;
-  op.kind = StagedOp::kSet;
-  op.id = id.value;
-  op.start_page = start;
-  op.size_bytes = bytes.size();
-  Status logged = LogAndPublish(
-      WalRecordType::kLfmSet,
-      EncodeSetPayload(id.value, start, new_pages, bytes.size(), Crc32(bytes)),
-      op);
-  if (!logged.ok()) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    QBISM_RETURN_NOT_OK(allocator_.Free(start, new_pages));
-    return logged;
-  }
-  return Status::OK();
+  return WriteAndPublish(id.value, start, bytes);
 }
 
 Status LongFieldManager::Delete(LongFieldId id) {
-  if (wal_ == nullptr) {
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    Entry* entry = LatestLiveLocked(id.value);
-    if (entry == nullptr) {
-      return Status::NotFound("LongFieldManager::Delete: unknown id");
-    }
-    QBISM_RETURN_NOT_OK(allocator_.Free(
-        entry->start_page, std::max<uint64_t>(1, entry->PageCount())));
-    auto it = directory_.find(id.value);
-    it->second.erase(it->second.begin() +
-                     (entry - it->second.data()));
-    if (it->second.empty()) directory_.erase(it);
-    return Status::OK();
-  }
-
-  // Durable mode: nothing is mutated until the drop record is durable,
-  // so a failed WAL append/sync leaves the field fully intact — no
-  // leaked pages, no dangling directory entry, no double free.
+  // Nothing is mutated until the drop publishes (with a WAL: until its
+  // record is durable), so a failed append/sync leaves the field fully
+  // intact — no leaked pages, no dangling directory entry, no double
+  // free.
   {
     std::shared_lock<std::shared_mutex> lock(mu_);
     if (LatestLiveLocked(id.value) == nullptr) {
@@ -495,8 +333,7 @@ Status LongFieldManager::Delete(LongFieldId id) {
   StagedOp op;
   op.kind = StagedOp::kDrop;
   op.id = id.value;
-  return LogAndPublish(WalRecordType::kLfmDrop, EncodeDropPayload(id.value),
-                       op);
+  return LogAndPublish(op, {});
 }
 
 Result<uint64_t> LongFieldManager::BeginTxn() {
@@ -544,12 +381,16 @@ Status LongFieldManager::CommitTxn() {
     return commit;
   }
   uint64_t next_epoch = epochs_ ? epochs_->current() + 1 : 0;
-  for (const StagedOp& op : staged_) ApplyOpLocked(op, next_epoch);
+  Status applied;
+  for (const StagedOp& op : staged_) {
+    Status status = ApplyOpLocked(op, next_epoch);
+    if (applied.ok()) applied = status;
+  }
   staged_.clear();
   open_txn_ = 0;
   lock.unlock();
   if (epochs_ != nullptr) epochs_->Advance();
-  return Status::OK();
+  return applied;
 }
 
 Status LongFieldManager::AbortTxn() {
@@ -630,10 +471,7 @@ Status LongFieldManager::RecoverSet(uint64_t id, uint64_t start_page,
   {
     std::unique_lock<std::shared_mutex> lock(mu_);
     if (Entry* old = LatestLiveLocked(id)) {
-      QBISM_RETURN_NOT_OK(allocator_.Free(
-          old->start_page, std::max<uint64_t>(1, old->PageCount())));
-      auto it = directory_.find(id);
-      it->second.erase(it->second.begin() + (old - it->second.data()));
+      QBISM_RETURN_NOT_OK(DropVersionLocked(id, old));
     }
     QBISM_RETURN_NOT_OK(
         allocator_.Reserve(start_page, std::max<uint64_t>(1, page_count)));
@@ -660,12 +498,7 @@ Status LongFieldManager::RecoverDrop(uint64_t id) {
   std::unique_lock<std::shared_mutex> lock(mu_);
   Entry* entry = LatestLiveLocked(id);
   if (entry == nullptr) return Status::OK();  // replay of a redundant drop
-  QBISM_RETURN_NOT_OK(allocator_.Free(
-      entry->start_page, std::max<uint64_t>(1, entry->PageCount())));
-  auto it = directory_.find(id);
-  it->second.erase(it->second.begin() + (entry - it->second.data()));
-  if (it->second.empty()) directory_.erase(it);
-  return Status::OK();
+  return DropVersionLocked(id, entry);
 }
 
 uint64_t LongFieldManager::allocated_pages() const {

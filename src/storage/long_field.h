@@ -61,13 +61,13 @@ struct ReadPlan {
   uint64_t bytes_needed = 0;   // payload bytes (sum of range lengths)
 };
 
-/// Durability hooks wiring the LFM into the write path (both optional;
-/// a hookless LFM behaves exactly as before — immediate, unlogged,
-/// in-place mutations). With a WAL attached, every mutation appends a
-/// redo record and becomes durable at its transaction's commit sync;
-/// with an epoch manager attached, mutations are applied as new
-/// *versions* so pinned readers keep a consistent pre-mutation view
-/// (see docs/DURABILITY.md).
+/// Durability hooks wiring the LFM into the write path (both optional).
+/// Every mutation publishes the same way: a hookless LFM applies it at
+/// once, unlogged. With a WAL attached, every mutation appends a redo
+/// record and becomes durable at its transaction's commit sync; with an
+/// epoch manager attached, mutations are applied as new *versions* so
+/// pinned readers keep a consistent pre-mutation view (see
+/// docs/DURABILITY.md).
 struct LfmDurabilityHooks {
   WriteAheadLog* wal = nullptr;      // not owned; must outlive the LFM
   EpochManager* epochs = nullptr;    // not owned; must outlive the LFM
@@ -87,9 +87,12 @@ struct LfmDurabilityHooks {
 /// field are written to a private extent *outside* the directory lock,
 /// so readers never block on an ingest writing megabytes.
 ///
-/// In durable mode (WAL attached) the directory is *versioned*: Update
-/// always goes out of place, the superseded extent is retired (not
-/// freed) with the epoch it died in, and a reader holding a
+/// Update always goes out of place: the new content is written to a
+/// fresh extent and published over the old version, so a failed write
+/// never touches the old extent. Without an epoch manager the
+/// superseded extent is freed at publish (no reader can pin it). With
+/// one the directory is *versioned*: the superseded extent is retired
+/// (not freed) with the epoch it died in, and a reader holding a
 /// ReadSnapshot resolves ids against its pinned epoch. Retired extents
 /// are reclaimed by Vacuum() once the last reader that could see them
 /// drains. Mutations inside an explicit transaction (BeginTxn /
@@ -108,40 +111,30 @@ class LongFieldManager {
   /// Size in bytes of an existing field.
   Result<uint64_t> Size(LongFieldId id) const;
 
-  /// Reads the whole field.
+  /// Reads the whole field: one version lookup and one transfer of its
+  /// extent straight into the returned buffer, under one directory
+  /// hold, so the bytes are exactly the version resolved.
   Result<std::vector<uint8_t>> Read(LongFieldId id) const;
 
-  /// Reads bytes [offset, offset+length) of the field. Only the 4 KB
-  /// pages covering the range are touched.
-  Result<std::vector<uint8_t>> ReadRange(LongFieldId id, uint64_t offset,
-                                         uint64_t length) const;
-
-  /// Reads several byte ranges, touching each page at most once and
-  /// visiting pages in ascending order (consecutive pages coalesce into
-  /// sequential multi-page transfers). Returns one buffer per range, in
-  /// input order. This is the access pattern EXTRACT_DATA generates
-  /// from a region's run list.
-  Result<std::vector<std::vector<uint8_t>>> ReadRanges(
-      LongFieldId id, const std::vector<ByteRange>& ranges) const;
-
-  /// Number of distinct pages the given ranges would touch.
-  Result<uint64_t> PagesTouched(LongFieldId id,
-                                const std::vector<ByteRange>& ranges) const;
-
-  /// --- Vectored read planning (the EXTRACT_DATA fast path) ------------
+  /// --- Planned reads (every partial read of a field) -------------------
+  /// A partial read is PlanRead then ReadExtents. A caller that makes
+  /// both calls against a field another thread may update holds one
+  /// ReadSnapshot across them, so both resolve the same version.
 
   /// Pure planning step: maps byte ranges (any order, overlaps allowed)
   /// to the minimal ascending set of page extents under the gap-fill
-  /// threshold. Validates every range against `field_size_bytes` with
-  /// the same overflow-safe bound as ReadRange. Gap fill only bridges
-  /// *between* needed pages; a plan never reads past the last page any
-  /// range touches, so pages_read <= pages_touched + filled gaps and a
-  /// plan with gap_fill_pages = 0 reads exactly the distinct pages.
+  /// threshold. Validates every range against `field_size_bytes`
+  /// overflow-safely (a huge offset cannot wrap into range). Gap fill
+  /// only bridges *between* needed pages; a plan never reads past the
+  /// last page any range touches, so pages_read <= pages_touched +
+  /// filled gaps and a plan with gap_fill_pages = 0 reads exactly the
+  /// distinct pages.
   static Result<ReadPlan> BuildReadPlan(const std::vector<ByteRange>& ranges,
                                         uint64_t field_size_bytes,
                                         const ReadPlanOptions& options = {});
 
-  /// BuildReadPlan against an existing field's size.
+  /// BuildReadPlan against an existing field's size. `pages_touched` is
+  /// the distinct-page count any read of `ranges` must transfer.
   Result<ReadPlan> PlanRead(LongFieldId id,
                             const std::vector<ByteRange>& ranges,
                             const ReadPlanOptions& options = {}) const;
@@ -155,12 +148,13 @@ class LongFieldManager {
   Status ReadExtents(LongFieldId id, const std::vector<PlannedExtent>& extents,
                      const std::vector<uint8_t*>& outs) const;
 
-  /// Overwrites an existing field with new content (may reallocate; in
-  /// durable mode always out of place, retiring the old version).
+  /// Replaces an existing field's content, out of place: needs room for
+  /// the new extent while the old one is still held. The old extent is
+  /// freed at publish, or retired for Vacuum under an epoch manager.
   Status Update(LongFieldId id, const std::vector<uint8_t>& bytes);
 
-  /// Frees the field (in durable mode: retires its current version; the
-  /// pages are reclaimed by Vacuum once no reader can see them).
+  /// Drops the field: its extent is freed at publish, or under an epoch
+  /// manager retired and reclaimed by Vacuum once no reader can see it.
   Status Delete(LongFieldId id);
 
   /// --- Transactions and reclamation (durable mode only) ---------------
@@ -234,8 +228,8 @@ class LongFieldManager {
 
   /// One version of a field: the extent holding its bytes plus the
   /// epoch interval [created_epoch, dropped_epoch) in which it is
-  /// visible. Hookless mode keeps exactly one version per id with the
-  /// interval [0, kLive).
+  /// visible. Without an epoch manager each id keeps exactly one
+  /// version, with the interval [0, kLive).
   struct Entry {
     uint64_t start_page = 0;
     uint64_t size_bytes = 0;
@@ -268,24 +262,39 @@ class LongFieldManager {
   /// pointer's use.
   Result<const Entry*> Lookup(LongFieldId id) const;
 
-  /// Writes `bytes` as zero-padded full pages at `start`.
-  Status WritePadded(uint64_t start, uint64_t pages,
-                     const std::vector<uint8_t>& bytes);
+  /// Transfers `extents` of `entry`'s field into `outs` as one
+  /// scatter-gather device call. Caller holds mu_ (shared suffices).
+  Status ReadExtentsLocked(const Entry& entry,
+                           const std::vector<PlannedExtent>& extents,
+                           const std::vector<uint8_t*>& outs) const;
 
-  /// Applies one op to the directory, stamping changes `epoch`. Caller
-  /// holds mu_ exclusively.
-  void ApplyOpLocked(const StagedOp& op, uint64_t epoch);
+  /// Writes `bytes` as zero-padded full pages to the private extent at
+  /// `start` and publishes it as `id`'s new version; on failure hands
+  /// the extent back, leaving the old version untouched.
+  Status WriteAndPublish(uint64_t id, uint64_t start,
+                         const std::vector<uint8_t>& bytes);
+
+  /// Applies one op to the directory, stamping changes `epoch`. The
+  /// superseded or dropped version is retired for Vacuum under an epoch
+  /// manager and freed here without one. Caller holds mu_ exclusively.
+  Status ApplyOpLocked(const StagedOp& op, uint64_t epoch);
+
+  /// Frees `entry`'s extent and removes it from `id`'s versions (and
+  /// `id` from the directory once it has none). Caller holds mu_
+  /// exclusively.
+  Status DropVersionLocked(uint64_t id, Entry* entry);
 
   /// Latest live version of id, or null. Caller holds mu_.
   Entry* LatestLiveLocked(uint64_t id);
   const Entry* LatestLiveLocked(uint64_t id) const;
 
-  /// Stages or auto-commits one durable mutation whose data pages (if
-  /// any) are already on the device: appends the WAL record and either
-  /// joins the open transaction or commits immediately. On failure the
-  /// caller must free any extent it allocated.
-  Status LogAndPublish(WalRecordType type, const std::vector<uint8_t>& payload,
-                       const StagedOp& op);
+  /// The one publish path of every mutation whose data pages (if any)
+  /// are already on the device. Without a WAL it applies the op at
+  /// once, building no record. With one it appends the redo record (a
+  /// kSet's carries `content`'s CRC) and either joins the open
+  /// transaction or commits immediately. On failure the caller must
+  /// free any extent it allocated.
+  Status LogAndPublish(const StagedOp& op, const std::vector<uint8_t>& content);
 
   DiskDevice* device_;
   WriteAheadLog* wal_;

@@ -80,14 +80,16 @@ TEST_F(SpatialExtensionTest, ExtractFromLongFieldMatchesInMemory) {
   EXPECT_EQ(from_disk.values(), in_memory.values());
 }
 
-TEST_F(SpatialExtensionTest, ExtractionPagesBoundedByRegionSpread) {
+TEST_F(SpatialExtensionTest, PlannedPagesBoundedByRegionSpread) {
   Volume v = RampVolume();
   auto field = ext_->StoreVolume(v).MoveValue();
   Region small = Region::FromBox(ext_->config().grid, CurveKind::kHilbert,
                                  {{0, 0, 0}, {3, 3, 3}});
   Region full = Region::Full(ext_->config().grid, CurveKind::kHilbert);
-  uint64_t small_pages = ext_->ExtractionPages(field, small).MoveValue();
-  uint64_t full_pages = ext_->ExtractionPages(field, full).MoveValue();
+  uint64_t small_pages =
+      db_.lfm()->PlanRead(field, RunByteRanges(small))->pages_touched;
+  uint64_t full_pages =
+      db_.lfm()->PlanRead(field, RunByteRanges(full))->pages_touched;
   EXPECT_LT(small_pages, full_pages);
   EXPECT_EQ(full_pages, ext_->config().grid.NumCells() / storage::kPageSize);
 }
@@ -276,11 +278,9 @@ TEST_F(SpatialExtensionTest, VectoredExtractMatchesSerialAcrossShapes) {
       Region::FromBox(grid, CurveKind::kHilbert, {{0, 0, 0}, {0, 0, 0}}),
   };
   for (const Region& r : shapes) {
+    // The oracle is the in-memory extraction of the same volume.
     auto vectored = ext_->ExtractFromLongField(field, r);
-    auto serial = ext_->ExtractFromLongFieldSerial(field, r);
     ASSERT_TRUE(vectored.ok()) << vectored.status().ToString();
-    ASSERT_TRUE(serial.ok());
-    EXPECT_EQ(vectored->values(), serial->values());
     EXPECT_EQ(vectored->values(), v.Extract(r).MoveValue().values());
   }
 }
@@ -294,14 +294,21 @@ TEST_F(SpatialExtensionTest, VectoredExtractReadsNoMorePagesThanSerial) {
                                geometry::Ellipsoid({16, 16, 16}, {14, 2, 2}));
   storage::DiskDevice* device = db_.lfm()->device();
   storage::IoStats before = device->stats();
-  ASSERT_TRUE(ext_->ExtractFromLongFieldSerial(field, r).ok());
-  uint64_t serial_pages = (device->stats() - before).pages_read;
-  before = device->stats();
   ASSERT_TRUE(ext_->ExtractFromLongField(field, r).ok());
   uint64_t vectored_pages = (device->stats() - before).pages_read;
+  // No more than a serial read of the distinct pages (a gap-0 plan)...
+  uint64_t serial_pages =
+      db_.lfm()
+          ->PlanRead(field, RunByteRanges(r), storage::ReadPlanOptions{0})
+          ->pages_read;
   EXPECT_LE(vectored_pages, serial_pages);
-  // And never more than the planner's own upper bound, the per-run sum.
-  uint64_t demanded = ext_->ExtractionPages(field, r).MoveValue();
+  // ...and never more than the per-run demand, the page sum a read per
+  // run would transfer.
+  uint64_t demanded = 0;
+  for (const storage::ByteRange& run : RunByteRanges(r)) {
+    demanded += (run.offset + run.length - 1) / storage::kPageSize -
+                run.offset / storage::kPageSize + 1;
+  }
   EXPECT_LE(vectored_pages, demanded);
 }
 

@@ -11,6 +11,7 @@
 #include "sql/database.h"
 #include "sql/planner/cost.h"
 #include "sql/planner/stats.h"
+#include "volume/volume.h"
 
 namespace qbism::sql {
 namespace {
@@ -208,6 +209,35 @@ TEST_F(SpatialExplainTest, RefreshBuildsRegionHistogramsAndFits) {
             reg.VoxelCountSelectivityAbove(30.0));
   // Per-study fits are keyed by the studyId column.
   EXPECT_FALSE(reg.per_study.empty());
+}
+
+TEST_F(SpatialExplainTest, RefreshSkipsStoredVolumesWithoutReadingThem) {
+  // One stored VOLUME and one REGION: the refresh tells the VOLUME by
+  // its size and reads only the REGION's pages.
+  ASSERT_TRUE(
+      db_.Execute("create table s (id int, data longfield, reg longfield)")
+          .ok());
+  const GridSpec& grid = ext_->config().grid;
+  auto volume = ext_->StoreVolume(volume::Volume::FromFunction(
+      grid, CurveKind::kHilbert, [](const geometry::Vec3i&) {
+        return uint8_t{7};
+      }));
+  auto region = ext_->StoreRegion(
+      Region::FromBox(grid, CurveKind::kHilbert, {{0, 0, 0}, {5, 5, 5}}));
+  ASSERT_TRUE(volume.ok() && region.ok());
+  ASSERT_TRUE(db_.Insert("s", {Value::Int(1), Value::LongField(*volume),
+                               Value::LongField(*region)})
+                  .ok());
+  uint64_t region_pages =
+      (db_.lfm()->Size(*region).value() + storage::kPageSize - 1) /
+      storage::kPageSize;
+  storage::IoStats before = db_.lfm()->device()->stats();
+  ASSERT_TRUE(ext_->RefreshPlannerStats().ok());
+  EXPECT_EQ((db_.lfm()->device()->stats() - before).pages_read, region_pages);
+  auto stats = db_.planner_stats()->Get("s");
+  ASSERT_NE(stats, nullptr);
+  EXPECT_EQ(stats->regions.count("data"), 0u);
+  EXPECT_EQ(stats->regions.at("reg").rows, 1u);
 }
 
 TEST_F(SpatialExplainTest, ReordersLowSelectivitySpatialConjunctFirst) {

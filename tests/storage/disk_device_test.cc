@@ -34,6 +34,23 @@ TEST(DiskDeviceTest, OutOfRangeRejected) {
   EXPECT_FALSE(device.ReadPages(3, 2, buf.data()).ok());
 }
 
+TEST(DiskDeviceTest, WrappingPageRangeRejectedOnEveryPath) {
+  // page_no + count wraps uint64_t to an in-range value: every path must
+  // reject it before any transfer, or it would touch the bytes before
+  // the store.
+  DiskDevice device(16);
+  std::vector<uint8_t> buf(kPageSize, 0x5A);
+  EXPECT_TRUE(device.ReadPage(UINT64_MAX, buf.data()).IsOutOfRange());
+  EXPECT_TRUE(device.ReadPagesBatch({{UINT64_MAX, 1, buf.data()}})
+                  .IsOutOfRange());
+  EXPECT_TRUE(device.WritePages(UINT64_MAX, 1, buf.data()).IsOutOfRange());
+  EXPECT_TRUE(device.ReadPages(2, UINT64_MAX - 1, buf.data()).IsOutOfRange());
+  EXPECT_EQ(device.fault_stats().transfers, 0u);
+  // The last page itself is still in range.
+  EXPECT_TRUE(device.ReadPages(15, 1, buf.data()).ok());
+  EXPECT_TRUE(device.WritePages(15, 1, buf.data()).ok());
+}
+
 TEST(DiskDeviceTest, MultiPageTransfer) {
   DiskDevice device(8);
   std::vector<uint8_t> out(3 * kPageSize);

@@ -1,6 +1,6 @@
 // LongFieldManager error paths: a failed Create/Update must not leak
-// buddy-allocator pages or corrupt the field directory, range checks
-// must not wrap on huge offsets, and empty fields are legal.
+// buddy-allocator pages or corrupt the field directory, range and extent
+// checks must not wrap on huge offsets, and empty fields are legal.
 
 #include <gtest/gtest.h>
 
@@ -43,20 +43,22 @@ TEST(LongFieldFaultTest, CreateEmptyFieldIsLegal) {
   auto id = lfm.Create({}).MoveValue();  // must not memcpy from nullptr
   EXPECT_EQ(lfm.Size(id).value(), 0u);
   EXPECT_TRUE(lfm.Read(id).value().empty());
-  EXPECT_TRUE(lfm.ReadRange(id, 0, 0).value().empty());
+  EXPECT_TRUE(lfm.PlanRead(id, {{0, 0}})->extents.empty());
   EXPECT_EQ(lfm.allocated_pages(), 1u);  // minimum one-page extent
   ASSERT_TRUE(lfm.CheckPageAccounting().ok());
-  ASSERT_TRUE(lfm.Update(id, {}).ok());  // in-place empty update too
+  ASSERT_TRUE(lfm.Update(id, {}).ok());  // empty update too
+  EXPECT_EQ(lfm.allocated_pages(), 1u);
   EXPECT_TRUE(lfm.Delete(id).ok());
   EXPECT_EQ(lfm.allocated_pages(), 0u);
 }
 
-TEST(LongFieldFaultTest, UpdateInPlaceFailureKeepsOldContent) {
+TEST(LongFieldFaultTest, UpdateSameExtentSizeFailureKeepsOldContent) {
   DiskDevice device(16);
   LongFieldManager lfm(&device);
   auto id = lfm.Create(Payload(kPageSize, 1)).MoveValue();
   device.InstallFaultPlan(FaultPlan::FailAtTransfer(0));
-  // Same one-page extent: the in-place path.
+  // Same one-page extent size: the fault hits the new extent's write,
+  // and the old extent is never touched.
   EXPECT_TRUE(lfm.Update(id, Payload(100, 2)).IsIOError());
   EXPECT_EQ(lfm.Size(id).value(), kPageSize);  // entry untouched
   EXPECT_EQ(lfm.Read(id).value(), Payload(kPageSize, 1));
@@ -102,13 +104,17 @@ TEST(LongFieldFaultTest, ReadRangeHugeOffsetDoesNotWrap) {
   // offset + length wraps uint64_t to a small in-bounds value; the
   // bounds check must reject it rather than read garbage.
   uint64_t huge = std::numeric_limits<uint64_t>::max() - 4;
-  EXPECT_TRUE(lfm.ReadRange(id, huge, 16).status().IsOutOfRange());
-  EXPECT_TRUE(lfm.ReadRange(id, huge, huge).status().IsOutOfRange());
+  EXPECT_TRUE(lfm.PlanRead(id, {{huge, 16}}).status().IsOutOfRange());
+  EXPECT_TRUE(lfm.PlanRead(id, {{huge, huge}}).status().IsOutOfRange());
+  std::vector<uint8_t> page(kPageSize);
+  EXPECT_TRUE(lfm.ReadExtents(id, {{huge, 1}}, {page.data()}).IsOutOfRange());
   // Ordinary past-end reads still fail, boundary reads still work.
-  EXPECT_TRUE(lfm.ReadRange(id, 2 * kPageSize, 1).status().IsOutOfRange());
-  EXPECT_TRUE(lfm.ReadRange(id, 2 * kPageSize, 0).value().empty());
-  EXPECT_EQ(lfm.ReadRange(id, kPageSize, kPageSize).value(),
-            Payload(kPageSize, 7));
+  EXPECT_TRUE(lfm.PlanRead(id, {{2 * kPageSize, 1}}).status().IsOutOfRange());
+  EXPECT_TRUE(lfm.PlanRead(id, {{2 * kPageSize, 0}})->extents.empty());
+  auto plan = lfm.PlanRead(id, {{kPageSize, kPageSize}}).MoveValue();
+  ASSERT_EQ(plan.extents, (std::vector<PlannedExtent>{{1, 1}}));
+  ASSERT_TRUE(lfm.ReadExtents(id, plan.extents, {page.data()}).ok());
+  EXPECT_EQ(page, Payload(kPageSize, 7));
 }
 
 TEST(LongFieldFaultTest, ReadRangesHugeOffsetRejectedBeforeAnyTransfer) {
@@ -118,9 +124,12 @@ TEST(LongFieldFaultTest, ReadRangesHugeOffsetRejectedBeforeAnyTransfer) {
   FaultStats before = device.fault_stats();
   uint64_t huge = std::numeric_limits<uint64_t>::max() - 2;
   std::vector<ByteRange> ranges = {{0, 4}, {huge, 8}};
-  EXPECT_TRUE(lfm.ReadRanges(id, ranges).status().IsOutOfRange());
-  // Validation runs before any I/O: the good first range must not have
+  EXPECT_TRUE(lfm.PlanRead(id, ranges).status().IsOutOfRange());
+  // Validation runs before any I/O: the good first extent must not have
   // been fetched already when the bad one is discovered.
+  std::vector<uint8_t> a(kPageSize), b(kPageSize);
+  EXPECT_TRUE(lfm.ReadExtents(id, {{0, 1}, {huge, 1}}, {a.data(), b.data()})
+                  .IsOutOfRange());
   EXPECT_EQ((device.fault_stats() - before).transfers, 0u);
 }
 
@@ -142,8 +151,9 @@ TEST(LongFieldFaultTest, UnknownIdsAreNotFound) {
   LongFieldId bogus{42};
   EXPECT_TRUE(lfm.Size(bogus).status().IsNotFound());
   EXPECT_TRUE(lfm.Read(bogus).status().IsNotFound());
-  EXPECT_TRUE(lfm.ReadRange(bogus, 0, 1).status().IsNotFound());
-  EXPECT_TRUE(lfm.ReadRanges(bogus, {{0, 1}}).status().IsNotFound());
+  EXPECT_TRUE(lfm.PlanRead(bogus, {{0, 1}}).status().IsNotFound());
+  std::vector<uint8_t> page(kPageSize);
+  EXPECT_TRUE(lfm.ReadExtents(bogus, {{0, 1}}, {page.data()}).IsNotFound());
   EXPECT_TRUE(lfm.Update(bogus, Payload(8, 0)).IsNotFound());
   EXPECT_TRUE(lfm.Delete(bogus).IsNotFound());
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 
 namespace qbism::storage {
@@ -11,6 +13,38 @@ std::vector<uint8_t> RandomBytes(Rng* rng, size_t n) {
   std::vector<uint8_t> bytes(n);
   for (auto& b : bytes) b = static_cast<uint8_t>(rng->Next());
   return bytes;
+}
+
+/// Reads byte ranges the one partial-read way: a gap-0 plan (exactly the
+/// distinct pages) moved by one ReadExtents, then each range's bytes
+/// copied out, in input order.
+Result<std::vector<std::vector<uint8_t>>> ReadPlanned(
+    const LongFieldManager& lfm, LongFieldId id,
+    const std::vector<ByteRange>& ranges) {
+  auto plan = lfm.PlanRead(id, ranges, ReadPlanOptions{0});
+  if (!plan.ok()) return plan.status();
+  std::vector<std::vector<uint8_t>> extents;
+  std::vector<uint8_t*> outs;
+  for (const PlannedExtent& e : plan->extents) {
+    extents.emplace_back(e.ByteCount());
+    outs.push_back(extents.back().data());
+  }
+  Status read = lfm.ReadExtents(id, plan->extents, outs);
+  if (!read.ok()) return read;
+  std::vector<std::vector<uint8_t>> out;
+  for (const ByteRange& r : ranges) {
+    std::vector<uint8_t> bytes(r.length);
+    for (size_t e = 0; e < plan->extents.size() && r.length > 0; ++e) {
+      uint64_t first = plan->extents[e].ByteOffset();
+      if (r.offset >= first &&
+          r.offset + r.length <= first + plan->extents[e].ByteCount()) {
+        std::copy_n(extents[e].begin() + (r.offset - first), r.length,
+                    bytes.begin());
+      }
+    }
+    out.push_back(std::move(bytes));
+  }
+  return out;
 }
 
 TEST(LongFieldTest, CreateReadRoundTrip) {
@@ -49,14 +83,14 @@ TEST(LongFieldTest, ReadRangeExact) {
   for (auto [offset, length] : std::vector<std::pair<uint64_t, uint64_t>>{
            {0, 10}, {kPageSize - 5, 10}, {kPageSize, kPageSize}, {100, 0},
            {3 * kPageSize, 100}}) {
-    auto range = lfm.ReadRange(id, offset, length);
+    auto range = ReadPlanned(lfm, id, {{offset, length}});
     ASSERT_TRUE(range.ok());
-    ASSERT_EQ(range->size(), length);
+    ASSERT_EQ((*range)[0].size(), length);
     for (uint64_t i = 0; i < length; ++i) {
-      EXPECT_EQ((*range)[i], bytes[offset + i]);
+      EXPECT_EQ((*range)[0][i], bytes[offset + i]);
     }
   }
-  EXPECT_FALSE(lfm.ReadRange(id, bytes.size() - 5, 10).ok());
+  EXPECT_FALSE(ReadPlanned(lfm, id, {{bytes.size() - 5, 10}}).ok());
 }
 
 TEST(LongFieldTest, ReadRangeTouchesOnlyCoveringPages) {
@@ -65,7 +99,7 @@ TEST(LongFieldTest, ReadRangeTouchesOnlyCoveringPages) {
   std::vector<uint8_t> bytes(10 * kPageSize, 7);
   auto id = lfm.Create(bytes).MoveValue();
   device.ResetStats();
-  ASSERT_TRUE(lfm.ReadRange(id, 2 * kPageSize + 1, kPageSize).ok());
+  ASSERT_TRUE(ReadPlanned(lfm, id, {{2 * kPageSize + 1, kPageSize}}).ok());
   // The range spans pages 2 and 3 only.
   EXPECT_EQ(device.stats().pages_read, 2u);
 }
@@ -80,7 +114,7 @@ TEST(LongFieldTest, ReadRangesDedupesPagesAcrossRanges) {
   // Three ranges inside the same page + one in another page.
   std::vector<ByteRange> ranges{{10, 50}, {100, 20}, {2000, 100},
                                 {5 * kPageSize + 3, 10}};
-  auto buffers = lfm.ReadRanges(id, ranges).MoveValue();
+  auto buffers = ReadPlanned(lfm, id, ranges).MoveValue();
   EXPECT_EQ(device.stats().pages_read, 2u);  // page 0 and page 5 only
   ASSERT_EQ(buffers.size(), 4u);
   for (size_t r = 0; r < ranges.size(); ++r) {
@@ -89,7 +123,7 @@ TEST(LongFieldTest, ReadRangesDedupesPagesAcrossRanges) {
       EXPECT_EQ(buffers[r][i], bytes[ranges[r].offset + i]);
     }
   }
-  EXPECT_EQ(lfm.PagesTouched(id, ranges).value(), 2u);
+  EXPECT_EQ(lfm.PlanRead(id, ranges)->pages_touched, 2u);
 }
 
 TEST(LongFieldTest, ReadRangesCoalescesSequentialPages) {
@@ -99,7 +133,7 @@ TEST(LongFieldTest, ReadRangesCoalescesSequentialPages) {
   auto id = lfm.Create(bytes).MoveValue();
   device.ResetStats();
   // One big contiguous range: must be a single sequential transfer.
-  ASSERT_TRUE(lfm.ReadRanges(id, {{0, 50 * kPageSize}}).ok());
+  ASSERT_TRUE(ReadPlanned(lfm, id, {{0, 50 * kPageSize}}).ok());
   EXPECT_EQ(device.stats().pages_read, 50u);
   EXPECT_EQ(device.stats().seeks, 1u);
 }
@@ -112,7 +146,7 @@ TEST(LongFieldTest, CrossingRangeBoundariesAssemblesCorrectly) {
   auto id = lfm.Create(bytes).MoveValue();
   // Range spanning three pages.
   auto buffers =
-      lfm.ReadRanges(id, {{kPageSize / 2, 2 * kPageSize}}).MoveValue();
+      ReadPlanned(lfm, id, {{kPageSize / 2, 2 * kPageSize}}).MoveValue();
   ASSERT_EQ(buffers[0].size(), 2 * kPageSize);
   for (uint64_t i = 0; i < buffers[0].size(); ++i) {
     ASSERT_EQ(buffers[0][i], bytes[kPageSize / 2 + i]);
@@ -131,15 +165,16 @@ TEST(LongFieldTest, DeleteFreesSpaceForReuse) {
   EXPECT_FALSE(lfm.Read(id).ok());
 }
 
-TEST(LongFieldTest, UpdateInPlaceAndRealloc) {
+TEST(LongFieldTest, UpdateSameExtentSizeAndRealloc) {
   DiskDevice device(64);
   LongFieldManager lfm(&device);
   Rng rng(5);
   auto id = lfm.Create(RandomBytes(&rng, 100)).MoveValue();
-  auto small = RandomBytes(&rng, 200);  // still one page: in place
+  auto small = RandomBytes(&rng, 200);  // still one page
   ASSERT_TRUE(lfm.Update(id, small).ok());
   EXPECT_EQ(lfm.Read(id).value(), small);
-  auto large = RandomBytes(&rng, 3 * kPageSize);  // reallocates
+  EXPECT_EQ(lfm.allocated_pages(), 1u);  // the old extent freed at publish
+  auto large = RandomBytes(&rng, 3 * kPageSize);  // a larger extent
   ASSERT_TRUE(lfm.Update(id, large).ok());
   EXPECT_EQ(lfm.Read(id).value(), large);
   EXPECT_FALSE(lfm.Update(LongFieldId{999}, small).ok());
