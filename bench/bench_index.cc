@@ -9,9 +9,10 @@
 //   probe     a selective multi-study query — `intersects(region,
 //             <atlas box>)` plus an intensity bound — executed as a
 //             full scan (no hook installed) and then through the
-//             planner's candidate set (a candidate scan: the schema
-//             has no studyId B+-tree); the candidates must be < 5% of
-//             the studies and the pruned run beat the scan by >= 10x;
+//             planner's candidate set (a candidate probe: one descent
+//             of the schema's studyId B+-tree per candidate study);
+//             the candidates must be < 5% of the studies and the
+//             pruned run beat the scan by >= 10x;
 //   maintain  per-study StageUpsert/Publish cost on the delta overlay
 //             and the cost of folding the overlay back in (rebuild).
 //

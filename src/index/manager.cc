@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <optional>
 #include <utility>
 
 #include "common/bytes.h"
@@ -56,41 +57,151 @@ const sql::Expr* AsIntersectsCall(const sql::Expr& e) {
   return nullptr;
 }
 
+using BinOp = sql::Expr::BinOp;
+
+/// `op` with its operands swapped (a < b  <=>  b > a).
+BinOp Mirror(BinOp op) {
+  switch (op) {
+    case BinOp::kLt: return BinOp::kGt;
+    case BinOp::kLe: return BinOp::kGe;
+    case BinOp::kGt: return BinOp::kLt;
+    case BinOp::kGe: return BinOp::kLe;
+    default: return op;
+  }
+}
+
+/// A comparison conjunct as (lhs OP int literal), mirrored so that the
+/// literal is on the right; null when neither side is an int literal.
+struct LiteralCompare {
+  const sql::Expr* lhs = nullptr;
+  BinOp op = BinOp::kEq;
+  int64_t value = 0;
+};
+std::optional<LiteralCompare> AsLiteralCompare(const sql::Expr& c) {
+  if (c.kind != sql::Expr::Kind::kBinary || !c.lhs || !c.rhs) {
+    return std::nullopt;
+  }
+  if (std::optional<int64_t> v = AsIntLiteral(*c.rhs)) {
+    return LiteralCompare{c.lhs.get(), c.bin_op, *v};
+  }
+  if (std::optional<int64_t> v = AsIntLiteral(*c.lhs)) {
+    return LiteralCompare{c.rhs.get(), Mirror(c.bin_op), *v};
+  }
+  return std::nullopt;
+}
+
+/// Narrows [*min, *max] to the integers satisfying `x OP v`; false for
+/// an operator no interval expresses (<>). Saturating: `x > INT64_MAX`
+/// leaves min at INT64_MAX, which no count reaches.
+bool NarrowBounds(BinOp op, int64_t v, int64_t* min, int64_t* max) {
+  switch (op) {
+    case BinOp::kEq:
+      *min = std::max(*min, v);
+      *max = std::min(*max, v);
+      return true;
+    case BinOp::kGt:
+      *min = std::max(*min, v == INT64_MAX ? v : v + 1);
+      return true;
+    case BinOp::kGe:
+      *min = std::max(*min, v);
+      return true;
+    case BinOp::kLt:
+      *max = std::min(*max, v == INT64_MIN ? v : v - 1);
+      return true;
+    case BinOp::kLe:
+      *max = std::min(*max, v);
+      return true;
+    default:
+      return false;
+  }
+}
+
+/// Folds `voxelcount(<region column>) OP k` or `runcount(<region
+/// column>) OP k` into the filter's count bounds. Every band a
+/// qualifying row holds satisfies them: the summary keeps the region's
+/// exact counts.
+bool NarrowCounts(const sql::Expr& c, const std::string& alias,
+                  BandFilter* filter) {
+  std::optional<LiteralCompare> cmp = AsLiteralCompare(c);
+  if (!cmp) return false;
+  const sql::Expr& call = *cmp->lhs;
+  if (call.kind != sql::Expr::Kind::kFunctionCall || call.args.size() != 1 ||
+      !IsColumnRef(*call.args[0], alias, kRegionColumn)) {
+    return false;
+  }
+  if (LowerEq(call.function, "voxelcount")) {
+    return NarrowBounds(cmp->op, cmp->value, &filter->min_voxels,
+                        &filter->max_voxels);
+  }
+  if (LowerEq(call.function, "runcount")) {
+    return NarrowBounds(cmp->op, cmp->value, &filter->min_runs,
+                        &filter->max_runs);
+  }
+  return false;
+}
+
+/// Band-interval bounds: only the lower bound of `lo` and the upper
+/// bound of `hi` narrow the interval a band must lie inside; any other
+/// comparison leaves it as it is.
+void NarrowInterval(const sql::Expr& c, const std::string& alias,
+                    BandFilter* filter) {
+  std::optional<LiteralCompare> cmp = AsLiteralCompare(c);
+  if (!cmp) return;
+  int64_t ignored_max = INT64_MAX, ignored_min = INT64_MIN;
+  if (IsColumnRef(*cmp->lhs, alias, kLoColumn)) {
+    NarrowBounds(cmp->op, cmp->value, &filter->lo, &ignored_max);
+  } else if (IsColumnRef(*cmp->lhs, alias, kHiColumn)) {
+    NarrowBounds(cmp->op, cmp->value, &ignored_min, &filter->hi);
+  }
+}
+
+/// The constant region an `intersects(<region column>, <constant>)`
+/// call probes with: fullregion() or boxregion() of int literals, which
+/// the hook evaluates without touching storage.
+std::optional<region::Region> ConstantProbeRegion(const sql::Expr& call,
+                                                  const std::string& alias,
+                                                  const region::GridSpec& grid,
+                                                  curve::CurveKind kind) {
+  const sql::Expr* col = call.args[0].get();
+  const sql::Expr* arg = call.args[1].get();
+  if (!IsColumnRef(*col, alias, kRegionColumn)) {
+    std::swap(col, arg);  // intersects is symmetric
+  }
+  if (!IsColumnRef(*col, alias, kRegionColumn)) return std::nullopt;
+  if (arg->kind != sql::Expr::Kind::kFunctionCall) return std::nullopt;
+  if (LowerEq(arg->function, "fullregion") && arg->args.empty()) {
+    return region::Region::Full(grid, kind);
+  }
+  if (!LowerEq(arg->function, "boxregion") || arg->args.size() != 6) {
+    return std::nullopt;
+  }
+  int64_t v[6];
+  for (int i = 0; i < 6; ++i) {
+    std::optional<int64_t> lit = AsIntLiteral(*arg->args[i]);
+    if (!lit) return std::nullopt;
+    v[i] = *lit;
+  }
+  geometry::Box3i b{{int(v[0]), int(v[1]), int(v[2])},
+                    {int(v[3]), int(v[4]), int(v[5])}};
+  return region::Region::FromBox(grid, kind, b);
+}
+
 /// A conjunct that *requires* intersects(...) to be true: the bare call
 /// (truthy), or a comparison against an int literal that can only hold
 /// when the call returns non-zero. Anything else — including negated
 /// forms — yields null and the hook stays out of the query's way.
 const sql::Expr* ExtractRequiredIntersects(const sql::Expr& c) {
   if (const sql::Expr* f = AsIntersectsCall(c)) return f;
-  if (c.kind != sql::Expr::Kind::kBinary || !c.lhs || !c.rhs) return nullptr;
-  const sql::Expr* call = AsIntersectsCall(*c.lhs);
-  const sql::Expr* lit_side = c.rhs.get();
-  bool call_left = true;
-  if (!call) {
-    call = AsIntersectsCall(*c.rhs);
-    lit_side = c.lhs.get();
-    call_left = false;
-  }
+  std::optional<LiteralCompare> cmp = AsLiteralCompare(c);
+  if (!cmp) return nullptr;
+  const sql::Expr* call = AsIntersectsCall(*cmp->lhs);
   if (!call) return nullptr;
-  std::optional<int64_t> v = AsIntLiteral(*lit_side);
-  if (!v) return nullptr;
-  using BinOp = sql::Expr::BinOp;
-  BinOp op = c.bin_op;
-  if (!call_left) {
-    // Mirror so the call is conceptually on the left.
-    switch (op) {
-      case BinOp::kLt: op = BinOp::kGt; break;
-      case BinOp::kLe: op = BinOp::kGe; break;
-      case BinOp::kGt: op = BinOp::kLt; break;
-      case BinOp::kGe: op = BinOp::kLe; break;
-      default: break;
-    }
-  }
-  switch (op) {
-    case BinOp::kEq: return *v != 0 ? call : nullptr;   // call = 1
-    case BinOp::kNe: return *v == 0 ? call : nullptr;   // call <> 0
-    case BinOp::kGt: return *v >= 0 ? call : nullptr;   // call > 0
-    case BinOp::kGe: return *v >= 1 ? call : nullptr;   // call >= 1
+  int64_t v = cmp->value;
+  switch (cmp->op) {
+    case BinOp::kEq: return v != 0 ? call : nullptr;   // call = 1
+    case BinOp::kNe: return v == 0 ? call : nullptr;   // call <> 0
+    case BinOp::kGt: return v >= 0 ? call : nullptr;   // call > 0
+    case BinOp::kGe: return v >= 1 ? call : nullptr;   // call >= 1
     default: return nullptr;
   }
 }
@@ -315,52 +426,70 @@ void SpatialIndexManager::Vacuum() {
   }
 }
 
-bool SpatialIndexManager::StudyMatchesLocked(int64_t study_id,
-                                             const BoundingBox& box,
-                                             uint64_t sig, uint8_t band_lo,
-                                             uint8_t band_hi) const {
-  auto it = versions_.find(study_id);
-  if (it == versions_.end()) return false;
-  for (const Version& v : it->second) {
+bool SpatialIndexManager::StudyMatches(const std::vector<Version>& versions,
+                                       const BandFilter& filter) {
+  for (const Version& v : versions) {
     // Hierarchical bitmap first: no intensity in the asked range means
     // every in-range band of this version is empty.
-    if (!v.summary->bitmap.AnyInRange(band_lo, band_hi)) continue;
+    if (filter.RequiresVoxels() &&
+        !v.summary->bitmap.AnyInRange(uint8_t(filter.lo),
+                                      uint8_t(filter.hi))) {
+      continue;
+    }
     for (const BandSummary& b : v.summary->bands) {
-      if (b.voxels == 0) continue;
-      if (b.lo < band_lo || b.hi > band_hi) continue;
-      if ((b.signature & sig) == 0) continue;
-      if (!b.box.Intersects(box)) continue;
-      return true;
+      if (filter.Matches(b)) return true;
     }
   }
   return false;
 }
 
-Result<std::vector<int64_t>> SpatialIndexManager::ProbeIntersect(
-    const region::Region& probe, uint8_t band_lo, uint8_t band_hi) const {
+Result<std::vector<int64_t>> SpatialIndexManager::Probe(
+    const BandFilter& asked) const {
   obs::Span span(obs::Stage::kIndexProbe);
   std::vector<int64_t> out;
-  if (probe.Empty() || band_lo > band_hi) return out;
-  BoundingBox box = RegionBounds(probe);
-  uint64_t sig = RegionSignature(probe);
+  // Every band lies in the intensity domain, so clamping the interval
+  // to it loses nothing and lets the tree and bitmaps take it as bytes.
+  BandFilter filter = asked;
+  filter.lo = std::max<int64_t>(filter.lo, 0);
+  filter.hi = std::min<int64_t>(filter.hi, 255);
+  if (filter.Empty()) return out;
 
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.probes;
+  if (!filter.spatial) {
+    for (const auto& [id, vers] : versions_) {
+      if (StudyMatches(vers, filter)) out.push_back(id);
+    }
+    return out;
+  }
   std::set<int64_t> candidates;
   uint64_t pages_before = probe_counters_.pages_visited;
   if (tree_ && !tree_->empty()) {
     QBISM_RETURN_NOT_OK(tree_->Probe(
-        box, sig, band_lo, band_hi,
+        filter.box, filter.signature, uint8_t(filter.lo), uint8_t(filter.hi),
         [&](int64_t id) { candidates.insert(id); }, &probe_counters_));
   }
   for (int64_t id : delta_) candidates.insert(id);
   for (int64_t id : candidates) {
-    if (StudyMatchesLocked(id, box, sig, band_lo, band_hi)) {
+    auto it = versions_.find(id);
+    if (it != versions_.end() && StudyMatches(it->second, filter)) {
       out.push_back(id);
     }
   }
   span.AddPages(probe_counters_.pages_visited - pages_before);
   return out;
+}
+
+Result<std::vector<int64_t>> SpatialIndexManager::ProbeIntersect(
+    const region::Region& probe, uint8_t band_lo, uint8_t band_hi) const {
+  if (probe.Empty()) return std::vector<int64_t>{};
+  BandFilter filter;
+  filter.lo = band_lo;
+  filter.hi = band_hi;
+  filter.spatial = true;
+  filter.box = RegionBounds(probe);
+  filter.signature = RegionSignature(probe);
+  return Probe(filter);
 }
 
 bool SpatialIndexManager::authoritative() const {
@@ -374,100 +503,42 @@ sql::planner::CandidateIndexHook SpatialIndexManager::MakeHook() {
              -> std::optional<sql::planner::CandidateSet> {
     if (table != kTable || !authoritative()) return std::nullopt;
 
-    // One conjunct must *require* an intersects() against the region
-    // column with a constant region operand. Without it there is no
-    // sound pruning: rows with empty regions still satisfy plain
-    // intensity-range predicates.
-    const region::GridSpec& grid = ext_->config().grid;
-    curve::CurveKind kind = ext_->config().curve;
+    // Sound pruning needs a conjunct every qualifying band's summary
+    // answers: one requiring an intersects() against the region column
+    // with a constant region operand, or a count bound. lo/hi bounds
+    // alone are not enough: rows with empty regions still satisfy
+    // plain intensity-range predicates.
+    BandFilter filter;
     std::optional<region::Region> probe;
+    bool counted = false;
     for (const sql::Expr* c : conjuncts) {
-      const sql::Expr* call = ExtractRequiredIntersects(*c);
-      if (!call) continue;
-      const sql::Expr* col = call->args[0].get();
-      const sql::Expr* arg = call->args[1].get();
-      if (!IsColumnRef(*col, alias, kRegionColumn)) {
-        std::swap(col, arg);  // intersects is symmetric
-      }
-      if (!IsColumnRef(*col, alias, kRegionColumn)) continue;
-      // The other operand must be a constant region expression the
-      // hook can evaluate without touching storage.
-      if (arg->kind != sql::Expr::Kind::kFunctionCall) continue;
-      if (LowerEq(arg->function, "fullregion") && arg->args.empty()) {
-        probe = region::Region::Full(grid, kind);
-        break;
-      }
-      if (LowerEq(arg->function, "boxregion") && arg->args.size() == 6) {
-        int64_t v[6];
-        bool all_int = true;
-        for (int i = 0; i < 6; ++i) {
-          std::optional<int64_t> lit = AsIntLiteral(*arg->args[i]);
-          if (!lit) {
-            all_int = false;
-            break;
-          }
-          v[i] = *lit;
+      if (!probe) {
+        if (const sql::Expr* call = ExtractRequiredIntersects(*c)) {
+          probe = ConstantProbeRegion(*call, alias, ext_->config().grid,
+                                      ext_->config().curve);
+          if (probe) continue;
         }
-        if (!all_int) continue;
-        geometry::Box3i b{{int(v[0]), int(v[1]), int(v[2])},
-                          {int(v[3]), int(v[4]), int(v[5])}};
-        probe = region::Region::FromBox(grid, kind, b);
-        break;
       }
+      if (NarrowCounts(*c, alias, &filter)) {
+        counted = true;
+        continue;
+      }
+      NarrowInterval(*c, alias, &filter);
     }
-    if (!probe) return std::nullopt;
-
-    // Band-interval bounds from the remaining conjuncts: only
-    // necessary-condition tightenings (lo >= L, hi <= U and their
-    // equality/strict forms); anything else leaves the full interval.
-    int64_t lo_bound = 0, hi_bound = 255;
-    using BinOp = sql::Expr::BinOp;
-    for (const sql::Expr* c : conjuncts) {
-      if (c->kind != sql::Expr::Kind::kBinary || !c->lhs || !c->rhs) continue;
-      const sql::Expr* col = c->lhs.get();
-      const sql::Expr* lit = c->rhs.get();
-      BinOp op = c->bin_op;
-      if (col->kind != sql::Expr::Kind::kColumnRef) {
-        std::swap(col, lit);
-        switch (op) {  // mirror so the column is on the left
-          case BinOp::kLt: op = BinOp::kGt; break;
-          case BinOp::kLe: op = BinOp::kGe; break;
-          case BinOp::kGt: op = BinOp::kLt; break;
-          case BinOp::kGe: op = BinOp::kLe; break;
-          default: break;
-        }
-      }
-      std::optional<int64_t> v = AsIntLiteral(*lit);
-      if (!v) continue;
-      if (IsColumnRef(*col, alias, kLoColumn)) {
-        if (op == BinOp::kGe || op == BinOp::kEq) {
-          lo_bound = std::max(lo_bound, *v);
-        } else if (op == BinOp::kGt) {
-          lo_bound = std::max(lo_bound, *v + 1);
-        }
-      } else if (IsColumnRef(*col, alias, kHiColumn)) {
-        if (op == BinOp::kLe || op == BinOp::kEq) {
-          hi_bound = std::min(hi_bound, *v);
-        } else if (op == BinOp::kLt) {
-          hi_bound = std::min(hi_bound, *v - 1);
-        }
-      }
-    }
-    uint8_t blo = uint8_t(std::clamp<int64_t>(lo_bound, 0, 255));
-    uint8_t bhi = uint8_t(std::clamp<int64_t>(hi_bound, 0, 255));
-    if (lo_bound > 255 || hi_bound < 0 || blo > bhi) {
-      // Contradictory bounds: no band can qualify.
-      return sql::planner::CandidateSet{kStudyColumn, {},
-                                        double(stats().live_studies),
-                                        "rtree+bitmap"};
+    if (!probe && !counted) return std::nullopt;
+    if (probe) {
+      // An empty probe's signature is 0, which no band matches.
+      filter.spatial = true;
+      filter.box = RegionBounds(*probe);
+      filter.signature = RegionSignature(*probe);
     }
 
-    auto keys = ProbeIntersect(*probe, blo, bhi);
+    auto keys = Probe(filter);
     if (!keys.ok()) return std::nullopt;
     sql::planner::CandidateSet set;
     set.column = kStudyColumn;
     set.keys = std::move(*keys);
-    set.source = "rtree+bitmap";
+    set.source = probe ? "rtree+bitmap" : "band summaries";
     {
       std::lock_guard<std::mutex> lock(mu_);
       uint64_t live = 0;

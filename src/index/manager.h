@@ -38,11 +38,11 @@ struct IndexStats {
 /// the paper schema's banding table (med/schema.h),
 /// intensityBand(studyId, atlasId, lo, hi, region): per-study summaries
 /// (hierarchical intensity bitmap + per-band bounding box / run
-/// signature), a disk-resident Hilbert-packed R-tree over the band
-/// entries for spatial pruning, and a planner hook that
-/// turns "intersects(region, <constant region>)" predicates into
-/// candidate study-id sets so multi-study SQL touches only studies that
-/// can qualify.
+/// signature / voxel and run counts), a disk-resident Hilbert-packed
+/// R-tree over the band entries for spatial pruning, and a planner hook
+/// that turns "intersects(region, <constant region>)" and
+/// "voxelcount(region) > k"-style predicates into candidate study-id
+/// sets so multi-study SQL touches only studies that can qualify.
 ///
 /// Consistency model. The packed tree is immutable; studies ingested or
 /// replaced after the last pack live in a delta overlay (`delta_`) that
@@ -112,11 +112,18 @@ class SpatialIndexManager {
 
   /// --- Probing ----------------------------------------------------------
 
-  /// Sorted ids of every study that may contain a band region
-  /// intersecting `probe` within band interval [band_lo, band_hi]:
-  /// R-tree descent (box + run-signature pruning) unioned with the
-  /// delta overlay, then re-verified against current summaries
-  /// (hierarchical bitmap range test + exact band summary test).
+  /// Sorted ids of every study with a band `filter` matches in any
+  /// unvacuumed summary version. A spatial filter takes its candidates
+  /// from the R-tree descent (box + run-signature pruning) unioned with
+  /// the delta overlay; a count-only filter visits every study, since
+  /// empty bands, which the tree leaves out, may satisfy it. Either way
+  /// each candidate is verified against its summaries (hierarchical
+  /// bitmap range test when the filter excludes empty bands, then the
+  /// exact band test).
+  Result<std::vector<int64_t>> Probe(const BandFilter& filter) const;
+
+  /// Probe for the bands within [band_lo, band_hi] whose region may
+  /// intersect `probe`.
   Result<std::vector<int64_t>> ProbeIntersect(const region::Region& probe,
                                               uint8_t band_lo,
                                               uint8_t band_hi) const;
@@ -126,12 +133,16 @@ class SpatialIndexManager {
   /// prune scans by candidate sets.
   bool authoritative() const;
 
-  /// The planner hook: recognizes `intersects(<region column>,
-  /// <constant region expression>)` conjuncts on the banding table
-  /// (plus lo/hi bounds narrowing the band interval) and answers with
-  /// the candidate study-id set. Register on the database with
-  /// Database::set_candidate_index_hook. The returned callable
-  /// captures `this`.
+  /// The planner hook: recognizes, on the banding table, a conjunct
+  /// requiring `intersects(<region column>, <constant region
+  /// expression>)` and `voxelcount(<region column>) OP k` /
+  /// `runcount(<region column>) OP k` conjuncts (OP one of < <= = >= >,
+  /// the literal on either side), plus lo/hi bounds narrowing the band
+  /// interval, folds them into one BandFilter and answers with the
+  /// candidate study-id set (EXPLAIN source "rtree+bitmap" when an
+  /// intersects() is present, else "band summaries"). Register on the
+  /// database with Database::set_candidate_index_hook. The returned
+  /// callable captures `this`.
   sql::planner::CandidateIndexHook MakeHook();
 
   IndexStats stats() const;
@@ -143,10 +154,9 @@ class SpatialIndexManager {
     uint64_t died = 0;  // epoch at retirement; 0 = live
   };
 
-  /// Exact test of one study against a probe, under mu_.
-  bool StudyMatchesLocked(int64_t study_id, const BoundingBox& box,
-                          uint64_t sig, uint8_t band_lo,
-                          uint8_t band_hi) const;
+  /// Exact test of one study's versions against a filter, under mu_.
+  static bool StudyMatches(const std::vector<Version>& versions,
+                           const BandFilter& filter);
   Status RebuildPackedLocked();
   void UpsertLocked(std::shared_ptr<const StudySummary> summary);
   void RemoveLocked(int64_t study_id);

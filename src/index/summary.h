@@ -59,6 +59,45 @@ struct BandSummary {
   friend bool operator==(const BandSummary&, const BandSummary&) = default;
 };
 
+/// What one band must satisfy for its study to be a probe candidate:
+/// its intensity interval inside [lo, hi], its voxel and run counts
+/// inside the count bounds (all inclusive), and, when `spatial`, a
+/// non-empty region whose box and run signature overlap the probe's.
+/// One filter serves both arms of the planner hook: intersects()
+/// probes set the spatial part, voxelcount()/runcount() predicates the
+/// count bounds, lo/hi predicates the interval.
+struct BandFilter {
+  int64_t lo = 0;
+  int64_t hi = 255;
+  bool spatial = false;
+  BoundingBox box;
+  uint64_t signature = 0;
+  int64_t min_voxels = 0;
+  int64_t max_voxels = INT64_MAX;
+  int64_t min_runs = 0;
+  int64_t max_runs = INT64_MAX;
+
+  /// No band can satisfy contradictory bounds.
+  bool Empty() const {
+    return lo > hi || min_voxels > max_voxels || min_runs > max_runs;
+  }
+
+  /// Whether every matching band is non-empty. Only then may a study
+  /// be skipped on its intensity bitmap: empty bands set no bit.
+  bool RequiresVoxels() const {
+    return spatial || min_voxels > 0 || min_runs > 0;
+  }
+
+  bool Matches(const BandSummary& b) const {
+    if (b.lo < lo || b.hi > hi) return false;
+    int64_t voxels = int64_t(b.voxels), runs = int64_t(b.runs);
+    if (voxels < min_voxels || voxels > max_voxels) return false;
+    if (runs < min_runs || runs > max_runs) return false;
+    return !spatial || (b.voxels > 0 && (b.signature & signature) != 0 &&
+                        b.box.Intersects(box));
+  }
+};
+
 /// Everything the cross-study index keeps about one study: identity,
 /// the hierarchical intensity bitmap, and one BandSummary per stored
 /// band region. Small (33 bytes + ~32 per band), so the full summary

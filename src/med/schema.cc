@@ -31,6 +31,13 @@ Status BootstrapSchema(sql::Database* db) {
 
       "create table intensityBand (studyId int, atlasId int, lo int, hi int,"
       " region longfield)",
+
+      // Key B+-trees: every per-study lookup (the §3.4 translation, the
+      // spatial index's candidate studies, ingest's study lookups)
+      // filters on studyId, so these turn heap scans into key probes.
+      "create index rawVolumeStudy on rawVolume (studyId)",
+      "create index warpedVolumeStudy on warpedVolume (studyId)",
+      "create index intensityBandStudy on intensityBand (studyId)",
   };
   for (const char* sql : kStatements) {
     QBISM_ASSIGN_OR_RETURN(sql::ResultSet unused, db->Execute(sql));

@@ -186,6 +186,7 @@ uint64_t IngestManager::CommitVersion(int study_id) const {
 
 storage::LongFieldManager::VacuumStats IngestManager::Vacuum() {
   storage::LongFieldManager::VacuumStats out = ext_->db()->lfm()->Vacuum();
+  if (index_ != nullptr) index_->Vacuum();
   std::lock_guard<std::mutex> lock(state_mu_);
   stats_.vacuum_extents_freed += out.extents_freed;
   stats_.vacuum_pages_freed += out.pages_freed;

@@ -74,7 +74,8 @@ class IngestManager {
   /// invalidates) between a query's execution and its cache insert.
   uint64_t CommitVersion(int study_id) const;
 
-  /// Reclaims retired extents no active reader can see.
+  /// Reclaims retired extents, and the attached index's retired
+  /// summary versions, that no active reader can see.
   storage::LongFieldManager::VacuumStats Vacuum();
 
   /// Registers a commit listener; returns a token for removal.

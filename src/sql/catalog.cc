@@ -94,6 +94,20 @@ Result<storage::RecordId> Catalog::InsertRow(TableInfo* table,
   return rid;
 }
 
+Status Catalog::DeleteRow(TableInfo* table, const storage::RecordId& rid,
+                          const Row& row) {
+  QBISM_RETURN_NOT_OK(table->file->Delete(rid));
+  for (const auto& [column, index] : table->indexes) {
+    QBISM_ASSIGN_OR_RETURN(size_t column_index,
+                           table->schema.ColumnIndex(column));
+    const Value& key = row[column_index];
+    if (key.is_null()) continue;
+    QBISM_ASSIGN_OR_RETURN(int64_t key_int, key.AsInt());
+    QBISM_RETURN_NOT_OK(index->Remove(key_int, rid));
+  }
+  return Status::OK();
+}
+
 std::vector<std::string> Catalog::TableNames() const {
   std::vector<std::string> names;
   names.reserve(tables_.size());

@@ -43,6 +43,12 @@ class Catalog {
   /// Serializes and inserts a row, maintaining every index.
   Result<storage::RecordId> InsertRow(TableInfo* table, const Row& row);
 
+  /// Deletes the record at `rid` and its entry in every index. `row`
+  /// is the record's image; only its indexed columns are read, so a
+  /// projection that decoded them suffices.
+  Status DeleteRow(TableInfo* table, const storage::RecordId& rid,
+                   const Row& row);
+
   /// Bumped on every schema change (CREATE TABLE / CREATE INDEX). Plan
   /// caches key on this: a compiled plan embeds resolved column indexes
   /// and access-path choices, so any DDL invalidates it. Row-level DML

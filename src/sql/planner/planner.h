@@ -66,8 +66,9 @@ struct TablePlan {
   double est_rows = 0.0;  // after pushed predicates
   AccessPath access;
   /// Pushed single-table conjuncts in evaluation (ascending rank) order.
-  /// The probe equality conjunct stays in this list: stale index entries
-  /// make the re-check necessary.
+  /// The probe equality conjunct stays in this list: a writer may
+  /// delete a probed record and reuse its slot before the VM reads it,
+  /// so the re-check is necessary.
   std::vector<PlannedConjunct> pushed;
 };
 

@@ -495,6 +495,13 @@ Result<CompiledMutation> Compiler::CompileDelete(const DeleteStmt& stmt) {
     MarkNeededColumns(*stmt.where, scopes, &needed);
     m.needed_columns = std::move(needed[0]);
   }
+  // Catalog::DeleteRow removes each victim's index entries by key.
+  for (const auto& [column, index] : info->indexes) {
+    (void)index;
+    QBISM_ASSIGN_OR_RETURN(size_t column_index,
+                           info->schema.ColumnIndex(column));
+    m.needed_columns[column_index] = 1;
+  }
   return m;
 }
 

@@ -349,7 +349,7 @@ Status BatchVM::ScanLevel(const CompiledSelect& cs, size_t depth,
   size_t filled = 0;
   for (const storage::RecordId& rid : rids) {
     auto bytes = info->file->Read(rid);
-    if (bytes.status().IsNotFound()) continue;  // deleted: stale entry
+    if (bytes.status().IsNotFound()) continue;  // deleted since the probe
     QBISM_RETURN_NOT_OK(bytes.status());
     QBISM_RETURN_NOT_OK(DeserializeRowProjected(info->schema, bytes.value(),
                                                 needed, &batch[filled]));
@@ -563,8 +563,10 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
   std::vector<uint16_t> sel(kBatchRows);
   std::vector<uint16_t> run_sel(kBatchRows);
 
-  std::vector<std::pair<storage::RecordId, Row>> updates;
-  std::vector<storage::RecordId> victims;
+  // (rid, old image) of each matching row; UPDATE also keeps the new
+  // image. The old image carries the indexed columns DeleteRow needs.
+  std::vector<std::pair<storage::RecordId, Row>> victims;
+  std::vector<Row> new_images;
 
   // Phase 1: batched scan, filter, and (for UPDATE) new-image
   // construction — assignment expressions see the pre-update values.
@@ -594,17 +596,15 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
         }
       }
       for (size_t i = 0; i < sel_size; ++i) {
-        uint16_t lane = sel[i];
-        Row updated = std::move(batch[lane]);
+        Row updated = batch[sel[i]];
         for (size_t j = 0; j < cm.assignments.size(); ++j) {
           updated[cm.target_columns[j]] = std::move(values[j][i]);
         }
-        updates.emplace_back(rids[lane], std::move(updated));
+        new_images.push_back(std::move(updated));
       }
-    } else {
-      for (size_t i = 0; i < sel_size; ++i) {
-        victims.push_back(rids[sel[i]]);
-      }
+    }
+    for (size_t i = 0; i < sel_size; ++i) {
+      victims.emplace_back(rids[sel[i]], std::move(batch[sel[i]]));
     }
     return Status::OK();
   };
@@ -616,32 +616,27 @@ Result<ResultSet> BatchVM::RunMutation(const CompiledMutation& cm) {
   QBISM_RETURN_NOT_OK(ScanHeapBatched(table, cm.needed_columns, batch,
                                       remember_rid, flush));
 
-  ResultSet result;
-  if (cm.is_update) {
-    // Validate every new image before touching anything, so a type
-    // error cannot leave the table partially updated.
-    for (const auto& [rid, row] : updates) {
-      (void)rid;
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (!ValueMatchesType(row[i], schema.columns()[i].type)) {
-          return Status::InvalidArgument(
-              "UPDATE: value " + row[i].ToString() +
-              " does not match column '" + schema.columns()[i].name + "'");
-        }
+  // Validate every new image before touching anything, so a type
+  // error cannot leave the table partially updated.
+  for (const Row& row : new_images) {
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (!ValueMatchesType(row[i], schema.columns()[i].type)) {
+        return Status::InvalidArgument(
+            "UPDATE: value " + row[i].ToString() +
+            " does not match column '" + schema.columns()[i].name + "'");
       }
     }
-    for (auto& [rid, row] : updates) {
-      QBISM_RETURN_NOT_OK(table->file->Delete(rid));
-      QBISM_ASSIGN_OR_RETURN(storage::RecordId new_rid,
-                             catalog_->InsertRow(table, row));
-      (void)new_rid;
-      ++result.rows_affected;
+  }
+  // An UPDATE deletes the old image and appends the new one; both keep
+  // every index exact.
+  ResultSet result;
+  for (size_t i = 0; i < victims.size(); ++i) {
+    QBISM_RETURN_NOT_OK(
+        catalog_->DeleteRow(table, victims[i].first, victims[i].second));
+    if (cm.is_update) {
+      QBISM_RETURN_NOT_OK(catalog_->InsertRow(table, new_images[i]).status());
     }
-  } else {
-    for (const storage::RecordId& rid : victims) {
-      QBISM_RETURN_NOT_OK(table->file->Delete(rid));
-      ++result.rows_affected;
-    }
+    ++result.rows_affected;
   }
   return result;
 }

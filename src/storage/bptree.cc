@@ -229,6 +229,30 @@ Result<uint64_t> BPlusTree::FindLeaf(int64_t key) const {
   }
 }
 
+Status BPlusTree::Remove(int64_t key, const RecordId& rid) {
+  std::lock_guard<std::recursive_mutex> lock(pool_->latch());
+  // Duplicates of `key` may span several leaves, and a split orders
+  // them by rid only within each leaf: walk right from the leftmost
+  // candidate until a leaf holds a larger key.
+  const Node::LeafEntry target{key, rid};
+  QBISM_ASSIGN_OR_RETURN(uint64_t page_no, FindLeaf(key));
+  while (page_no != 0) {
+    QBISM_ASSIGN_OR_RETURN(Node node, LoadNode(pool_, page_no));
+    auto it = std::lower_bound(node.leaf.begin(), node.leaf.end(), target,
+                               LeafEntryLess);
+    if (it != node.leaf.end() && !LeafEntryLess(target, *it)) {
+      node.leaf.erase(it);
+      return StoreNode(pool_, page_no, node);
+    }
+    if (!node.leaf.empty() && node.leaf.back().key > key) break;
+    page_no = node.next_leaf;
+  }
+  return Status::NotFound("BPlusTree::Remove: no entry (" +
+                          std::to_string(key) + ", " +
+                          std::to_string(rid.page_no) + ":" +
+                          std::to_string(rid.slot) + ")");
+}
+
 Result<std::vector<RecordId>> BPlusTree::Find(int64_t key) const {
   return FindRange(key, key);
 }

@@ -37,6 +37,11 @@ class BPlusTree {
   /// base-table record).
   Status Insert(int64_t key, const RecordId& rid);
 
+  /// Removes one copy of the (key, rid) pair; NotFound when absent.
+  /// Leaf-local: nodes are never merged or rebalanced, so a leaf may
+  /// end up empty and separators stay valid search bounds.
+  Status Remove(int64_t key, const RecordId& rid);
+
   /// All record ids whose key equals `key`.
   Result<std::vector<RecordId>> Find(int64_t key) const;
 

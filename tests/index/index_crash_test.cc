@@ -22,6 +22,8 @@
 #include "qbism/ingest.h"
 #include "qbism/spatial_extension.h"
 #include "sql/database.h"
+#include "sql/schema.h"
+#include "storage/bptree.h"
 #include "storage/disk_device.h"
 #include "storage/fault_plan.h"
 
@@ -180,6 +182,73 @@ TEST(IndexCrashTest, ReplaceRecoversLastWins) {
   ASSERT_TRUE(recovered.ok()) << recovered.status().message();
   EXPECT_EQ(stats.index_records, 2u);  // both upserts replay, last wins
   EXPECT_EQ((*recovered)->index->stats().live_studies, 1u);
+}
+
+/// Checks every B+-tree of the schema against its table: one entry per
+/// live row (Size() equals count(*)), and entry for entry (Scan order)
+/// the tree a cold CREATE INDEX backfill of the current rows builds.
+void ExpectKeyIndexesExact(sql::Database* db) {
+  for (const char* table : {"rawVolume", "warpedVolume", "intensityBand"}) {
+    SCOPED_TRACE(table);
+    sql::TableInfo* info = db->catalog()->GetTable(table).value();
+    ASSERT_EQ(info->indexes.count("studyId"), 1u);
+    auto live = db->Execute(std::string("select count(*) from ") + table);
+    ASSERT_TRUE(live.ok());
+    size_t column = info->schema.ColumnIndex("studyId").value();
+    storage::BPlusTree cold =
+        storage::BPlusTree::Create(db->buffer_pool(), db->page_allocator())
+            .MoveValue();
+    ASSERT_TRUE(info->file
+                    ->Scan([&](const storage::RecordId& rid,
+                               const std::vector<uint8_t>& bytes) {
+                      sql::Row row =
+                          sql::DeserializeRow(info->schema, bytes).MoveValue();
+                      QBISM_CHECK_OK(cold.Insert(row[column].AsInt().value(),
+                                                 rid));
+                      return true;
+                    })
+                    .ok());
+    for (const auto& [name, tree] : info->indexes) {
+      SCOPED_TRACE(name);
+      EXPECT_EQ(int64_t(tree->Size().value()),
+                live->rows[0][0].AsInt().value());
+      auto entries = [](const storage::BPlusTree& t) {
+        std::vector<std::pair<int64_t, storage::RecordId>> out;
+        QBISM_CHECK_OK(t.Scan([&](int64_t key, const storage::RecordId& rid) {
+          out.emplace_back(key, rid);
+          return true;
+        }));
+        return out;
+      };
+      EXPECT_TRUE(entries(*tree) == entries(cold));
+    }
+  }
+}
+
+TEST(IndexCrashTest, KeyIndexesStayExactAcrossReplacesAndRecovery) {
+  // An ingesting server replaces one study over and over: each replace
+  // deletes the study's rows and inserts new ones, so every studyId
+  // B+-tree must drop the old entries or grow without bound.
+  auto world = BuildWorld().MoveValue();
+  ASSERT_TRUE(world->ingest->IngestStudy(MakeRecord(1, 11)).ok());
+  ASSERT_TRUE(world->ingest->IngestStudy(MakeRecord(2, 22)).ok());
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(world->ingest->ReplaceStudy(MakeRecord(1, 100 + i)).ok())
+        << "replace " << i;
+    world->ingest->Vacuum();
+  }
+  ExpectKeyIndexesExact(&world->db);
+  // The ingest vacuum drops the spatial index's retired summaries too.
+  EXPECT_EQ(world->index->stats().dead_versions, 0u);
+  EXPECT_EQ(world->index->stats().live_studies, 2u);
+
+  // Recovery replays the rows through Catalog::InsertRow and the logged
+  // deletes through DELETE: the replayed trees must be exact too.
+  sql::RecoveryStats stats;
+  auto recovered = RecoverAndCheck(Snapshot(world.get()), &stats);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().message();
+  EXPECT_EQ(stats.committed_txns, 202u);
+  ExpectKeyIndexesExact(&(*recovered)->db);
 }
 
 // The adversarial matrix: enumerate every page transfer the ingest of

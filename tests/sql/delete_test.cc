@@ -61,13 +61,35 @@ TEST_F(DeleteTest, InsertAfterDeleteWorks) {
 TEST_F(DeleteTest, IndexSkipsDeletedRows) {
   ASSERT_TRUE(db_.Execute("create index i on t (id)").ok());
   ASSERT_TRUE(db_.Execute("delete from t where id = 3").ok());
-  // The stale index entry must not resurrect the row or fail the query.
+  // The deleted row's entry left the index with it.
   auto result = db_.Execute("select tag from t where id = 3");
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_TRUE(result->rows.empty());
   // Other indexed lookups still work.
   auto live = db_.Execute("select tag from t where id = 5").MoveValue();
   ASSERT_EQ(live.rows.size(), 1u);
+}
+
+TEST_F(DeleteTest, DeleteRemovesIndexEntriesOfEveryIndexedColumn) {
+  ASSERT_TRUE(db_.Execute("create table u (a int, b int, c int)").ok());
+  ASSERT_TRUE(db_.Execute("create index ua on u (a)").ok());
+  ASSERT_TRUE(db_.Execute("create index ub on u (b)").ok());
+  ASSERT_TRUE(db_.Execute("insert into u values (1, 10, 0), (2, 20, 1),"
+                          " (3, null, 0), (1, 30, 1)")
+                  .ok());
+  // The predicate reads neither indexed column; the delete still has
+  // to decode both to remove their entries.
+  auto result = db_.Execute("delete from u where c = 1");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->rows_affected, 2u);
+  TableInfo* u = db_.catalog()->GetTable("u").value();
+  EXPECT_EQ(u->indexes.at("a")->Size().value(), 2u);
+  EXPECT_EQ(u->indexes.at("b")->Size().value(), 1u);  // NULL has no entry
+  EXPECT_EQ(u->indexes.at("a")->Find(2).value().size(), 0u);
+  EXPECT_EQ(u->indexes.at("b")->Find(30).value().size(), 0u);
+  ASSERT_TRUE(db_.Execute("delete from u").ok());
+  EXPECT_EQ(u->indexes.at("a")->Size().value(), 0u);
+  EXPECT_EQ(u->indexes.at("b")->Size().value(), 0u);
 }
 
 TEST_F(DeleteTest, DeleteByIndexedColumnThenReinsert) {

@@ -91,6 +91,21 @@ TEST_F(UpdateTest, IndexFollowsUpdatedKeys) {
   EXPECT_EQ(moved.rows[0][0].AsString().value(), "ada");
 }
 
+TEST_F(UpdateTest, IndexHoldsOneEntryPerLiveRowAcrossUpdates) {
+  ASSERT_TRUE(db_.Execute("create index i on acct (id)").ok());
+  TableInfo* acct = db_.catalog()->GetTable("acct").value();
+  for (int i = 0; i < 50; ++i) {
+    // Rewrites every row: the old images' entries must go each time.
+    ASSERT_TRUE(db_.Execute("update acct set balance = balance + 1").ok());
+    ASSERT_TRUE(
+        db_.Execute("update acct set id = id + 3 where owner = 'bob'").ok());
+  }
+  EXPECT_EQ(acct->indexes.at("id")->Size().value(), 3u);
+  EXPECT_EQ(acct->indexes.at("id")->Find(2).value().size(), 0u);
+  EXPECT_EQ(acct->indexes.at("id")->Find(152).value().size(), 1u);
+  EXPECT_EQ(BalanceOf(152), 250);
+}
+
 TEST_F(UpdateTest, RepeatedUpdatesAccumulate) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(

@@ -96,6 +96,59 @@ TEST_F(BPlusTreeTest, RandomInsertsMatchReference) {
   }
 }
 
+TEST_F(BPlusTreeTest, RemoveTakesOneExactPair) {
+  ASSERT_TRUE(tree_.Insert(7, Rid(1)).ok());
+  ASSERT_TRUE(tree_.Insert(7, Rid(2)).ok());
+  ASSERT_TRUE(tree_.Insert(7, Rid(2)).ok());  // the same pair twice
+  ASSERT_TRUE(tree_.Insert(8, Rid(1)).ok());
+  ASSERT_TRUE(tree_.Remove(7, Rid(2)).ok());
+  EXPECT_EQ(tree_.Find(7).value(), (std::vector<RecordId>{Rid(1), Rid(2)}));
+  ASSERT_TRUE(tree_.Remove(7, Rid(2)).ok());
+  EXPECT_TRUE(tree_.Remove(7, Rid(2)).IsNotFound());
+  EXPECT_TRUE(tree_.Remove(9, Rid(1)).IsNotFound());
+  EXPECT_TRUE(tree_.Remove(8, Rid(2)).IsNotFound());  // key there, rid not
+  EXPECT_EQ(tree_.Find(7).value(), std::vector<RecordId>{Rid(1)});
+  EXPECT_EQ(tree_.Find(8).value(), std::vector<RecordId>{Rid(1)});
+  EXPECT_EQ(tree_.Size().value(), 2u);
+}
+
+TEST_F(BPlusTreeTest, RemoveFindsDuplicatesAcrossLeavesInAnyRidOrder) {
+  // 2,000 copies of one key span ~10 leaves; inserting them in shuffled
+  // rid order leaves the rids sorted only within each leaf, so removal
+  // must walk the whole run of leaves. Removing every other entry, then
+  // the rest, must leave exactly the reference and finally nothing.
+  Rng rng(7);
+  std::vector<uint64_t> order(2000);
+  for (uint64_t i = 0; i < order.size(); ++i) order[i] = i;
+  for (size_t i = order.size() - 1; i > 0; --i) {
+    std::swap(order[i], order[rng.NextBounded(i + 1)]);
+  }
+  for (uint64_t n : order) ASSERT_TRUE(tree_.Insert(42, Rid(n)).ok());
+  ASSERT_TRUE(tree_.Insert(41, Rid(5000)).ok());
+  ASSERT_TRUE(tree_.Insert(43, Rid(5001)).ok());
+  ASSERT_GE(tree_.Height().value(), 2);
+  std::multiset<uint64_t> expected(order.begin(), order.end());
+  for (size_t i = 0; i < order.size(); i += 2) {
+    ASSERT_TRUE(tree_.Remove(42, Rid(order[i])).ok()) << order[i];
+    expected.erase(expected.find(order[i]));
+  }
+  std::multiset<uint64_t> got;
+  for (const RecordId& rid : tree_.Find(42).MoveValue()) {
+    got.insert(rid.page_no);
+  }
+  EXPECT_EQ(got, expected);
+  for (size_t i = 1; i < order.size(); i += 2) {
+    ASSERT_TRUE(tree_.Remove(42, Rid(order[i])).ok()) << order[i];
+  }
+  EXPECT_TRUE(tree_.Find(42).value().empty());
+  EXPECT_EQ(tree_.FindRange(41, 43).value(),
+            (std::vector<RecordId>{Rid(5000), Rid(5001)}));
+  // Emptied leaves stay in the chain; inserts still land correctly.
+  ASSERT_TRUE(tree_.Insert(42, Rid(9)).ok());
+  EXPECT_EQ(tree_.Find(42).value(), std::vector<RecordId>{Rid(9)});
+  EXPECT_EQ(tree_.Size().value(), 3u);
+}
+
 TEST_F(BPlusTreeTest, RangeQueries) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(tree_.Insert(i * 2, Rid(static_cast<uint64_t>(i))).ok());

@@ -50,6 +50,7 @@ Result<ResultSet> TreeWalker::ExecuteUpdate(const UpdateStmt& stmt) {
   env[0].rows.resize(1);
   std::vector<size_t> cursor{0};
   std::vector<std::pair<storage::RecordId, Row>> updates;
+  std::vector<Row> old_images;  // carry the keys DeleteRow removes
   Status scan_status = Status::OK();
   QBISM_RETURN_NOT_OK(table->file->Scan(
       [&](const storage::RecordId& rid, const std::vector<uint8_t>& bytes) {
@@ -84,6 +85,7 @@ Result<ResultSet> TreeWalker::ExecuteUpdate(const UpdateStmt& stmt) {
           }
           updated[target_columns[i]] = std::move(value).MoveValue();
         }
+        old_images.push_back(std::move(env[0].rows[0]));
         updates.emplace_back(rid, std::move(updated));
         return true;
       }));
@@ -101,12 +103,12 @@ Result<ResultSet> TreeWalker::ExecuteUpdate(const UpdateStmt& stmt) {
       }
     }
   }
-  // Phase 2: tombstone the old image, append the new one (indexes are
-  // maintained through the insert path; stale entries for the old image
-  // are skipped at probe time).
+  // Phase 2: delete the old image, append the new one (both maintain
+  // every index).
   ResultSet result;
-  for (auto& [rid, row] : updates) {
-    QBISM_RETURN_NOT_OK(table->file->Delete(rid));
+  for (size_t i = 0; i < updates.size(); ++i) {
+    auto& [rid, row] = updates[i];
+    QBISM_RETURN_NOT_OK(catalog_->DeleteRow(table, rid, old_images[i]));
     QBISM_ASSIGN_OR_RETURN(storage::RecordId new_rid,
                            catalog_->InsertRow(table, row));
     (void)new_rid;
@@ -118,16 +120,15 @@ Result<ResultSet> TreeWalker::ExecuteUpdate(const UpdateStmt& stmt) {
 Result<ResultSet> TreeWalker::ExecuteDelete(const DeleteStmt& stmt) {
   QBISM_ASSIGN_OR_RETURN(TableInfo * table, catalog_->GetTable(stmt.table));
   // Evaluate the predicate per row against a single-table environment,
-  // collect matching record ids, then tombstone them. Stale index
-  // entries are tolerated: the index access path skips records whose
-  // heap read reports NotFound.
+  // collect the matching records, then delete them and their index
+  // entries.
   ExprPtr folded_where = stmt.where ? FoldConstants(*stmt.where) : nullptr;
   std::vector<BoundTable> env(1);
   env[0].alias = stmt.table;
   env[0].schema = &table->schema;
   env[0].rows.resize(1);
   std::vector<size_t> cursor{0};
-  std::vector<storage::RecordId> victims;
+  std::vector<std::pair<storage::RecordId, Row>> victims;
   Status scan_status = Status::OK();
   QBISM_RETURN_NOT_OK(table->file->Scan(
       [&](const storage::RecordId& rid, const std::vector<uint8_t>& bytes) {
@@ -151,13 +152,13 @@ Result<ResultSet> TreeWalker::ExecuteDelete(const DeleteStmt& stmt) {
           }
           matches = truth.value();
         }
-        if (matches) victims.push_back(rid);
+        if (matches) victims.emplace_back(rid, std::move(env[0].rows[0]));
         return true;
       }));
   QBISM_RETURN_NOT_OK(scan_status);
   ResultSet result;
-  for (const storage::RecordId& rid : victims) {
-    QBISM_RETURN_NOT_OK(table->file->Delete(rid));
+  for (const auto& [rid, row] : victims) {
+    QBISM_RETURN_NOT_OK(catalog_->DeleteRow(table, rid, row));
     ++result.rows_affected;
   }
   return result;
