@@ -2,10 +2,14 @@
 // remarks: O(bits) curve conversions ("Both curves require O(n)
 // complexity to convert", §4), cheap merge-scan spatial operators ("the
 // computational cost of managing REGIONs ... is low", §6.4), and the
-// contiguous-copy extraction path.
+// contiguous-copy extraction path; plus the CRC-32 every shipped and
+// logged byte passes through.
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "common/crc32.h"
 #include "compress/codes.h"
 #include "curve/curve.h"
 #include "geometry/shapes.h"
@@ -143,6 +147,27 @@ void BM_EliasGammaCodec(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EliasGammaCodec);
+
+/// One CRC-32 pass, as the wire (frame payloads), the WAL (records) and
+/// the LFM (content checksums) run it, over 64 B, 4 KiB and 2 MiB (a
+/// full-study answer): the dispatched kernel (arg 0 = 1; the folding
+/// kernel on a host with PCLMULQDQ) and the byte-at-a-time oracle (0).
+void BM_Crc32(benchmark::State& state) {
+  std::vector<uint8_t> data(static_cast<size_t>(state.range(1)));
+  for (size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<uint8_t>(i * 131 + 7);
+  }
+  const bool dispatched = state.range(0) == 1;
+  for (auto _ : state) {
+    uint32_t crc = dispatched ? qbism::Crc32(data.data(), data.size())
+                              : qbism::Crc32Scalar(data.data(), data.size());
+    benchmark::DoNotOptimize(crc);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          state.range(1));
+  state.SetLabel(dispatched ? "dispatched" : "scalar");
+}
+BENCHMARK(BM_Crc32)->ArgsProduct({{1, 0}, {64, 4 << 10, 2 << 20}});
 
 }  // namespace
 

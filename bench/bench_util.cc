@@ -1,6 +1,7 @@
 #include "bench_util.h"
 
 #include <cstdio>
+#include <cstring>
 #include <thread>
 #include <utility>
 
@@ -59,12 +60,20 @@ void PrintHeading(const std::string& title) {
 namespace {
 
 /// First line of `command`'s standard output, or "" when it fails.
+/// Reads the output to its end before closing: a command still writing
+/// into a closed pipe dies of SIGPIPE (a line-buffered `git status`
+/// listing several files does), and pclose would report that as a
+/// failure.
 std::string FirstLineOf(const std::string& command) {
   std::FILE* pipe = ::popen(command.c_str(), "r");
   if (pipe == nullptr) return "";
   char buf[256];
   std::string line;
-  if (std::fgets(buf, sizeof buf, pipe) != nullptr) line = buf;
+  bool first = true;
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) {
+    if (first) line += buf;
+    if (std::strchr(buf, '\n') != nullptr) first = false;
+  }
   if (::pclose(pipe) != 0) return "";
   while (!line.empty() && (line.back() == '\n' || line.back() == '\r')) {
     line.pop_back();

@@ -253,11 +253,14 @@ Result<PipelineResult> QueryPipeline::Run(
 
   // --- Database phase: the data query. ---------------------------------
   QBISM_RETURN_NOT_OK(checkpoint());
+  // The span opens before the phase's own bookkeeping: reading the
+  // thread CPU clock is a system call, and the scheduler can stall a
+  // thread there for a whole tick (~4 ms seen on a first request).
+  obs::Span data_span(obs::Stage::kData);
   IoStats lfm_before = db->long_field_device()->thread_stats();
   IoStats rel_before = db->relational_device()->thread_stats();
   ThreadCpuTimer db_cpu;
   WallTimer db_wall;
-  obs::Span data_span(obs::Stage::kData);
   Result<ResultSet> data_exec = [&] {
     // Extraction (kExtract/kShard/kIo) and decode spans opened at UDF
     // depth nest under this kData span.

@@ -94,8 +94,9 @@ struct PipelineResult {
   std::string info_sql;
   std::string data_sql;
 
-  /// The one deep copy of the answer, made inside a kShip span, with its
-  /// run and voxel counts and total_seconds over the pipeline's columns.
+  /// The caller's own copy of the answer, made inside a kShip span, with
+  /// its run and voxel counts and total_seconds over the pipeline's
+  /// columns. It copies the run list; the voxels stay shared.
   StudyQueryResult Ship() const;
 };
 

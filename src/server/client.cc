@@ -37,7 +37,7 @@ Status NetClient::Login(const std::string& tenant, const std::string& secret) {
   hello.tenant = tenant;
   hello.secret = secret;
   QBISM_RETURN_NOT_OK(socket_.SendFrame(MessageType::kHello, 0, id,
-                                        EncodeHello(hello)));
+                                        {EncodeHello(hello)}));
   QBISM_ASSIGN_OR_RETURN(Frame frame,
                          ReadExpected(MessageType::kWelcome, id));
   QBISM_ASSIGN_OR_RETURN(WelcomeReply welcome, DecodeWelcome(frame.payload));
@@ -63,7 +63,7 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
   query.spec = spec;
   query.deadline_seconds = deadline_seconds;
   QBISM_RETURN_NOT_OK(socket_.SendFrame(MessageType::kQuery, session_token_,
-                                        id, EncodeQuery(query)));
+                                        id, {EncodeQuery(query)}));
 
   QueryOutcome out;
   {

@@ -201,30 +201,50 @@ Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload) {
   return out;
 }
 
-Result<std::vector<uint8_t>> EncodeAnswerPayload(
-    const volume::DataRegion& data, region::RegionEncoding encoding) {
+namespace {
+
+/// The answer prefix in a buffer reserved for it plus `tail` more
+/// bytes, so a caller appending the voxels allocates once.
+Result<std::vector<uint8_t>> AnswerPrefix(const volume::DataRegion& data,
+                                          region::RegionEncoding encoding,
+                                          size_t tail) {
   const region::Region& reg = data.region();
-  std::vector<uint8_t> region_bytes;
-  if (encoding == region::RegionEncoding::kEliasDeltas &&
-      !data.encoded_region().empty()) {
-    // The region already exists in elias form (an encoded-domain set-op
-    // chain ended here); ship those bytes instead of re-encoding.
-    region_bytes = data.encoded_region();
-  } else {
-    QBISM_ASSIGN_OR_RETURN(region_bytes, region::EncodeRegion(reg, encoding));
+  // A region that already exists in elias form (an encoded-domain set-op
+  // chain ended here) ships those bytes instead of being re-encoded.
+  const std::vector<uint8_t>* region_bytes = &data.encoded_region();
+  std::vector<uint8_t> encoded;
+  if (encoding != region::RegionEncoding::kEliasDeltas ||
+      region_bytes->empty()) {
+    QBISM_ASSIGN_OR_RETURN(encoded, region::EncodeRegion(reg, encoding));
+    region_bytes = &encoded;
   }
   std::vector<uint8_t> out;
-  out.reserve(4 + 4 + region_bytes.size() + 8 + data.values().size());
+  out.reserve(4 + 4 + region_bytes->size() + 8 + tail);
   ByteWriter w(&out);
   w.PutU8(static_cast<uint8_t>(reg.grid().dims));
   w.PutU8(static_cast<uint8_t>(reg.grid().bits));
   w.PutU8(static_cast<uint8_t>(reg.curve_kind()));
   w.PutU8(static_cast<uint8_t>(encoding));  // region encoding tag
-  w.PutU32(static_cast<uint32_t>(region_bytes.size()));
-  w.PutBytes(region_bytes.data(), region_bytes.size());
+  w.PutU32(static_cast<uint32_t>(region_bytes->size()));
+  w.PutBytes(region_bytes->data(), region_bytes->size());
   w.PutU64(data.values().size());
-  w.PutBytes(data.values().data(), data.values().size());
   return out;
+}
+
+}  // namespace
+
+Result<std::vector<uint8_t>> EncodeAnswerPayload(
+    const volume::DataRegion& data, region::RegionEncoding encoding) {
+  const std::vector<uint8_t>& values = data.values();
+  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> out,
+                         AnswerPrefix(data, encoding, values.size()));
+  ByteWriter(&out).PutBytes(values.data(), values.size());
+  return out;
+}
+
+Result<std::vector<uint8_t>> EncodeAnswerPrefix(
+    const volume::DataRegion& data, region::RegionEncoding encoding) {
+  return AnswerPrefix(data, encoding, 0);
 }
 
 Result<volume::DataRegion> DecodeAnswerPayload(

@@ -73,16 +73,23 @@ Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeError(const ErrorReply& error);
 Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload);
 
-/// Serializes a DataRegion answer: grid + curve, the REGION in the
+/// Serializes a DataRegion answer: the answer prefix (EncodeAnswerPrefix)
+/// followed by the voxel intensities, data.values(), verbatim. This is
+/// the kResultData frame's payload; its size is the canonical "bytes
+/// shipped" for the query. The server sends the same bytes without
+/// building this buffer: the prefix, then data.values() in place.
+Result<std::vector<uint8_t>> EncodeAnswerPayload(
+    const volume::DataRegion& data,
+    region::RegionEncoding encoding = region::RegionEncoding::kEliasDeltas);
+
+/// The answer payload up to the voxels: grid + curve, the REGION in the
 /// server's configured encoding (tagged in the payload; the default,
 /// Elias-gamma deltas, is §4.2's most compact scheme, the same bytes
-/// the paper would ship), then the voxel intensities. When the
-/// DataRegion carries a cached elias payload (an encoded-domain chain
-/// ending at extraction) and elias is the requested encoding, those
-/// bytes are shipped verbatim — no re-encode. This buffer is the
-/// kResultData frame's payload; its size is the canonical "bytes
-/// shipped" for the query.
-Result<std::vector<uint8_t>> EncodeAnswerPayload(
+/// the paper would ship), and the value count. When the DataRegion
+/// carries a cached elias payload (an encoded-domain chain ending at
+/// extraction) and elias is the requested encoding, those bytes are
+/// shipped verbatim — no re-encode.
+Result<std::vector<uint8_t>> EncodeAnswerPrefix(
     const volume::DataRegion& data,
     region::RegionEncoding encoding = region::RegionEncoding::kEliasDeltas);
 

@@ -1,5 +1,7 @@
 #include "server/protocol.h"
 
+#include <algorithm>
+
 #include "common/bytes.h"
 
 namespace qbism::server {
@@ -34,29 +36,33 @@ const char* ErrorReasonName(ErrorReason reason) {
   return "unknown";
 }
 
-std::vector<uint8_t> EncodeFrameHeader(MessageType type, uint64_t session,
-                                       uint64_t request_id,
-                                       const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out;
-  out.reserve(kHeaderBytes);
-  ByteWriter w(&out);
-  w.PutU32(kMagic);
-  w.PutU16(kProtocolVersion);
-  w.PutU16(static_cast<uint16_t>(type));
-  w.PutU32(0);  // flags (reserved)
-  w.PutU64(session);
-  w.PutU64(request_id);
-  w.PutU32(static_cast<uint32_t>(payload.size()));
-  w.PutU32(Crc32(payload));
+std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(MessageType type,
+                                                    uint64_t session,
+                                                    uint64_t request_id,
+                                                    uint32_t payload_bytes,
+                                                    uint32_t payload_crc) {
+  // The offsets DecodeFrameHeader reads back.
+  std::array<uint8_t, kHeaderBytes> out;
+  StoreLE32(out.data(), kMagic);
+  StoreLE16(out.data() + 4, kProtocolVersion);
+  StoreLE16(out.data() + 6, static_cast<uint16_t>(type));
+  StoreLE32(out.data() + 8, 0);  // flags (reserved)
+  StoreLE64(out.data() + 12, session);
+  StoreLE64(out.data() + 20, request_id);
+  StoreLE32(out.data() + 28, payload_bytes);
+  StoreLE32(out.data() + 32, payload_crc);
   return out;
 }
 
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload) {
-  std::vector<uint8_t> out =
-      EncodeFrameHeader(type, session, request_id, payload);
-  out.insert(out.end(), payload.begin(), payload.end());
+  const auto header =
+      EncodeFrameHeader(type, session, request_id,
+                        static_cast<uint32_t>(payload.size()), Crc32(payload));
+  std::vector<uint8_t> out(kHeaderBytes + payload.size());
+  std::copy(header.begin(), header.end(), out.begin());
+  std::copy(payload.begin(), payload.end(), out.begin() + kHeaderBytes);
   return out;
 }
 

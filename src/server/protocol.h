@@ -1,6 +1,8 @@
 #ifndef QBISM_SERVER_PROTOCOL_H_
 #define QBISM_SERVER_PROTOCOL_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -90,14 +92,18 @@ struct Frame {
 /// write-ahead log's record framing (common/crc32.h).
 using qbism::Crc32;
 
-/// Serializes the 36-byte header for `payload`: magic, version, type,
-/// payload length and CRC.
-std::vector<uint8_t> EncodeFrameHeader(MessageType type, uint64_t session,
-                                       uint64_t request_id,
-                                       const std::vector<uint8_t>& payload);
+/// Serializes the 36-byte header of a payload of `payload_bytes` bytes
+/// whose CRC-32 is `payload_crc`: magic, version, type, length and CRC.
+/// The caller checksums the payload, in as many pieces as it is sent
+/// from (Crc32Extend).
+std::array<uint8_t, kHeaderBytes> EncodeFrameHeader(MessageType type,
+                                                    uint64_t session,
+                                                    uint64_t request_id,
+                                                    uint32_t payload_bytes,
+                                                    uint32_t payload_crc);
 
 /// The header followed by the payload in one contiguous buffer (how
-/// tests craft raw frames; sockets send the two parts separately).
+/// tests craft raw frames; sockets gather the parts in one send).
 std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  uint64_t request_id,
                                  const std::vector<uint8_t>& payload);

@@ -106,7 +106,7 @@ void QbismServer::AcceptLoop() {
       busy.code = StatusCode::kResourceExhausted;
       busy.reason = ErrorReason::kServerBusy;
       busy.message = "connection cap reached";
-      (void)reject.SendFrame(MessageType::kError, 0, 0, EncodeError(busy));
+      (void)reject.SendFrame(MessageType::kError, 0, 0, {EncodeError(busy)});
       continue;  // reject's destructor closes the fd
     }
     connections_accepted_.fetch_add(1, std::memory_order_relaxed);
@@ -142,12 +142,13 @@ void QbismServer::ReapFinished() {
 
 Status QbismServer::SendCounted(Connection* conn, MessageType type,
                                 uint64_t session, uint64_t request_id,
-                                const std::vector<uint8_t>& payload) {
-  Status status = conn->socket.SendFrame(type, session, request_id, payload);
+                                std::initializer_list<PayloadPart> parts) {
+  Status status = conn->socket.SendFrame(type, session, request_id, parts);
   if (status.ok()) {
+    uint64_t bytes = kHeaderBytes;
+    for (PayloadPart part : parts) bytes += part.size();
     frames_written_.fetch_add(1, std::memory_order_relaxed);
-    bytes_written_.fetch_add(kHeaderBytes + payload.size(),
-                             std::memory_order_relaxed);
+    bytes_written_.fetch_add(bytes, std::memory_order_relaxed);
   }
   return status;
 }
@@ -167,7 +168,7 @@ bool QbismServer::SendError(Connection* conn, uint64_t request_id,
   error.reason = reason;
   error.message = status.message();
   return SendCounted(conn, MessageType::kError, 0, request_id,
-                     EncodeError(error))
+                     {EncodeError(error)})
       .ok();
 }
 
@@ -219,7 +220,7 @@ void QbismServer::HandleConnection(Connection* conn) {
         welcome.session_token = session->token;
         welcome.session_ttl_seconds = auth_->session_ttl_seconds();
         keep = SendCounted(conn, MessageType::kWelcome, session->token,
-                           header.request_id, EncodeWelcome(welcome))
+                           header.request_id, {EncodeWelcome(welcome)})
                    .ok();
         break;
       }
@@ -354,24 +355,27 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
 
   // Ship the region in the extension's configured encoding (the codec
   // tags the payload so the client decodes whatever was configured).
-  Result<std::vector<uint8_t>> payload =
-      EncodeAnswerPayload(reply->result.data, ext_->config().region_encoding);
-  if (payload.ok() && payload->size() > kMaxFramePayload) {
+  // The payload is EncodeAnswerPayload's bytes, sent as the prefix and
+  // then the answer's voxels in place.
+  const std::vector<uint8_t>& values = reply->result.data.values();
+  Result<std::vector<uint8_t>> prefix =
+      EncodeAnswerPrefix(reply->result.data, ext_->config().region_encoding);
+  if (prefix.ok() && prefix->size() + values.size() > kMaxFramePayload) {
     // The answer ships as one frame, which no reader accepts above this.
-    payload = Status::ResourceExhausted(
-        "answer payload of " + std::to_string(payload->size()) +
+    prefix = Status::ResourceExhausted(
+        "answer payload of " + std::to_string(prefix->size() + values.size()) +
         " bytes exceeds the " + std::to_string(kMaxFramePayload) +
         "-byte frame limit");
   }
-  if (!payload.ok()) {
+  if (!prefix.ok()) {
     queries_failed_.fetch_add(1, std::memory_order_relaxed);
     tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
     request_span.SetFailed();
     return SendError(conn, header.request_id, ErrorReason::kQueryFailed,
-                     payload.status());
+                     prefix.status());
   }
 
-  const uint64_t total = payload->size();
+  const uint64_t total = prefix->size() + values.size();
   ResultHeader rh;
   rh.result_runs = reply->result.result_runs;
   rh.result_voxels = reply->result.result_voxels;
@@ -384,10 +388,10 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   obs::Span ship(request_span.context(), obs::Stage::kShip);
   ship.SetLabel("socket");
   bool sent = SendCounted(conn, MessageType::kResultHeader, header.session,
-                          header.request_id, EncodeResultHeader(rh))
+                          header.request_id, {EncodeResultHeader(rh)})
                   .ok() &&
               SendCounted(conn, MessageType::kResultData, header.session,
-                          header.request_id, *payload)
+                          header.request_id, {*prefix, values})
                   .ok();
   ship.AddBytes(total);
   if (!sent) {

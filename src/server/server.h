@@ -150,7 +150,8 @@ class QbismServer {
   /// before its rejection reply goes out (no-op when disabled/stopping).
   void PenalizeQuota();
   Status SendCounted(Connection* conn, MessageType type, uint64_t session,
-                     uint64_t request_id, const std::vector<uint8_t>& payload);
+                     uint64_t request_id,
+                     std::initializer_list<PayloadPart> parts);
   void ReapFinished();
 
   qbism::SpatialExtension* ext_;

@@ -1,13 +1,17 @@
 #include "server/socket_io.h"
 
+#include <algorithm>
 #include <arpa/inet.h>
+#include <array>
 #include <cerrno>
 #include <cstring>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <unistd.h>
+#include <vector>
 
+#include "common/crc32.h"
 #include "common/macros.h"
 
 namespace qbism::server {
@@ -21,17 +25,36 @@ FrameSocket& FrameSocket::operator=(FrameSocket&& other) noexcept {
   return *this;
 }
 
-Status FrameSocket::WriteAll(const uint8_t* data, size_t size, int flags) {
-  size_t sent = 0;
-  while (sent < size) {
-    ssize_t n = ::send(fd_, data + sent, size - sent, MSG_NOSIGNAL | flags);
+Status SendAllGathered(iovec* iov, size_t count,
+                       const std::function<ssize_t(const msghdr&)>& send_some) {
+  for (;;) {
+    // Skip the parts already sent (and empty ones).
+    while (count > 0 && iov->iov_len == 0) {
+      ++iov;
+      --count;
+    }
+    if (count == 0) return Status::OK();
+    msghdr msg{};
+    msg.msg_iov = iov;
+    msg.msg_iovlen = count;
+    ssize_t n = send_some(msg);
     if (n < 0) {
       if (errno == EINTR) continue;
-      return Status::IOError(std::string("send: ") + std::strerror(errno));
+      return Status::IOError(std::string("sendmsg: ") + std::strerror(errno));
     }
-    sent += static_cast<size_t>(n);
+    if (n == 0) return Status::IOError("sendmsg took no bytes");
+    // A short write can end inside any part: resume there.
+    for (auto sent = static_cast<size_t>(n); sent > 0 && count > 0;) {
+      const size_t took = std::min(sent, iov->iov_len);
+      iov->iov_base = static_cast<uint8_t*>(iov->iov_base) + took;
+      iov->iov_len -= took;
+      sent -= took;
+      if (iov->iov_len == 0) {
+        ++iov;
+        --count;
+      }
+    }
   }
-  return Status::OK();
 }
 
 Status FrameSocket::ReadAll(uint8_t* data, size_t size, bool eof_ok) {
@@ -57,15 +80,26 @@ Status FrameSocket::ReadAll(uint8_t* data, size_t size, bool eof_ok) {
 
 Status FrameSocket::SendFrame(MessageType type, uint64_t session,
                               uint64_t request_id,
-                              const std::vector<uint8_t>& payload) {
+                              std::initializer_list<PayloadPart> parts) {
   if (!valid()) return Status::IOError("socket is closed");
-  std::vector<uint8_t> header =
-      EncodeFrameHeader(type, session, request_id, payload);
-  // MSG_MORE holds the header back so it leaves in the payload's first
-  // segment; the payload is sent from the caller's buffer, uncopied.
-  QBISM_RETURN_NOT_OK(WriteAll(header.data(), header.size(),
-                               payload.empty() ? 0 : MSG_MORE));
-  return WriteAll(payload.data(), payload.size(), 0);
+  size_t payload_bytes = 0;
+  uint32_t crc = 0;
+  for (PayloadPart part : parts) {
+    payload_bytes += part.size();
+    crc = Crc32Extend(crc, part.data(), part.size());
+  }
+  std::array<uint8_t, kHeaderBytes> header =
+      EncodeFrameHeader(type, session, request_id,
+                        static_cast<uint32_t>(payload_bytes), crc);
+  std::vector<iovec> iov;
+  iov.reserve(1 + parts.size());
+  iov.push_back({header.data(), header.size()});
+  for (PayloadPart part : parts) {
+    iov.push_back({const_cast<uint8_t*>(part.data()), part.size()});
+  }
+  return SendAllGathered(iov.data(), iov.size(), [this](const msghdr& msg) {
+    return ::sendmsg(fd_, &msg, MSG_NOSIGNAL);
+  });
 }
 
 Result<Frame> FrameSocket::ReadFrame(uint32_t max_payload) {

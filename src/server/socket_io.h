@@ -1,13 +1,32 @@
 #ifndef QBISM_SERVER_SOCKET_IO_H_
 #define QBISM_SERVER_SOCKET_IO_H_
 
+#include <sys/socket.h>
+#include <sys/uio.h>
+
 #include <cstdint>
+#include <functional>
+#include <initializer_list>
+#include <span>
 #include <string>
 
 #include "common/result.h"
 #include "server/protocol.h"
 
 namespace qbism::server {
+
+/// One piece of a frame's payload, sent from the caller's memory.
+using PayloadPart = std::span<const uint8_t>;
+
+/// The gathered-write loop behind FrameSocket::SendFrame: offers every
+/// unsent byte of `iov[0, count)` to `send_some` until all of it is
+/// taken. `send_some` has sendmsg(2)'s contract: it may take fewer
+/// bytes than offered (a short write, which can end anywhere, inside
+/// the frame header too) or return -1 with errno set; EINTR retries,
+/// any other errno is an IOError. Consumes `iov`. SendFrame passes
+/// sendmsg on its socket; tests pass senders that write short.
+Status SendAllGathered(iovec* iov, size_t count,
+                       const std::function<ssize_t(const msghdr&)>& send_some);
 
 /// Blocking, whole-frame I/O over a connected TCP socket. Handles
 /// partial reads/writes and EINTR; never raises SIGPIPE. A FrameSocket
@@ -33,10 +52,12 @@ class FrameSocket {
   bool valid() const { return fd_ >= 0; }
   int fd() const { return fd_; }
 
-  /// Sends one whole frame: its encoded header, then `payload` itself
-  /// (no frame-sized copy).
+  /// Sends one whole frame whose payload is `parts` back to back. The
+  /// parts are checksummed one after another (Crc32Extend) and leave
+  /// with the header in one gathered sendmsg, straight from the
+  /// caller's memory: no frame-sized buffer is built or copied.
   Status SendFrame(MessageType type, uint64_t session, uint64_t request_id,
-                   const std::vector<uint8_t>& payload);
+                   std::initializer_list<PayloadPart> parts);
 
   /// Reads one whole frame: header, validation, payload, CRC check.
   Result<Frame> ReadFrame(uint32_t max_payload = kMaxFramePayload);
@@ -47,8 +68,6 @@ class FrameSocket {
   void Close();
 
  private:
-  /// Sends all `size` bytes; `flags` are added to MSG_NOSIGNAL.
-  Status WriteAll(const uint8_t* data, size_t size, int flags);
   /// Reads exactly `size` bytes. `eof_ok` permits a clean EOF before
   /// the first byte (mapped to Cancelled); EOF after it is Corruption.
   Status ReadAll(uint8_t* data, size_t size, bool eof_ok);

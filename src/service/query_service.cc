@@ -201,12 +201,15 @@ Result<ServiceReply> QueryService::Serve(const Call& call,
       options_.ingest != nullptr
           ? options_.ingest->CommitVersion(spec.study_id)
           : 0;
-  std::string key = spec.Describe();
   ServiceReply reply;
   reply.queue_wait_seconds = queue_wait;
   WallTimer execute_timer;
 
+  // The cache key is the probe's input, so building it is probe time
+  // (a process's first key also pays its one-time stream setup, about
+  // 0.14 ms, which would otherwise fall outside every stage).
   obs::Span probe(obs::Stage::kCacheProbe);
+  const std::string key = spec.Describe();
   qbism::PipelineResult answer;
   answer.data = cache_.Get(key);
   probe.SetLabel(answer.data ? "hit" : "miss");
@@ -240,8 +243,9 @@ Result<ServiceReply> QueryService::Serve(const Call& call,
   reply.execute_seconds = execute_timer.Seconds();
   // Fill only if no ingest of this study committed while the query ran;
   // otherwise this (now stale) result would be inserted after the
-  // commit's invalidation swept the key. The cache keeps the result
-  // set's own object: the reply's copy above is the only one.
+  // commit's invalidation swept the key. The cache keeps the pipeline's
+  // own object; the reply's copy above shares its voxels and copies
+  // only the run list.
   if (!reply.cache_hit &&
       (options_.ingest == nullptr ||
        options_.ingest->CommitVersion(spec.study_id) == ingest_version)) {

@@ -205,8 +205,10 @@ std::array<uint64_t, 256> Volume::Histogram() const {
 }
 
 DataRegion::DataRegion(Region r, std::vector<uint8_t> values)
-    : region_(std::move(r)), values_(std::move(values)) {
-  QBISM_CHECK(region_.VoxelCount() == values_.size());
+    : region_(std::move(r)),
+      values_(std::make_shared<const std::vector<uint8_t>>(
+          std::move(values))) {
+  QBISM_CHECK(region_.VoxelCount() == values_->size());
 }
 
 Result<uint8_t> DataRegion::ValueAt(const Vec3i& p) const {
@@ -224,15 +226,16 @@ Result<uint8_t> DataRegion::ValueAt(const Vec3i& p) const {
       break;
     }
   }
-  return values_[rank];
+  return values()[rank];
 }
 
 Volume DataRegion::ToDenseVolume(uint8_t background) const {
   std::vector<uint8_t> data(region_.grid().NumCells(), background);
+  const std::vector<uint8_t>& values = this->values();
   uint64_t cursor = 0;
   for (const Run& run : region_.runs()) {
-    std::copy(values_.begin() + static_cast<int64_t>(cursor),
-              values_.begin() + static_cast<int64_t>(cursor + run.Length()),
+    std::copy(values.begin() + static_cast<int64_t>(cursor),
+              values.begin() + static_cast<int64_t>(cursor + run.Length()),
               data.begin() + static_cast<int64_t>(run.start));
     cursor += run.Length();
   }
@@ -243,14 +246,15 @@ Volume DataRegion::ToDenseVolume(uint8_t background) const {
 }
 
 double DataRegion::MeanIntensity() const {
-  if (values_.empty()) return 0.0;
+  const std::vector<uint8_t>& values = this->values();
+  if (values.empty()) return 0.0;
   uint64_t sum = 0;
-  for (uint8_t v : values_) sum += v;
-  return static_cast<double>(sum) / static_cast<double>(values_.size());
+  for (uint8_t v : values) sum += v;
+  return static_cast<double>(sum) / static_cast<double>(values.size());
 }
 
 uint64_t DataRegion::ApproxSizeBytes() const {
-  return 4 + 8 * region_.RunCount() + values_.size();
+  return 4 + 8 * region_.RunCount() + values().size();
 }
 
 Result<DataRegion> AverageExtract(const std::vector<const Volume*>& volumes,

@@ -4,6 +4,7 @@
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -84,13 +85,17 @@ class Volume {
 
 /// DATA_REGION (footnote 6): a REGION plus one intensity per region
 /// voxel, in curve-id order. This is the return value of EXTRACT_DATA.
+/// The voxels sit in one immutable buffer that every copy shares, so
+/// copying an answer copies its run list and not its voxels.
 class DataRegion {
  public:
   DataRegion() = default;
   DataRegion(region::Region r, std::vector<uint8_t> values);
 
   const region::Region& region() const { return region_; }
-  const std::vector<uint8_t>& values() const { return values_; }
+  const std::vector<uint8_t>& values() const {
+    return values_ ? *values_ : kNoValues;
+  }
   uint64_t VoxelCount() const { return region_.VoxelCount(); }
 
   /// Intensity at a grid point inside the region.
@@ -118,8 +123,11 @@ class DataRegion {
   }
 
  private:
+  static inline const std::vector<uint8_t> kNoValues{};
+
   region::Region region_;
-  std::vector<uint8_t> values_;
+  /// Null only for a default-constructed (empty) DataRegion.
+  std::shared_ptr<const std::vector<uint8_t>> values_;
   std::vector<uint8_t> encoded_region_;
 };
 

@@ -80,7 +80,7 @@ Answer MakeAnswer() {
 /// rejected the answer and hung up; the outcome is checked client-side.
 void Send(FrameSocket* peer, MessageType type, uint64_t request_id,
           const std::vector<uint8_t>& payload) {
-  (void)peer->SendFrame(type, 0, request_id, payload);
+  (void)peer->SendFrame(type, 0, request_id, {payload});
 }
 
 TEST(NetClientScriptedPeerTest, WellFormedAnswerDecodes) {

@@ -116,6 +116,68 @@ TEST_F(ServerTest, LoginQueryMatchesDirectExecution) {
   server.Shutdown();
 }
 
+TEST_F(ServerTest, AnswerPayloadIsEncodeAnswerPayloadByteForByte) {
+  // The server sends the answer prefix and then the voxels in place;
+  // the frame a client reads must be exactly the one-buffer encoding.
+  QbismServer server(ext_, BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
+
+  QuerySpec full;
+  full.study_id = study_ids_->front();
+  QuerySpec band = full;
+  band.intensity_range = {224, 255};  // a stored band
+  QuerySpec empty = band;
+  empty.box = geometry::Box3i{{0, 0, 0}, {3, 3, 3}};  // background corner
+
+  MedicalServer direct(ext_, net::NetworkCostModel{}, ServerCostModel{});
+  uint64_t request_id = 100;
+  for (const QuerySpec* answer : {&full, &band, &empty}) {
+    const QuerySpec& spec = *answer;
+    SCOPED_TRACE(spec.Describe());
+    auto truth = direct.RunStudyQuery(spec, /*render=*/false);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    auto want =
+        EncodeAnswerPayload(truth->data, ext_->config().region_encoding);
+    ASSERT_TRUE(want.ok());
+    if (answer == &full) {
+      EXPECT_EQ(truth->data.VoxelCount(),
+                truth->data.region().grid().NumCells());
+    }
+    if (answer == &empty) {
+      EXPECT_EQ(truth->data.VoxelCount(), 0u);
+    }
+
+    const uint64_t shipped_before = server.stats().ship_bytes;
+    QueryRequest query;
+    query.spec = spec;
+    FrameSocket* socket = client->socket();
+    ASSERT_TRUE(socket->SendFrame(MessageType::kQuery,
+                                  client->session_token(), ++request_id,
+                                  {EncodeQuery(query)})
+                    .ok());
+    auto header = socket->ReadFrame();
+    ASSERT_TRUE(header.ok()) << header.status().ToString();
+    ASSERT_EQ(header->header.type, MessageType::kResultHeader);
+    auto data = socket->ReadFrame();
+    ASSERT_TRUE(data.ok()) << data.status().ToString();
+    ASSERT_EQ(data->header.type, MessageType::kResultData);
+    EXPECT_EQ(data->header.request_id, request_id);
+    EXPECT_TRUE(data->payload == *want);
+    EXPECT_EQ(DecodeResultHeader(header->payload)->payload_bytes,
+              want->size());
+    auto end = socket->ReadFrame();
+    ASSERT_TRUE(end.ok()) << end.status().ToString();
+    EXPECT_EQ(end->header.type, MessageType::kResultEnd);
+    EXPECT_EQ(server.stats().ship_bytes - shipped_before, want->size());
+  }
+
+  client->Bye();
+  server.Shutdown();
+}
+
 TEST_F(ServerTest, BadSecretCountsUnauthorized) {
   QbismServer server(ext_, BaseOptions());
   ASSERT_TRUE(server.Start().ok());

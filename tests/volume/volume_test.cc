@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "common/rng.h"
 
 namespace qbism::volume {
@@ -138,6 +141,37 @@ TEST(DataRegionTest, MeanIntensity) {
   Region all = Region::Full(kGrid, CurveKind::kHilbert);
   DataRegion dr = v.Extract(all).MoveValue();
   EXPECT_NEAR(dr.MeanIntensity(), 20.0, 1e-9);
+}
+
+TEST(DataRegionTest, CopiesShareOneVoxelBuffer) {
+  Volume v = Volume::FromFunction(kGrid, CurveKind::kHilbert, TestField);
+  Region r = Region::FromShape(kGrid, CurveKind::kHilbert,
+                               geometry::Ellipsoid({8, 8, 8}, {5, 4, 3}));
+  auto original = std::make_unique<DataRegion>(v.Extract(r).MoveValue());
+  const std::vector<uint8_t> want = original->values();
+  ASSERT_FALSE(want.empty());
+
+  DataRegion copy = *original;
+  DataRegion assigned;
+  assigned = *original;
+  // The copies point at the original's voxels, not at copies of them.
+  EXPECT_EQ(copy.values().data(), original->values().data());
+  EXPECT_EQ(assigned.values().data(), original->values().data());
+  EXPECT_EQ(copy.region().runs(), original->region().runs());
+
+  original.reset();
+  EXPECT_EQ(copy.values(), want);
+  EXPECT_EQ(assigned.values(), want);
+  EXPECT_EQ(copy.VoxelCount(), want.size());
+  EXPECT_EQ(copy.ValueAt({8, 8, 8}).value(), TestField({8, 8, 8}));
+}
+
+TEST(DataRegionTest, DefaultHasNoValues) {
+  DataRegion empty;
+  EXPECT_TRUE(empty.values().empty());
+  EXPECT_EQ(empty.MeanIntensity(), 0.0);
+  DataRegion copy = empty;
+  EXPECT_TRUE(copy.values().empty());
 }
 
 TEST(AverageExtractTest, AveragesVoxelwise) {
