@@ -3,7 +3,8 @@
 // complexity to convert", §4), cheap merge-scan spatial operators ("the
 // computational cost of managing REGIONs ... is low", §6.4), and the
 // contiguous-copy extraction path; plus the CRC-32 every shipped and
-// logged byte passes through.
+// logged byte passes through, and the naive-runs REGION codec and
+// answer decode every shipped answer takes.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,7 @@
 #include "geometry/shapes.h"
 #include "region/encoding.h"
 #include "region/region.h"
+#include "server/codec.h"
 #include "volume/volume.h"
 
 namespace {
@@ -107,6 +109,75 @@ void BM_RegionDecodeElias(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RegionDecodeElias);
+
+void BM_RegionEncodeNaive(benchmark::State& state) {
+  Region a = BlobRegion(1.0);
+  for (auto _ : state) {
+    auto bytes = qbism::region::EncodeRegion(a, RegionEncoding::kNaiveRuns);
+    benchmark::DoNotOptimize(bytes);
+  }
+  state.counters["runs"] = static_cast<double>(a.RunCount());
+}
+BENCHMARK(BM_RegionEncodeNaive);
+
+void BM_RegionDecodeNaive(benchmark::State& state) {
+  Region a = BlobRegion(1.0);
+  auto bytes =
+      qbism::region::EncodeRegion(a, RegionEncoding::kNaiveRuns).MoveValue();
+  for (auto _ : state) {
+    auto region = qbism::region::DecodeRegion(a.grid(), a.curve_kind(),
+                                              RegionEncoding::kNaiveRuns,
+                                              bytes);
+    benchmark::DoNotOptimize(region);
+  }
+  state.counters["runs"] = static_cast<double>(a.RunCount());
+}
+BENCHMARK(BM_RegionDecodeNaive);
+
+/// Decoding one shipped answer (naive-runs REGION) on the client, for a
+/// full study (arg 0 = 0: one run, 2 MiB of voxels) and a blob (1: the
+/// ellipsoid's ~2.2k runs). arg 1 = 0 decodes the whole payload with
+/// DecodeAnswerPayload, which copies the pieces out of it; 1 is what
+/// the in-place reader leaves to do around recv: size the REGION and
+/// voxel buffers (the REGION bytes are copied in where recv would
+/// write them) and DecodeAnswer.
+void BM_AnswerDecode(benchmark::State& state) {
+  const GridSpec grid{3, 7};
+  Region r = state.range(0) == 0 ? Region::Full(grid, CurveKind::kHilbert)
+                                 : BlobRegion(1.0);
+  const size_t voxels = static_cast<size_t>(r.VoxelCount());
+  qbism::volume::DataRegion answer(r, std::vector<uint8_t>(voxels, 9));
+  auto payload =
+      qbism::server::EncodeAnswerPayload(answer, RegionEncoding::kNaiveRuns)
+          .MoveValue();
+  const uint8_t* next = payload.data();
+  const qbism::server::AnswerPieces received =
+      qbism::server::ReadAnswerPieces(
+          payload.size(),
+          [&](std::vector<uint8_t>* out, size_t size) {
+            out->assign(next, next + size);
+            next += size;
+            return qbism::Status::OK();
+          })
+          .MoveValue();
+  const bool in_place = state.range(1) == 1;
+  for (auto _ : state) {
+    if (in_place) {
+      qbism::server::AnswerPieces pieces{received.head, received.region_bytes,
+                                         {}};
+      pieces.values.resize(voxels);
+      auto data = qbism::server::DecodeAnswer(std::move(pieces));
+      benchmark::DoNotOptimize(data);
+    } else {
+      auto data = qbism::server::DecodeAnswerPayload(payload);
+      benchmark::DoNotOptimize(data);
+    }
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(payload.size()));
+  state.SetLabel(in_place ? "in place" : "payload");
+}
+BENCHMARK(BM_AnswerDecode)->ArgsProduct({{0, 1}, {0, 1}});
 
 void BM_VolumeExtract(benchmark::State& state) {
   const GridSpec grid{3, 7};

@@ -89,22 +89,55 @@ Result<std::vector<uint8_t>> EncodeOctantList(const Region& region,
 }
 
 Result<Region> DecodeOctantList(const GridSpec& grid, curve::CurveKind kind,
-                                const std::vector<uint8_t>& bytes) {
-  ByteReader in(bytes);
+                                std::span<const uint8_t> bytes) {
+  ByteReader in(bytes.data(), bytes.size());
   QBISM_ASSIGN_OR_RETURN(uint32_t count, in.GetU32());
   // Never trust a stored count: each octant occupies exactly 4 bytes.
   if (in.remaining() != static_cast<size_t>(count) * 4) {
     return Status::Corruption("octant decode: count does not match payload");
   }
-  std::vector<Run> runs;
-  runs.reserve(count);
-  for (uint32_t i = 0; i < count; ++i) {
-    QBISM_ASSIGN_OR_RETURN(uint32_t packed, in.GetU32());
-    uint64_t id = packed >> kOctantRankBits;
-    int rank = static_cast<int>(packed & ((1u << kOctantRankBits) - 1));
-    if (rank > 63) return Status::Corruption("octant decode: bad rank");
-    runs.push_back(Run{id, id + (uint64_t{1} << rank) - 1});
+  std::vector<Run> runs(count);
+  const uint8_t* p = bytes.data() + 4;
+  for (Run& run : runs) {
+    const uint32_t packed = LoadLE32(p);
+    p += 4;
+    const uint64_t id = packed >> kOctantRankBits;
+    const int rank = static_cast<int>(packed & ((1u << kOctantRankBits) - 1));
+    run = Run{id, id + (uint64_t{1} << rank) - 1};
   }
+  return Region::FromRuns(grid, kind, std::move(runs));
+}
+
+/// Naive runs: a u32 count, then a u32 start and a u32 end per run. The
+/// one count check bounds every field, so the runs are read in bulk.
+std::vector<uint8_t> EncodeNaiveRuns(const Region& region) {
+  std::vector<uint8_t> out(NaiveRunsPayloadBytes(region.RunCount()));
+  uint8_t* p = out.data();
+  StoreLE32(p, static_cast<uint32_t>(region.RunCount()));
+  p += 4;
+  for (const Run& r : region.runs()) {
+    StoreLE32(p, static_cast<uint32_t>(r.start));
+    StoreLE32(p + 4, static_cast<uint32_t>(r.end));
+    p += 8;
+  }
+  return out;
+}
+
+Result<Region> DecodeNaiveRuns(const GridSpec& grid, curve::CurveKind kind,
+                               std::span<const uint8_t> bytes) {
+  ByteReader in(bytes.data(), bytes.size());
+  QBISM_ASSIGN_OR_RETURN(uint32_t count, in.GetU32());
+  // Never trust a stored count: each run occupies exactly 8 bytes.
+  if (in.remaining() != static_cast<size_t>(count) * 8) {
+    return Status::Corruption("naive-run decode: count/payload mismatch");
+  }
+  std::vector<Run> runs(count);
+  const uint8_t* p = bytes.data() + 4;
+  for (Run& run : runs) {
+    run = Run{LoadLE32(p), LoadLE32(p + 4)};
+    p += 8;
+  }
+  // Runs this system encodes are canonical, so FromRuns keeps the list.
   return Region::FromRuns(grid, kind, std::move(runs));
 }
 
@@ -114,8 +147,8 @@ Result<Region> DecodeOctantList(const GridSpec& grid, curve::CurveKind kind,
 /// output run list is canonical by construction (every decoded gap is
 /// >= 1), so FromCanonicalRuns validates it without a sort.
 Result<Region> DecodeEliasDeltas(const GridSpec& grid, curve::CurveKind kind,
-                                 const std::vector<uint8_t>& bytes) {
-  BitReader reader(bytes);
+                                 std::span<const uint8_t> bytes) {
+  BitReader reader(bytes.data(), bytes.size());
   QBISM_ASSIGN_OR_RETURN(uint64_t count_p1,
                          compress::EliasGammaDecode(&reader));
   uint64_t count = count_p1 - 1;
@@ -186,15 +219,7 @@ Result<std::vector<uint8_t>> EncodeRegion(const Region& region,
       if (region.grid().dims * region.grid().bits > 32) {
         return Status::InvalidArgument("naive runs need ids to fit 4 bytes");
       }
-      std::vector<uint8_t> out;
-      out.reserve(NaiveRunsPayloadBytes(region.RunCount()));
-      ByteWriter w(&out);
-      w.PutU32(static_cast<uint32_t>(region.RunCount()));
-      for (const Run& r : region.runs()) {
-        w.PutU32(static_cast<uint32_t>(r.start));
-        w.PutU32(static_cast<uint32_t>(r.end));
-      }
-      return out;
+      return EncodeNaiveRuns(region);
     }
     case RegionEncoding::kEliasDeltas: {
       BitWriter writer;
@@ -213,24 +238,10 @@ Result<std::vector<uint8_t>> EncodeRegion(const Region& region,
 
 Result<Region> DecodeRegion(const GridSpec& grid, curve::CurveKind kind,
                             RegionEncoding encoding,
-                            const std::vector<uint8_t>& bytes) {
+                            std::span<const uint8_t> bytes) {
   switch (encoding) {
-    case RegionEncoding::kNaiveRuns: {
-      ByteReader in(bytes);
-      QBISM_ASSIGN_OR_RETURN(uint32_t count, in.GetU32());
-      // Never trust a stored count: each run occupies exactly 8 bytes.
-      if (in.remaining() != static_cast<size_t>(count) * 8) {
-        return Status::Corruption("naive-run decode: count/payload mismatch");
-      }
-      std::vector<Run> runs;
-      runs.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        QBISM_ASSIGN_OR_RETURN(uint32_t start, in.GetU32());
-        QBISM_ASSIGN_OR_RETURN(uint32_t end, in.GetU32());
-        runs.push_back(Run{start, end});
-      }
-      return Region::FromRuns(grid, kind, std::move(runs));
-    }
+    case RegionEncoding::kNaiveRuns:
+      return DecodeNaiveRuns(grid, kind, bytes);
     case RegionEncoding::kEliasDeltas:
       return DecodeEliasDeltas(grid, kind, bytes);
     case RegionEncoding::kOctants:

@@ -2,6 +2,7 @@
 #define QBISM_REGION_ENCODING_H_
 
 #include <cstdint>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -32,10 +33,11 @@ std::string_view RegionEncodingToString(RegionEncoding encoding);
 Result<std::vector<uint8_t>> EncodeRegion(const Region& region,
                                           RegionEncoding encoding);
 
-/// Deserializes; `grid` and `kind` must match the encoder's.
+/// Deserializes; `grid` and `kind` must match the encoder's. Reads
+/// `bytes` in place.
 Result<Region> DecodeRegion(const GridSpec& grid, curve::CurveKind kind,
                             RegionEncoding encoding,
-                            const std::vector<uint8_t>& bytes);
+                            std::span<const uint8_t> bytes);
 
 /// Size in bytes the encoding would take, without materializing it.
 Result<uint64_t> EncodedSizeBytes(const Region& region,

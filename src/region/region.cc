@@ -14,20 +14,52 @@ using geometry::Vec3i;
 
 namespace {
 
-/// Merges a sorted run list into canonical form (disjoint, non-adjacent).
+bool ByStart(const Run& a, const Run& b) { return a.start < b.start; }
+
+/// The one merge step behind every canonicalizing path: appends `r`
+/// to `out`, whose runs are canonical and start at or before `r`,
+/// merging it into the tail when the two overlap or touch.
+void AppendMerged(std::vector<Run>* out, const Run& r) {
+  if (!out->empty() && r.start <= out->back().end + 1) {
+    out->back().end = std::max(out->back().end, r.end);
+  } else {
+    out->push_back(r);
+  }
+}
+
+/// Brings a run list into canonical form (sorted, disjoint,
+/// non-adjacent): sorts it by start unless it already is, then merges
+/// overlapping and touching runs.
 std::vector<Run> Canonicalize(std::vector<Run> runs) {
-  std::sort(runs.begin(), runs.end(),
-            [](const Run& a, const Run& b) { return a.start < b.start; });
+  if (!std::is_sorted(runs.begin(), runs.end(), ByStart)) {
+    std::sort(runs.begin(), runs.end(), ByStart);
+  }
   std::vector<Run> out;
   out.reserve(runs.size());
-  for (const Run& r : runs) {
-    if (!out.empty() && r.start <= out.back().end + 1) {
-      out.back().end = std::max(out.back().end, r.end);
-    } else {
-      out.push_back(r);
-    }
-  }
+  for (const Run& r : runs) AppendMerged(&out, r);
   return out;
+}
+
+/// One pass over a run list: fails on a run with start > end or past
+/// the grid, and otherwise says whether the list is already canonical,
+/// i.e. every run starts at least two ids past the previous run's end.
+Result<bool> ScanRuns(const GridSpec& grid, const std::vector<Run>& runs,
+                      const char* caller) {
+  const uint64_t num_cells = grid.NumCells();
+  uint64_t next_min = 0;  // smallest canonical start for the next run
+  bool canonical = true;
+  for (const Run& r : runs) {
+    if (r.start > r.end) {
+      return Status::InvalidArgument(std::string(caller) +
+                                     ": run start > end");
+    }
+    if (r.end >= num_cells) {
+      return Status::OutOfRange(std::string(caller) + ": run exceeds grid");
+    }
+    canonical &= r.start >= next_min;
+    next_min = r.end + 2;  // gap of >= 1 id before the next run
+  }
+  return canonical;
 }
 
 uint64_t PointToId(const GridSpec& grid, curve::CurveKind kind,
@@ -97,36 +129,20 @@ std::vector<Run> RunsForBox(const GridSpec& grid, curve::CurveKind kind,
 
 Result<Region> Region::FromRuns(GridSpec grid, curve::CurveKind kind,
                                 std::vector<Run> runs) {
-  for (const Run& r : runs) {
-    if (r.start > r.end) {
-      return Status::InvalidArgument("Region::FromRuns: run start > end");
-    }
-    if (r.end >= grid.NumCells()) {
-      return Status::OutOfRange("Region::FromRuns: run exceeds grid");
-    }
-  }
+  QBISM_ASSIGN_OR_RETURN(bool canonical,
+                         ScanRuns(grid, runs, "Region::FromRuns"));
   Region region(grid, kind);
-  region.runs_ = Canonicalize(std::move(runs));
+  region.runs_ = canonical ? std::move(runs) : Canonicalize(std::move(runs));
   return region;
 }
 
 Result<Region> Region::FromCanonicalRuns(GridSpec grid, curve::CurveKind kind,
                                          std::vector<Run> runs) {
-  uint64_t num_cells = grid.NumCells();
-  uint64_t next_min = 0;  // smallest admissible start for the next run
-  for (const Run& r : runs) {
-    if (r.start > r.end) {
-      return Status::InvalidArgument(
-          "Region::FromCanonicalRuns: run start > end");
-    }
-    if (r.start < next_min) {
-      return Status::InvalidArgument(
-          "Region::FromCanonicalRuns: runs not canonical");
-    }
-    if (r.end >= num_cells) {
-      return Status::OutOfRange("Region::FromCanonicalRuns: run exceeds grid");
-    }
-    next_min = r.end + 2;  // gap of >= 1 id before the next run
+  QBISM_ASSIGN_OR_RETURN(bool canonical,
+                         ScanRuns(grid, runs, "Region::FromCanonicalRuns"));
+  if (!canonical) {
+    return Status::InvalidArgument(
+        "Region::FromCanonicalRuns: runs not canonical");
   }
   Region region(grid, kind);
   region.runs_ = std::move(runs);
@@ -260,12 +276,18 @@ Result<Region> Region::IntersectWith(const Region& other) const {
 
 Result<Region> Region::UnionWith(const Region& other) const {
   QBISM_RETURN_NOT_OK(CheckCompatible(*this, other, "UNION"));
-  std::vector<Run> merged;
-  merged.reserve(runs_.size() + other.runs_.size());
-  merged.insert(merged.end(), runs_.begin(), runs_.end());
-  merged.insert(merged.end(), other.runs_.begin(), other.runs_.end());
+  // Linear merge of the two sorted run lists: the run that starts
+  // first goes next, merged into the tail when it overlaps or touches.
   Region out(grid_, kind_);
-  out.runs_ = Canonicalize(std::move(merged));
+  out.runs_.reserve(runs_.size() + other.runs_.size());
+  size_t i = 0, j = 0;
+  while (i < runs_.size() && j < other.runs_.size()) {
+    AppendMerged(&out.runs_, runs_[i].start <= other.runs_[j].start
+                                 ? runs_[i++]
+                                 : other.runs_[j++]);
+  }
+  for (; i < runs_.size(); ++i) AppendMerged(&out.runs_, runs_[i]);
+  for (; j < other.runs_.size(); ++j) AppendMerged(&out.runs_, other.runs_[j]);
   return out;
 }
 
@@ -437,14 +459,10 @@ void RegionBuilder::AppendId(uint64_t id) { AppendRun(id, id); }
 void RegionBuilder::AppendRun(uint64_t start, uint64_t end) {
   QBISM_CHECK(start <= end);
   QBISM_CHECK(end < grid_.NumCells());
-  if (!runs_.empty()) {
-    QBISM_CHECK(start + 1 >= runs_.back().start);  // non-decreasing order
-    if (start <= runs_.back().end + 1) {
-      runs_.back().end = std::max(runs_.back().end, end);
-      return;
-    }
-  }
-  runs_.push_back(Run{start, end});
+  // A run starting before the tail's start could hold ids below it,
+  // which the merge into the tail would drop.
+  QBISM_CHECK(runs_.empty() || start >= runs_.back().start);
+  AppendMerged(&runs_, Run{start, end});
 }
 
 Region RegionBuilder::Build() {

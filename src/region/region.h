@@ -68,16 +68,20 @@ class Region {
   Region(GridSpec grid, curve::CurveKind kind) : grid_(grid), kind_(kind) {}
 
   /// Builds from an arbitrary run list (overlaps/adjacency merged,
-  /// unsorted input sorted). Fails if any id is out of the grid.
+  /// unsorted input sorted). Fails if any id is out of the grid. One
+  /// pass checks the bounds and whether the list is already canonical
+  /// (each start >= previous end + 2, FromCanonicalRuns' test); a
+  /// canonical list, which is what RegionBuilder and the naive-runs
+  /// decoder hand over, is kept as it is, with no sort and no copy.
   static Result<Region> FromRuns(GridSpec grid, curve::CurveKind kind,
                                  std::vector<Run> runs);
 
   /// Adopts a run list the caller guarantees is already canonical
-  /// (sorted, disjoint, non-adjacent). Validated in one O(runs) pass —
-  /// no sort, no merge — and rejected with InvalidArgument/OutOfRange
-  /// when the guarantee does not hold. This is the decode-side entry:
-  /// γ-coded delta streams decode in increasing-offset order, so the
-  /// canonicalizing sort in FromRuns would be pure overhead.
+  /// (sorted, disjoint, non-adjacent). Validated in FromRuns' one pass
+  /// and rejected with InvalidArgument/OutOfRange when the guarantee
+  /// does not hold, where FromRuns would merge. This is the elias
+  /// decoder's entry: γ-coded delta streams decode in increasing-offset
+  /// order with gaps of at least one id, so any other list is corrupt.
   static Result<Region> FromCanonicalRuns(GridSpec grid,
                                           curve::CurveKind kind,
                                           std::vector<Run> runs);
@@ -182,19 +186,22 @@ class Region {
 std::vector<Run> RunsForBox(const GridSpec& grid, curve::CurveKind kind,
                             const geometry::Box3i& box);
 
-/// Incremental canonical-region builder: feed ids or runs in strictly
-/// increasing order (merging with the tail where adjacent). Used by the
-/// streaming paths (banding a VOLUME, predicate scans).
+/// Incremental canonical-region builder: feed ids or runs in
+/// non-decreasing order of start (each merges into the tail where they
+/// overlap or touch), so the list is canonical at every step. Used by
+/// the streaming paths (banding a VOLUME, predicate scans).
 class RegionBuilder {
  public:
   RegionBuilder(GridSpec grid, curve::CurveKind kind)
       : grid_(grid), kind_(kind) {}
 
-  /// Appends one id; must be >= every id appended so far.
+  /// AppendRun(id, id).
   void AppendId(uint64_t id);
 
-  /// Appends a run; must start after (or adjacent to / overlapping) the
-  /// current tail end and ids must be non-decreasing.
+  /// Appends the run [start, end]. `start` must be >= the start of
+  /// every run appended so far, and a smaller one aborts: merging it
+  /// into the tail would drop the ids below the tail's start. A run
+  /// that overlaps or touches the tail merges into it.
   void AppendRun(uint64_t start, uint64_t end);
 
   /// Finalizes; the builder resets to empty.

@@ -1,5 +1,6 @@
 #include "server/client.h"
 
+#include "common/crc32.h"
 #include "common/macros.h"
 #include "common/timer.h"
 
@@ -10,24 +11,68 @@ Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port) {
   return NetClient(std::move(socket));
 }
 
-Result<Frame> NetClient::ReadExpected(MessageType want, uint64_t request_id) {
-  QBISM_ASSIGN_OR_RETURN(Frame frame, socket_.ReadFrame());
-  if (frame.header.type == MessageType::kError) {
-    QBISM_ASSIGN_OR_RETURN(ErrorReply error, DecodeError(frame.payload));
+Status NetClient::Drop(Status status) {
+  socket_.Close();
+  return status;
+}
+
+Result<FrameHeader> NetClient::ReadReplyHeader(MessageType want,
+                                               uint64_t request_id) {
+  Result<FrameHeader> header = socket_.ReadHeader();
+  if (!header.ok()) return Drop(header.status());
+  if (header->type == MessageType::kError) {
+    QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> payload,
+                           ReadVerifiedPayload(*header));
+    QBISM_ASSIGN_OR_RETURN(ErrorReply error, DecodeError(payload));
     last_error_reason_ = error.reason;
     return Status(error.code, std::string(ErrorReasonName(error.reason)) +
                                   ": " + error.message);
   }
-  if (frame.header.type != want) {
-    return Status::Corruption(std::string("expected ") + MessageTypeName(want) +
-                              ", got " + MessageTypeName(frame.header.type));
+  if (header->type != want) {
+    return Drop(Status::Corruption(std::string("expected ") +
+                                   MessageTypeName(want) + ", got " +
+                                   MessageTypeName(header->type)));
   }
-  if (frame.header.request_id != request_id) {
-    return Status::Corruption(
-        "response for request " + std::to_string(frame.header.request_id) +
-        ", expected " + std::to_string(request_id));
+  if (header->request_id != request_id) {
+    return Drop(Status::Corruption(
+        "response for request " + std::to_string(header->request_id) +
+        ", expected " + std::to_string(request_id)));
   }
+  return header;
+}
+
+Result<std::vector<uint8_t>> NetClient::ReadVerifiedPayload(
+    const FrameHeader& header) {
+  std::vector<uint8_t> payload(header.payload_bytes);
+  Status status = socket_.ReadPayload(payload.data(), payload.size());
+  if (status.ok()) status = VerifyPayload(header, payload);
+  if (!status.ok()) return Drop(status);
+  return payload;
+}
+
+Result<Frame> NetClient::ReadExpected(MessageType want, uint64_t request_id) {
+  Frame frame;
+  QBISM_ASSIGN_OR_RETURN(frame.header, ReadReplyHeader(want, request_id));
+  QBISM_ASSIGN_OR_RETURN(frame.payload, ReadVerifiedPayload(frame.header));
   return frame;
+}
+
+Result<AnswerPieces> NetClient::ReceiveAnswer(const FrameHeader& header) {
+  uint32_t crc = 0;
+  QBISM_ASSIGN_OR_RETURN(
+      AnswerPieces pieces,
+      ReadAnswerPieces(header.payload_bytes,
+                       [&](std::vector<uint8_t>* out, size_t size) {
+                         out->resize(size);
+                         QBISM_RETURN_NOT_OK(
+                             socket_.ReadPayload(out->data(), size));
+                         crc = Crc32Extend(crc, out->data(), size);
+                         return Status::OK();
+                       }));
+  if (crc != header.payload_crc) {
+    return Status::Corruption("payload CRC mismatch");
+  }
+  return pieces;
 }
 
 Status NetClient::Login(const std::string& tenant, const std::string& secret) {
@@ -71,16 +116,18 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
                            ReadExpected(MessageType::kResultHeader, id));
     QBISM_ASSIGN_OR_RETURN(out.header, DecodeResultHeader(frame.payload));
   }
-  // The frame reader bounded the data frame's size before allocating it
-  // and checked its CRC; the announced length is only compared.
-  QBISM_ASSIGN_OR_RETURN(Frame data,
-                         ReadExpected(MessageType::kResultData, id));
-  if (data.payload.size() != out.header.payload_bytes) {
-    return Status::Corruption(
-        "result_data carries " + std::to_string(data.payload.size()) +
+  // The frame header bounded the data frame's size; the announced
+  // length is only compared.
+  QBISM_ASSIGN_OR_RETURN(FrameHeader data,
+                         ReadReplyHeader(MessageType::kResultData, id));
+  if (data.payload_bytes != out.header.payload_bytes) {
+    return Drop(Status::Corruption(
+        "result_data carries " + std::to_string(data.payload_bytes) +
         " bytes, result_header announced " +
-        std::to_string(out.header.payload_bytes));
+        std::to_string(out.header.payload_bytes)));
   }
+  Result<AnswerPieces> answer = ReceiveAnswer(data);
+  if (!answer.ok()) return Drop(answer.status());
   {
     QBISM_ASSIGN_OR_RETURN(Frame end,
                            ReadExpected(MessageType::kResultEnd, id));
@@ -89,8 +136,8 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
     }
   }
   out.wire_seconds = timer.Seconds();
-  out.shipped_bytes = data.payload.size();
-  QBISM_ASSIGN_OR_RETURN(out.data, DecodeAnswerPayload(data.payload));
+  out.shipped_bytes = data.payload_bytes;
+  QBISM_ASSIGN_OR_RETURN(out.data, DecodeAnswer(answer.MoveValue()));
   return out;
 }
 

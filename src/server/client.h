@@ -42,6 +42,11 @@ class NetClient {
   /// Sends one query and reads its answer: kResultHeader, one
   /// kResultData frame, then an empty kResultEnd. A peer that breaks
   /// that shape or lies about the payload length yields Corruption.
+  /// The kResultData payload is read in place, field by field, into
+  /// the buffers the answer keeps (docs/NETWORK.md, "Receiving an
+  /// answer"). Any failure inside a frame closes the connection, since
+  /// the stream cannot resync; a kError frame returns the server's
+  /// status and leaves it open.
   Result<QueryOutcome> RunQuery(const qbism::QuerySpec& spec,
                                 double deadline_seconds = 0.0);
 
@@ -65,9 +70,28 @@ class NetClient {
  private:
   explicit NetClient(FrameSocket socket) : socket_(std::move(socket)) {}
 
-  /// Reads one frame, turning kError frames into their carried Status
-  /// (and recording the reason).
+  /// Closes the connection and returns `status`.
+  Status Drop(Status status);
+
+  /// Reads the next frame's header. A kError frame is read whole and
+  /// turned into its carried Status (recording the reason); a frame of
+  /// another type than `want` or for another request drops the
+  /// connection, with its payload still unread.
+  Result<FrameHeader> ReadReplyHeader(MessageType want, uint64_t request_id);
+
+  /// Reads the whole payload of the frame whose header was just read
+  /// and checks its CRC.
+  Result<std::vector<uint8_t>> ReadVerifiedPayload(const FrameHeader& header);
+
+  /// ReadReplyHeader, then ReadVerifiedPayload.
   Result<Frame> ReadExpected(MessageType want, uint64_t request_id);
+
+  /// Reads the kResultData payload whose header was just read, in
+  /// place, through ReadAnswerPieces, taking the CRC over the pieces as
+  /// they arrive and checking it before the caller decodes them. Any
+  /// failure leaves the stream inside the frame; the caller drops the
+  /// connection.
+  Result<AnswerPieces> ReceiveAnswer(const FrameHeader& header);
 
   FrameSocket socket_;
   uint64_t session_token_ = 0;

@@ -8,14 +8,11 @@ namespace qbism::server {
 
 namespace {
 
-/// Caps on variable-length pieces inside decoded payloads, enforced
-/// before any allocation. Generous for real answers (a full 512^3
-/// study's values are 128 MiB — above kMaxFramePayload, so the server
-/// fails such an answer instead of shipping it), tight enough that a
-/// lying length cannot balloon memory.
+/// Caps on the strings inside decoded payloads, enforced before any
+/// allocation, so a lying length cannot balloon memory. An answer's
+/// REGION and voxel lengths are bounded by the payload that holds them.
 constexpr uint32_t kMaxSqlBytes = 1u << 20;
 constexpr uint32_t kMaxNameBytes = 4096;
-constexpr uint32_t kMaxRegionBytes = 256u << 20;
 
 void PutTiming(ByteWriter* w, const qbism::TimingBreakdown& t) {
   w->PutF64(t.db_cpu_seconds);
@@ -219,7 +216,7 @@ Result<std::vector<uint8_t>> AnswerPrefix(const volume::DataRegion& data,
     region_bytes = &encoded;
   }
   std::vector<uint8_t> out;
-  out.reserve(4 + 4 + region_bytes->size() + 8 + tail);
+  out.reserve(kAnswerHeadBytes + region_bytes->size() + 8 + tail);
   ByteWriter w(&out);
   w.PutU8(static_cast<uint8_t>(reg.grid().dims));
   w.PutU8(static_cast<uint8_t>(reg.grid().bits));
@@ -247,48 +244,80 @@ Result<std::vector<uint8_t>> EncodeAnswerPrefix(
   return AnswerPrefix(data, encoding, 0);
 }
 
-Result<volume::DataRegion> DecodeAnswerPayload(
-    const std::vector<uint8_t>& payload) {
-  ByteReader r(payload);
+Result<AnswerPieces> ReadAnswerPieces(uint64_t payload_bytes,
+                                      const AnswerReader& read) {
+  constexpr uint64_t kCountBytes = 8;
+  if (payload_bytes < kAnswerHeadBytes + kCountBytes) {
+    return Status::Corruption("answer payload of " +
+                              std::to_string(payload_bytes) +
+                              " bytes is shorter than its fixed fields");
+  }
+  AnswerPieces pieces;
+  QBISM_RETURN_NOT_OK(read(&pieces.head, kAnswerHeadBytes));
+  uint64_t left = payload_bytes - kAnswerHeadBytes - kCountBytes;
+  const uint32_t region_size = LoadLE32(pieces.head.data() + 4);
+  if (region_size > left) {
+    return Status::Corruption("answer region length " +
+                              std::to_string(region_size) + " overruns the " +
+                              std::to_string(payload_bytes) + "-byte payload");
+  }
+  left -= region_size;
+  QBISM_RETURN_NOT_OK(read(&pieces.region_bytes, region_size));
+  std::vector<uint8_t> count;
+  QBISM_RETURN_NOT_OK(read(&count, kCountBytes));
+  const uint64_t value_count = LoadLE64(count.data());
+  if (value_count != left) {
+    return Status::Corruption("answer value count " +
+                              std::to_string(value_count) + " but " +
+                              std::to_string(left) +
+                              " bytes left in the payload");
+  }
+  QBISM_RETURN_NOT_OK(read(&pieces.values, static_cast<size_t>(value_count)));
+  return pieces;
+}
+
+Result<volume::DataRegion> DecodeAnswer(AnswerPieces pieces) {
+  if (pieces.head.size() != kAnswerHeadBytes) {
+    return Status::Corruption("answer head is not 8 bytes");
+  }
+  const std::vector<uint8_t>& head = pieces.head;
   region::GridSpec grid;
-  QBISM_ASSIGN_OR_RETURN(uint8_t dims, r.GetU8());
-  QBISM_ASSIGN_OR_RETURN(uint8_t bits, r.GetU8());
-  grid.dims = dims;
-  grid.bits = bits;
+  grid.dims = head[0];
+  grid.bits = head[1];
   if (grid.dims < 2 || grid.dims > 3 || grid.bits < 1 || grid.bits > 20 ||
       grid.dims * grid.bits > 62) {
     return Status::Corruption("implausible answer grid spec");
   }
-  QBISM_ASSIGN_OR_RETURN(uint8_t kind_raw, r.GetU8());
-  if (kind_raw > static_cast<uint8_t>(curve::CurveKind::kZ)) {
+  if (head[2] > static_cast<uint8_t>(curve::CurveKind::kZ)) {
     return Status::Corruption("unknown curve kind in answer");
   }
-  curve::CurveKind kind = static_cast<curve::CurveKind>(kind_raw);
-  QBISM_ASSIGN_OR_RETURN(uint8_t encoding_raw, r.GetU8());
-  if (encoding_raw >
-      static_cast<uint8_t>(region::RegionEncoding::kOblongOctants)) {
+  const auto kind = static_cast<curve::CurveKind>(head[2]);
+  if (head[3] > static_cast<uint8_t>(region::RegionEncoding::kOblongOctants)) {
     return Status::Corruption("unknown region encoding in answer");
   }
-  auto encoding = static_cast<region::RegionEncoding>(encoding_raw);
-  QBISM_ASSIGN_OR_RETURN(uint32_t region_size, r.GetU32());
-  if (region_size > kMaxRegionBytes) {
-    return Status::Corruption("answer region length exceeds limit");
-  }
-  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> region_bytes,
-                         r.GetRaw(region_size));
+  const auto encoding = static_cast<region::RegionEncoding>(head[3]);
   QBISM_ASSIGN_OR_RETURN(
       region::Region reg,
-      region::DecodeRegion(grid, kind, encoding, region_bytes));
-  QBISM_ASSIGN_OR_RETURN(uint64_t value_count, r.GetU64());
-  if (value_count != reg.VoxelCount()) {
+      region::DecodeRegion(grid, kind, encoding, pieces.region_bytes));
+  if (pieces.values.size() != reg.VoxelCount()) {
     return Status::Corruption("answer value count does not match region");
   }
-  QBISM_ASSIGN_OR_RETURN(std::vector<uint8_t> values,
-                         r.GetRaw(static_cast<size_t>(value_count)));
-  if (!r.AtEnd()) {
-    return Status::Corruption("trailing bytes after answer payload");
-  }
-  return volume::DataRegion(std::move(reg), std::move(values));
+  return volume::DataRegion(std::move(reg), std::move(pieces.values));
+}
+
+Result<volume::DataRegion> DecodeAnswerPayload(
+    const std::vector<uint8_t>& payload) {
+  // ReadAnswerPieces asks for no byte past the payload's end.
+  const uint8_t* next = payload.data();
+  QBISM_ASSIGN_OR_RETURN(
+      AnswerPieces pieces,
+      ReadAnswerPieces(payload.size(),
+                       [&](std::vector<uint8_t>* out, size_t size) {
+                         out->assign(next, next + size);
+                         next += size;
+                         return Status::OK();
+                       }));
+  return DecodeAnswer(std::move(pieces));
 }
 
 }  // namespace qbism::server

@@ -1,7 +1,9 @@
 #ifndef QBISM_SERVER_CODEC_H_
 #define QBISM_SERVER_CODEC_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -93,7 +95,42 @@ Result<std::vector<uint8_t>> EncodeAnswerPrefix(
     const volume::DataRegion& data,
     region::RegionEncoding encoding = region::RegionEncoding::kEliasDeltas);
 
-/// Inverse of EncodeAnswerPayload over a kResultData payload.
+/// An answer payload opens with a fixed head: grid dims and bits, the
+/// curve kind and the region-encoding tag (one byte each), then the u32
+/// length of the REGION bytes that follow. The u64 value count and the
+/// voxels come after the REGION.
+inline constexpr size_t kAnswerHeadBytes = 8;
+
+/// An answer payload split at its fields, each in its own buffer. The
+/// value count between the REGION and the voxels is values.size().
+struct AnswerPieces {
+  std::vector<uint8_t> head;
+  std::vector<uint8_t> region_bytes;
+  std::vector<uint8_t> values;
+};
+
+/// Makes `*out`, which is empty, exactly the payload's next `size`
+/// bytes.
+using AnswerReader =
+    std::function<Status(std::vector<uint8_t>* out, size_t size)>;
+
+/// Reads an answer payload of `payload_bytes` bytes through `read`, in
+/// order: the head, the REGION bytes, the value count, then the voxels
+/// straight into the buffer the answer keeps. Each length is checked
+/// against what is left of the payload before anything is allocated,
+/// so a lying one is Corruption; nothing else is interpreted. The
+/// client reads a kResultData payload off its socket this way.
+Result<AnswerPieces> ReadAnswerPieces(uint64_t payload_bytes,
+                                      const AnswerReader& read);
+
+/// The one answer decoder, run once the payload's CRC has been
+/// checked: validates the head, decodes the REGION bytes, checks that
+/// the region holds exactly values.size() voxels, and adopts the voxel
+/// buffer as the DataRegion's without copying it.
+Result<volume::DataRegion> DecodeAnswer(AnswerPieces pieces);
+
+/// Inverse of EncodeAnswerPayload over a whole kResultData payload in
+/// memory: ReadAnswerPieces over its bytes, then DecodeAnswer.
 Result<volume::DataRegion> DecodeAnswerPayload(
     const std::vector<uint8_t>& payload);
 

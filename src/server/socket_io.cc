@@ -58,6 +58,7 @@ Status SendAllGathered(iovec* iov, size_t count,
 }
 
 Status FrameSocket::ReadAll(uint8_t* data, size_t size, bool eof_ok) {
+  if (!valid()) return Status::IOError("socket is closed");
   size_t got = 0;
   while (got < size) {
     ssize_t n = ::recv(fd_, data + got, size - got, 0);
@@ -102,20 +103,21 @@ Status FrameSocket::SendFrame(MessageType type, uint64_t session,
   });
 }
 
-Result<Frame> FrameSocket::ReadFrame(uint32_t max_payload) {
-  if (!valid()) return Status::IOError("socket is closed");
+Result<FrameHeader> FrameSocket::ReadHeader(uint32_t max_payload) {
   uint8_t header_bytes[kHeaderBytes];
   QBISM_RETURN_NOT_OK(ReadAll(header_bytes, kHeaderBytes, /*eof_ok=*/true));
-  QBISM_ASSIGN_OR_RETURN(
-      FrameHeader header,
-      DecodeFrameHeader(header_bytes, kHeaderBytes, max_payload));
+  return DecodeFrameHeader(header_bytes, kHeaderBytes, max_payload);
+}
+
+Status FrameSocket::ReadPayload(uint8_t* data, size_t size) {
+  return ReadAll(data, size, /*eof_ok=*/false);
+}
+
+Result<Frame> FrameSocket::ReadFrame(uint32_t max_payload) {
   Frame frame;
-  frame.header = header;
-  frame.payload.resize(header.payload_bytes);
-  if (header.payload_bytes > 0) {
-    QBISM_RETURN_NOT_OK(
-        ReadAll(frame.payload.data(), frame.payload.size(), /*eof_ok=*/false));
-  }
+  QBISM_ASSIGN_OR_RETURN(frame.header, ReadHeader(max_payload));
+  frame.payload.resize(frame.header.payload_bytes);
+  QBISM_RETURN_NOT_OK(ReadPayload(frame.payload.data(), frame.payload.size()));
   QBISM_RETURN_NOT_OK(VerifyPayload(frame.header, frame.payload));
   return frame;
 }

@@ -59,7 +59,20 @@ class FrameSocket {
   Status SendFrame(MessageType type, uint64_t session, uint64_t request_id,
                    std::initializer_list<PayloadPart> parts);
 
-  /// Reads one whole frame: header, validation, payload, CRC check.
+  /// Reads and validates the next frame's 36-byte header. The payload
+  /// is left on the socket for ReadPayload; its CRC can be checked only
+  /// once all of it has been read.
+  Result<FrameHeader> ReadHeader(uint32_t max_payload = kMaxFramePayload);
+
+  /// Reads exactly `size` more bytes of the current frame's payload
+  /// into `data`, in place; EOF is Corruption. A caller may read one
+  /// payload in several pieces (the client reads an answer's fields
+  /// straight into their final buffers) and checksums them with
+  /// Crc32Extend.
+  Status ReadPayload(uint8_t* data, size_t size);
+
+  /// Reads one whole frame: ReadHeader, ReadPayload into the frame's
+  /// buffer, then VerifyPayload.
   Result<Frame> ReadFrame(uint32_t max_payload = kMaxFramePayload);
 
   /// Half-closes both directions (wakes a peer blocked in recv) without

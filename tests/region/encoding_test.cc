@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/rng.h"
 #include "region/region.h"
 
@@ -86,6 +87,43 @@ TEST(EncodingTest, NaiveIsEightBytesPerRun) {
                  .MoveValue();
   EXPECT_EQ(EncodedSizeBytes(r, RegionEncoding::kNaiveRuns).value(),
             4u + 3u * 8u);
+}
+
+// The naive encoder writes into a pre-sized buffer and the decoder
+// reads in bulk; the bytes must be the layout built field by field.
+TEST(EncodingTest, NaiveBytesMatchAFieldByFieldGolden) {
+  std::vector<Region> regions = {Region(kGrid, CurveKind::kHilbert),
+                                 Region::Full(kGrid, CurveKind::kHilbert)};
+  for (uint64_t seed = 1; seed <= 8; ++seed) regions.push_back(Blob(seed));
+  for (const Region& r : regions) {
+    std::vector<uint8_t> golden;
+    ByteWriter w(&golden);
+    w.PutU32(static_cast<uint32_t>(r.RunCount()));
+    for (const region::Run& run : r.runs()) {
+      w.PutU32(static_cast<uint32_t>(run.start));
+      w.PutU32(static_cast<uint32_t>(run.end));
+    }
+    auto encoded = EncodeRegion(r, RegionEncoding::kNaiveRuns);
+    ASSERT_TRUE(encoded.ok());
+    EXPECT_EQ(*encoded, golden) << r.RunCount() << " runs";
+    auto back = DecodeRegion(kGrid, CurveKind::kHilbert,
+                             RegionEncoding::kNaiveRuns, golden);
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(*back, r);
+  }
+}
+
+// Stored naive bytes that are not canonical (written by hand, or by a
+// peer) still decode: FromRuns merges them on its slow path.
+TEST(EncodingTest, NaiveDecodeCanonicalizesOtherLists) {
+  std::vector<uint8_t> bytes;
+  ByteWriter w(&bytes);
+  w.PutU32(3);
+  for (uint32_t v : {20u, 30u, 5u, 9u, 10u, 12u}) w.PutU32(v);
+  auto back = DecodeRegion(kGrid, CurveKind::kHilbert,
+                           RegionEncoding::kNaiveRuns, bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back->runs(), (std::vector<region::Run>{{5, 12}, {20, 30}}));
 }
 
 TEST(EncodingTest, OctantsAreFourBytesEach) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
+#include "common/rng.h"
+
 namespace qbism::region {
 namespace {
 
@@ -209,6 +213,167 @@ TEST(RegionBuilderTest, ResetsAfterBuild) {
   EXPECT_EQ(second.VoxelCount(), 1u);
   EXPECT_TRUE(second.ContainsId(2));
   EXPECT_FALSE(second.ContainsId(1));
+}
+
+TEST(RegionBuilderTest, OverlappingAndDuplicateAppendsMerge) {
+  RegionBuilder builder(kGrid3, CurveKind::kHilbert);
+  builder.AppendRun(10, 20);
+  builder.AppendRun(10, 12);  // same start, inside the tail
+  builder.AppendRun(15, 25);  // overlaps the tail's end
+  builder.AppendId(26);       // touches it
+  builder.AppendRun(28, 30);
+  Region r = builder.Build();
+  ASSERT_EQ(r.RunCount(), 2u);
+  EXPECT_EQ(r.runs()[0], (region::Run{10, 26}));
+  EXPECT_EQ(r.runs()[1], (region::Run{28, 30}));
+}
+
+// A run that starts before the tail's start would merge into it and
+// lose the ids below the tail (AppendRun(10, 20) then AppendRun(9, 9)
+// used to build 11 voxels without id 9), so it aborts instead.
+TEST(RegionBuilderDeathTest, RunStartingBeforeTheTailAborts) {
+  RegionBuilder builder(kGrid3, CurveKind::kHilbert);
+  builder.AppendRun(10, 20);
+  EXPECT_DEATH(builder.AppendRun(9, 9), "QBISM_CHECK failed");
+  EXPECT_DEATH(builder.AppendId(3), "QBISM_CHECK failed");
+}
+
+/// FromRuns' canonicalization before its one-pass check: sort by start,
+/// then merge overlapping and touching runs. The oracle for the
+/// canonical fast path and for the linear-merge union.
+std::vector<Run> SortAndMerge(std::vector<Run> runs) {
+  std::sort(runs.begin(), runs.end(),
+            [](const Run& a, const Run& b) { return a.start < b.start; });
+  std::vector<Run> out;
+  for (const Run& r : runs) {
+    if (!out.empty() && r.start <= out.back().end + 1) {
+      out.back().end = std::max(out.back().end, r.end);
+    } else {
+      out.push_back(r);
+    }
+  }
+  return out;
+}
+
+enum class RunShape {
+  kCanonical,
+  kAdjacent,
+  kOverlapping,
+  kUnsorted,
+  kDuplicate,
+  kEmpty
+};
+
+/// A seeded random run list on kGrid3: canonical runs of 1-12 ids with
+/// gaps of 1-20, then bent into `shape`.
+std::vector<Run> RandomRuns(Rng* rng, RunShape shape) {
+  std::vector<Run> runs;
+  if (shape == RunShape::kEmpty) return runs;
+  const uint64_t n = kGrid3.NumCells();
+  for (uint64_t cursor = rng->NextBounded(8);;) {
+    const uint64_t len = 1 + rng->NextBounded(12);
+    if (cursor + len > n) break;
+    runs.push_back(Run{cursor, cursor + len - 1});
+    cursor += len + 1 + rng->NextBounded(20);
+  }
+  for (size_t i = 0; i + 1 < runs.size(); ++i) {
+    if (rng->NextBounded(4) != 0) continue;
+    switch (shape) {
+      case RunShape::kAdjacent:
+        runs[i + 1].start = runs[i].end + 1;
+        break;
+      case RunShape::kOverlapping:
+        runs[i + 1].start =
+            runs[i].start + rng->NextBounded(runs[i].Length());
+        break;
+      case RunShape::kDuplicate:
+        runs.insert(runs.begin() + static_cast<ptrdiff_t>(i) + 1, runs[i]);
+        ++i;
+        break;
+      default:
+        break;
+    }
+  }
+  if (shape == RunShape::kUnsorted) {
+    for (size_t i = runs.size(); i > 1; --i) {
+      std::swap(runs[i - 1], runs[rng->NextBounded(i)]);
+    }
+  }
+  return runs;
+}
+
+// FromRuns keeps a canonical list as it is and canonicalizes every
+// other one; both must equal the sort-and-merge result, and
+// FromCanonicalRuns must accept exactly the lists that are canonical.
+TEST(RegionTest, FromRunsMatchesSortAndMergeOnRandomLists) {
+  Rng rng(20261019);
+  for (RunShape shape :
+       {RunShape::kCanonical, RunShape::kAdjacent, RunShape::kOverlapping,
+        RunShape::kUnsorted, RunShape::kDuplicate, RunShape::kEmpty}) {
+    int non_canonical = 0;
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<region::Run> runs = RandomRuns(&rng, shape);
+      const std::vector<region::Run> expected = SortAndMerge(runs);
+      const bool canonical = expected == runs;
+      non_canonical += canonical ? 0 : 1;
+      auto region = Region::FromRuns(kGrid3, CurveKind::kHilbert, runs);
+      ASSERT_TRUE(region.ok()) << region.status().ToString();
+      EXPECT_EQ(region->runs(), expected)
+          << "shape " << static_cast<int>(shape) << " trial " << trial;
+      EXPECT_EQ(
+          Region::FromCanonicalRuns(kGrid3, CurveKind::kHilbert, runs).ok(),
+          canonical)
+          << "shape " << static_cast<int>(shape) << " trial " << trial;
+    }
+    // Every shape but these two must really exercise the slow path.
+    if (shape == RunShape::kCanonical || shape == RunShape::kEmpty) {
+      EXPECT_EQ(non_canonical, 0);
+    } else {
+      EXPECT_GT(non_canonical, 150) << "shape " << static_cast<int>(shape);
+    }
+  }
+}
+
+TEST(RegionTest, FromRunsChecksBoundsOnTheFastPathToo) {
+  const uint64_t n = kGrid3.NumCells();
+  // Canonical lists whose last run is bad.
+  EXPECT_TRUE(Region::FromRuns(kGrid3, CurveKind::kHilbert,
+                               {{0, 4}, {10, n}})
+                  .status()
+                  .IsOutOfRange());
+  EXPECT_TRUE(Region::FromRuns(kGrid3, CurveKind::kHilbert,
+                               {{0, 4}, {12, 11}})
+                  .status()
+                  .IsInvalidArgument());
+  auto last = Region::FromRuns(kGrid3, CurveKind::kHilbert, {{0, n - 1}});
+  ASSERT_TRUE(last.ok());
+  EXPECT_EQ(last->VoxelCount(), n);
+}
+
+// UnionWith merges the two canonical lists linearly; it must equal
+// sorting and merging their concatenation, both ways round, including
+// runs of one operand that touch or overlap runs of the other.
+TEST(RegionTest, UnionMatchesSortAndMergeOnRandomPairs) {
+  Rng rng(777);
+  const Region full = Region::Full(kGrid3, CurveKind::kHilbert);
+  const Region empty(kGrid3, CurveKind::kHilbert);
+  for (int trial = 0; trial < 300; ++trial) {
+    std::vector<Region> operands = {full, empty};
+    for (int k = 0; k < 2; ++k) {
+      std::vector<region::Run> runs = RandomRuns(&rng, RunShape::kCanonical);
+      operands.push_back(
+          Region::FromRuns(kGrid3, CurveKind::kHilbert, runs).MoveValue());
+    }
+    for (const Region& a : operands) {
+      for (const Region& b : operands) {
+        std::vector<region::Run> both = a.runs();
+        both.insert(both.end(), b.runs().begin(), b.runs().end());
+        auto merged = a.UnionWith(b);
+        ASSERT_TRUE(merged.ok());
+        ASSERT_EQ(merged->runs(), SortAndMerge(both)) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(RegionTest, CanonicalFormInvariants) {

@@ -273,11 +273,10 @@ TEST_F(QueryServiceTest, InflightNeverExceedsSlotsAcrossTenants) {
   int peak_inflight = 0;
   std::thread sampler([&] {
     while (!done.load()) {
-      int inflight = 0;
-      for (int t = 0; t < 5; ++t) {
-        inflight += governor->tenant_stats(t).inflight;
-      }
-      peak_inflight = std::max(peak_inflight, inflight);
+      // One read under the governor's lock: summing five per-tenant
+      // reads can count a release on one tenant and the grant it hands
+      // to another as both in flight.
+      peak_inflight = std::max(peak_inflight, governor->total_inflight());
       std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
