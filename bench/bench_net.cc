@@ -425,7 +425,7 @@ int main(int argc, char** argv) {
     for (const QuerySpec& spec : specs) {
       auto outcome = client->RunQuery(spec);
       QBISM_CHECK(outcome.ok());
-      client_bytes += outcome->shipped_bytes;
+      client_bytes += outcome->header.payload_bytes;
     }
     client->Bye();
     server_ship_bytes = server.stats().ship_bytes;

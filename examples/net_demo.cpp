@@ -1,7 +1,7 @@
 // Socket front-end demo: stands up the real TCP server (framed binary
 // protocol, sessions, per-tenant admission) over a loaded database,
 // then talks to it through NetClient exactly the way a remote display
-// station would — login, a few queries, each answer one data frame, a
+// station would — login, a few queries, each answer one result frame, a
 // rogue login that bounces, and the server's wire accounting at the end.
 // See docs/NETWORK.md for the protocol.
 
@@ -49,8 +49,8 @@ int main() {
               static_cast<unsigned long long>(client.session_token()),
               client.session_ttl_seconds());
 
-  // Structure queries over the wire: each answer comes back as
-  // result_header + one result_data frame + an empty result_end.
+  // Structure queries over the wire: each answer comes back as one
+  // result frame, the encoded DATA_REGION.
   for (int i = 0; i < 3; ++i) {
     qbism::QuerySpec spec;
     spec.study_id = dataset.pet_study_ids[i % dataset.pet_study_ids.size()];
@@ -61,7 +61,7 @@ int main() {
         "(%.1f ms on the wire)\n",
         i, dataset.structure_names[static_cast<size_t>(i)].c_str(),
         static_cast<unsigned long long>(outcome.data.VoxelCount()),
-        static_cast<unsigned long long>(outcome.shipped_bytes),
+        static_cast<unsigned long long>(outcome.header.payload_bytes),
         1e3 * outcome.wire_seconds);
   }
 

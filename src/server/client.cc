@@ -1,10 +1,21 @@
 #include "server/client.h"
 
+#include <algorithm>
+
 #include "common/crc32.h"
 #include "common/macros.h"
 #include "common/timer.h"
 
 namespace qbism::server {
+
+namespace {
+
+/// A received piece grows this much at a time, each slice read and
+/// checksummed right after it is sized, so the zero-fill that sizing
+/// costs is still in cache when recv overwrites it.
+constexpr size_t kReceiveSliceBytes = 64u << 10;
+
+}  // namespace
 
 Result<NetClient> NetClient::Connect(const std::string& host, uint16_t port) {
   QBISM_ASSIGN_OR_RETURN(FrameSocket socket, DialTcp(host, port));
@@ -63,10 +74,16 @@ Result<AnswerPieces> NetClient::ReceiveAnswer(const FrameHeader& header) {
       AnswerPieces pieces,
       ReadAnswerPieces(header.payload_bytes,
                        [&](std::vector<uint8_t>* out, size_t size) {
-                         out->resize(size);
-                         QBISM_RETURN_NOT_OK(
-                             socket_.ReadPayload(out->data(), size));
-                         crc = Crc32Extend(crc, out->data(), size);
+                         out->reserve(size);
+                         for (size_t at = 0; at < size;) {
+                           const size_t slice =
+                               std::min(size - at, kReceiveSliceBytes);
+                           out->resize(at + slice);
+                           QBISM_RETURN_NOT_OK(
+                               socket_.ReadPayload(out->data() + at, slice));
+                           crc = Crc32Extend(crc, out->data() + at, slice);
+                           at += slice;
+                         }
                          return Status::OK();
                        }));
   if (crc != header.payload_crc) {
@@ -110,34 +127,16 @@ Result<QueryOutcome> NetClient::RunQuery(const qbism::QuerySpec& spec,
   QBISM_RETURN_NOT_OK(socket_.SendFrame(MessageType::kQuery, session_token_,
                                         id, {EncodeQuery(query)}));
 
-  QueryOutcome out;
-  {
-    QBISM_ASSIGN_OR_RETURN(Frame frame,
-                           ReadExpected(MessageType::kResultHeader, id));
-    QBISM_ASSIGN_OR_RETURN(out.header, DecodeResultHeader(frame.payload));
-  }
-  // The frame header bounded the data frame's size; the announced
-  // length is only compared.
-  QBISM_ASSIGN_OR_RETURN(FrameHeader data,
-                         ReadReplyHeader(MessageType::kResultData, id));
-  if (data.payload_bytes != out.header.payload_bytes) {
-    return Drop(Status::Corruption(
-        "result_data carries " + std::to_string(data.payload_bytes) +
-        " bytes, result_header announced " +
-        std::to_string(out.header.payload_bytes)));
-  }
-  Result<AnswerPieces> answer = ReceiveAnswer(data);
+  QBISM_ASSIGN_OR_RETURN(FrameHeader frame,
+                         ReadReplyHeader(MessageType::kResult, id));
+  Result<AnswerPieces> answer = ReceiveAnswer(frame);
   if (!answer.ok()) return Drop(answer.status());
-  {
-    QBISM_ASSIGN_OR_RETURN(Frame end,
-                           ReadExpected(MessageType::kResultEnd, id));
-    if (!end.payload.empty()) {
-      return Status::Corruption("result_end carries a payload");
-    }
-  }
+  QueryOutcome out;
   out.wire_seconds = timer.Seconds();
-  out.shipped_bytes = data.payload_bytes;
   QBISM_ASSIGN_OR_RETURN(out.data, DecodeAnswer(answer.MoveValue()));
+  out.header.result_runs = out.data.region().RunCount();
+  out.header.result_voxels = out.data.VoxelCount();
+  out.header.payload_bytes = frame.payload_bytes;
   return out;
 }
 

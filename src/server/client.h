@@ -12,16 +12,22 @@
 
 namespace qbism::server {
 
-/// One completed query as seen from the wire: the decoded answer plus
-/// the server's accounting for it.
+/// What the client reads off an answer besides its voxels, all of it
+/// from the one kResult frame the answer arrived in.
+struct ResultHeader {
+  uint64_t result_runs = 0;    // runs in the answer REGION
+  uint64_t result_voxels = 0;  // voxels in the answer
+  /// The kResult frame's length, whose CRC the client checked: the
+  /// answer's ship bytes, as the server and its trace count them.
+  uint64_t payload_bytes = 0;
+};
+
+/// One completed query as seen from the wire.
 struct QueryOutcome {
   volume::DataRegion data;
   ResultHeader header;
-  /// Answer-payload bytes received in the kResultData frame, whose CRC
-  /// the frame reader checked; always equals header.payload_bytes on
-  /// success (the client rejects any other length).
-  uint64_t shipped_bytes = 0;
-  /// Client-observed round trip: query frame sent -> kResultEnd read.
+  /// Client-observed round trip: query frame sent -> answer frame read
+  /// and its CRC checked.
   double wire_seconds = 0.0;
 };
 
@@ -39,11 +45,10 @@ class NetClient {
   /// HELLO/WELCOME: authenticates and stores the session token.
   Status Login(const std::string& tenant, const std::string& secret);
 
-  /// Sends one query and reads its answer: kResultHeader, one
-  /// kResultData frame, then an empty kResultEnd. A peer that breaks
-  /// that shape or lies about the payload length yields Corruption.
-  /// The kResultData payload is read in place, field by field, into
-  /// the buffers the answer keeps (docs/NETWORK.md, "Receiving an
+  /// Sends one query and reads its answer, one kResult frame. A peer
+  /// that sends another frame type or request id, or whose lengths lie,
+  /// yields Corruption. The payload is read in place, field by field,
+  /// into the buffers the answer keeps (docs/NETWORK.md, "Receiving an
   /// answer"). Any failure inside a frame closes the connection, since
   /// the stream cannot resync; a kError frame returns the server's
   /// status and leaves it open.
@@ -86,10 +91,10 @@ class NetClient {
   /// ReadReplyHeader, then ReadVerifiedPayload.
   Result<Frame> ReadExpected(MessageType want, uint64_t request_id);
 
-  /// Reads the kResultData payload whose header was just read, in
-  /// place, through ReadAnswerPieces, taking the CRC over the pieces as
-  /// they arrive and checking it before the caller decodes them. Any
-  /// failure leaves the stream inside the frame; the caller drops the
+  /// Reads the kResult payload whose header was just read, in place,
+  /// through ReadAnswerPieces, taking the CRC over the pieces as they
+  /// arrive and checking it before the caller decodes them. Any failure
+  /// leaves the stream inside the frame; the caller drops the
   /// connection.
   Result<AnswerPieces> ReceiveAnswer(const FrameHeader& header);
 

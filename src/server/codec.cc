@@ -8,36 +8,11 @@ namespace qbism::server {
 
 namespace {
 
-/// Caps on the strings inside decoded payloads, enforced before any
-/// allocation, so a lying length cannot balloon memory. An answer's
-/// REGION and voxel lengths are bounded by the payload that holds them.
-constexpr uint32_t kMaxSqlBytes = 1u << 20;
-constexpr uint32_t kMaxNameBytes = 4096;
-
-void PutTiming(ByteWriter* w, const qbism::TimingBreakdown& t) {
-  w->PutF64(t.db_cpu_seconds);
-  w->PutF64(t.db_real_seconds);
-  w->PutU64(t.lfm_pages);
-  w->PutU64(t.network_messages);
-  w->PutF64(t.network_seconds);
-  w->PutF64(t.import_cpu_seconds);
-  w->PutF64(t.render_seconds);
-  w->PutF64(t.other_seconds);
-  w->PutF64(t.total_seconds);
-}
-
-Status GetTiming(ByteReader* r, qbism::TimingBreakdown* t) {
-  QBISM_ASSIGN_OR_RETURN(t->db_cpu_seconds, r->GetF64());
-  QBISM_ASSIGN_OR_RETURN(t->db_real_seconds, r->GetF64());
-  QBISM_ASSIGN_OR_RETURN(t->lfm_pages, r->GetU64());
-  QBISM_ASSIGN_OR_RETURN(t->network_messages, r->GetU64());
-  QBISM_ASSIGN_OR_RETURN(t->network_seconds, r->GetF64());
-  QBISM_ASSIGN_OR_RETURN(t->import_cpu_seconds, r->GetF64());
-  QBISM_ASSIGN_OR_RETURN(t->render_seconds, r->GetF64());
-  QBISM_ASSIGN_OR_RETURN(t->other_seconds, r->GetF64());
-  QBISM_ASSIGN_OR_RETURN(t->total_seconds, r->GetF64());
-  return Status::OK();
-}
+/// Cap on an error message decoded from the wire, enforced before any
+/// allocation, so a lying length cannot balloon memory. Names are
+/// capped by kMaxNameBytes; an answer's REGION and voxel lengths are
+/// bounded by the payload that holds them.
+constexpr uint32_t kMaxMessageBytes = 1u << 20;
 
 }  // namespace
 
@@ -96,8 +71,6 @@ std::vector<uint8_t> EncodeQuery(const QueryRequest& query) {
     w.PutI32(spec.intensity_range->second);
   }
   w.PutU8(spec.use_band_index ? 1 : 0);
-  w.PutU8(spec.allow_cached ? 1 : 0);
-  w.PutU8(query.render ? 1 : 0);
   w.PutF64(query.deadline_seconds);
   return out;
 }
@@ -133,41 +106,10 @@ Result<QueryRequest> DecodeQuery(const std::vector<uint8_t>& payload) {
   }
   QBISM_ASSIGN_OR_RETURN(uint8_t band_index, r.GetU8());
   spec.use_band_index = band_index != 0;
-  QBISM_ASSIGN_OR_RETURN(uint8_t cached, r.GetU8());
-  spec.allow_cached = cached != 0;
-  QBISM_ASSIGN_OR_RETURN(uint8_t render, r.GetU8());
-  out.render = render != 0;
   QBISM_ASSIGN_OR_RETURN(out.deadline_seconds, r.GetF64());
   if (!r.AtEnd()) {
     return Status::Corruption("trailing bytes after query payload");
   }
-  return out;
-}
-
-std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header) {
-  std::vector<uint8_t> out;
-  ByteWriter w(&out);
-  w.PutU64(header.result_runs);
-  w.PutU64(header.result_voxels);
-  w.PutU64(header.payload_bytes);
-  w.PutU8(header.cache_hit ? 1 : 0);
-  PutTiming(&w, header.timing);
-  w.PutString(header.info_sql);
-  w.PutString(header.data_sql);
-  return out;
-}
-
-Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload) {
-  ByteReader r(payload);
-  ResultHeader out;
-  QBISM_ASSIGN_OR_RETURN(out.result_runs, r.GetU64());
-  QBISM_ASSIGN_OR_RETURN(out.result_voxels, r.GetU64());
-  QBISM_ASSIGN_OR_RETURN(out.payload_bytes, r.GetU64());
-  QBISM_ASSIGN_OR_RETURN(uint8_t hit, r.GetU8());
-  out.cache_hit = hit != 0;
-  QBISM_RETURN_NOT_OK(GetTiming(&r, &out.timing));
-  QBISM_ASSIGN_OR_RETURN(out.info_sql, r.GetString(kMaxSqlBytes));
-  QBISM_ASSIGN_OR_RETURN(out.data_sql, r.GetString(kMaxSqlBytes));
   return out;
 }
 
@@ -194,7 +136,7 @@ Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload) {
                               std::to_string(reason));
   }
   out.reason = static_cast<ErrorReason>(reason);
-  QBISM_ASSIGN_OR_RETURN(out.message, r.GetString(kMaxSqlBytes));
+  QBISM_ASSIGN_OR_RETURN(out.message, r.GetString(kMaxMessageBytes));
   return out;
 }
 

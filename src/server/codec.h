@@ -21,6 +21,21 @@ namespace qbism::server {
 /// status, never a read past the buffer. docs/NETWORK.md documents each
 /// layout.
 
+/// Longest tenant, secret, atlas or structure name a decoder accepts.
+inline constexpr uint32_t kMaxNameBytes = 4096;
+
+/// The largest request payload: a kQuery whose atlas and structure
+/// names are both kMaxNameBytes long, with a box and an intensity range
+/// (EncodeQuery's layout). A kHello, two names, is smaller; kPing and
+/// kBye are empty. The server reads every frame under this ceiling, so
+/// a peer cannot make it reserve more before it authenticates.
+inline constexpr uint32_t kMaxRequestPayload =
+    4 +                          // study id
+    2 * (4 + kMaxNameBytes) +    // atlas and structure names
+    3 +                          // structure, box and range presence
+    6 * 4 + 2 * 4 +              // box corners, intensity range
+    1 + 8;                       // band-index flag, deadline
+
 /// kHello payload.
 struct HelloRequest {
   std::string tenant;
@@ -33,24 +48,12 @@ struct WelcomeReply {
   double session_ttl_seconds = 0.0;
 };
 
-/// kQuery payload: the QuerySpec plus request-scoped service controls.
+/// kQuery payload: the QuerySpec's result-affecting fields plus the
+/// request's deadline. QuerySpec::allow_cached, a hint for
+/// MedicalServer's DX cache, does not travel.
 struct QueryRequest {
   qbism::QuerySpec spec;
-  bool render = false;
   double deadline_seconds = 0.0;
-};
-
-/// kResultHeader payload: everything about the answer except the voxel
-/// payload itself, which follows as one kResultData frame of exactly
-/// `payload_bytes` bytes (the codec's ship-bytes accounting).
-struct ResultHeader {
-  uint64_t result_runs = 0;
-  uint64_t result_voxels = 0;
-  uint64_t payload_bytes = 0;
-  bool cache_hit = false;
-  qbism::TimingBreakdown timing;
-  std::string info_sql;
-  std::string data_sql;
 };
 
 /// kError payload.
@@ -69,15 +72,12 @@ Result<WelcomeReply> DecodeWelcome(const std::vector<uint8_t>& payload);
 std::vector<uint8_t> EncodeQuery(const QueryRequest& query);
 Result<QueryRequest> DecodeQuery(const std::vector<uint8_t>& payload);
 
-std::vector<uint8_t> EncodeResultHeader(const ResultHeader& header);
-Result<ResultHeader> DecodeResultHeader(const std::vector<uint8_t>& payload);
-
 std::vector<uint8_t> EncodeError(const ErrorReply& error);
 Result<ErrorReply> DecodeError(const std::vector<uint8_t>& payload);
 
 /// Serializes a DataRegion answer: the answer prefix (EncodeAnswerPrefix)
 /// followed by the voxel intensities, data.values(), verbatim. This is
-/// the kResultData frame's payload; its size is the canonical "bytes
+/// the kResult frame's payload; its size is the canonical "bytes
 /// shipped" for the query. The server sends the same bytes without
 /// building this buffer: the prefix, then data.values() in place.
 Result<std::vector<uint8_t>> EncodeAnswerPayload(
@@ -119,7 +119,7 @@ using AnswerReader =
 /// straight into the buffer the answer keeps. Each length is checked
 /// against what is left of the payload before anything is allocated,
 /// so a lying one is Corruption; nothing else is interpreted. The
-/// client reads a kResultData payload off its socket this way.
+/// client reads a kResult payload off its socket this way.
 Result<AnswerPieces> ReadAnswerPieces(uint64_t payload_bytes,
                                       const AnswerReader& read);
 
@@ -129,7 +129,7 @@ Result<AnswerPieces> ReadAnswerPieces(uint64_t payload_bytes,
 /// buffer as the DataRegion's without copying it.
 Result<volume::DataRegion> DecodeAnswer(AnswerPieces pieces);
 
-/// Inverse of EncodeAnswerPayload over a whole kResultData payload in
+/// Inverse of EncodeAnswerPayload over a whole kResult payload in
 /// memory: ReadAnswerPieces over its bytes, then DecodeAnswer.
 Result<volume::DataRegion> DecodeAnswerPayload(
     const std::vector<uint8_t>& payload);

@@ -6,20 +6,26 @@
 
 namespace qbism::server {
 
+namespace {
+
+/// MessageTypeName's answer for a number that names no message type;
+/// the header check compares against this pointer.
+constexpr const char* kUnknownType = "unknown";
+
+}  // namespace
+
 const char* MessageTypeName(MessageType type) {
   switch (type) {
     case MessageType::kHello: return "hello";
     case MessageType::kWelcome: return "welcome";
     case MessageType::kQuery: return "query";
-    case MessageType::kResultHeader: return "result_header";
-    case MessageType::kResultData: return "result_data";
-    case MessageType::kResultEnd: return "result_end";
+    case MessageType::kResult: return "result";
     case MessageType::kError: return "error";
     case MessageType::kPing: return "ping";
     case MessageType::kPong: return "pong";
     case MessageType::kBye: return "bye";
   }
-  return "unknown";
+  return kUnknownType;
 }
 
 const char* ErrorReasonName(ErrorReason reason) {
@@ -82,13 +88,12 @@ Result<FrameHeader> DecodeFrameHeader(const uint8_t* bytes, size_t size,
     return Status::Corruption("unsupported protocol version " +
                               std::to_string(header.version));
   }
-  uint16_t raw_type = LoadLE16(bytes + 6);
-  if (raw_type < static_cast<uint16_t>(MessageType::kHello) ||
-      raw_type > static_cast<uint16_t>(MessageType::kBye)) {
+  const uint16_t raw_type = LoadLE16(bytes + 6);
+  header.type = static_cast<MessageType>(raw_type);
+  if (MessageTypeName(header.type) == kUnknownType) {
     return Status::Corruption("unknown message type " +
                               std::to_string(raw_type));
   }
-  header.type = static_cast<MessageType>(raw_type);
   header.flags = LoadLE32(bytes + 8);
   if (header.flags != 0) {
     return Status::Corruption("reserved frame flags set");

@@ -32,7 +32,7 @@ namespace qbism::server {
 /// is detected before the payload is interpreted. docs/NETWORK.md is
 /// the protocol reference.
 inline constexpr uint32_t kMagic = 0x4D534251u;  // "QBSM"
-inline constexpr uint16_t kProtocolVersion = 5;
+inline constexpr uint16_t kProtocolVersion = 6;
 inline constexpr size_t kHeaderBytes = 36;
 
 /// Hard ceiling a reader enforces on `payload_bytes` before allocating
@@ -40,20 +40,21 @@ inline constexpr size_t kHeaderBytes = 36;
 /// gigabytes. A query answer ships as one frame, so it must fit too.
 inline constexpr uint32_t kMaxFramePayload = 64u << 20;
 
+/// Numbers 4 and 6 are unassigned: a header carrying either fails as an
+/// unknown type.
 enum class MessageType : uint16_t {
-  kHello = 1,         // client -> server: tenant credentials
-  kWelcome = 2,       // server -> client: session token + idle TTL
-  kQuery = 3,         // client -> server: one QuerySpec request
-  kResultHeader = 4,  // server -> client: answer summary + payload size
-  kResultData = 5,    // server -> client: the whole answer payload
-  kResultEnd = 6,     // server -> client: empty; the answer is complete
-  kError = 7,         // server -> client: status code + reason + message
-  kPing = 8,          // client -> server: keepalive / session refresh
-  kPong = 9,          // server -> client: keepalive ack
-  kBye = 10,          // client -> server: orderly close
+  kHello = 1,    // client -> server: tenant credentials
+  kWelcome = 2,  // server -> client: session token + idle TTL
+  kQuery = 3,    // client -> server: one QuerySpec request
+  kResult = 5,   // server -> client: the answer, EncodeAnswerPayload's bytes
+  kError = 7,    // server -> client: status code + reason + message
+  kPing = 8,     // client -> server: keepalive / session refresh
+  kPong = 9,     // server -> client: keepalive ack
+  kBye = 10,     // client -> server: orderly close
 };
 
-/// Stable name for logs and tests ("hello", "query", ...).
+/// Stable name for logs and tests ("hello", "query", ...); "unknown"
+/// for a number that names no message type.
 const char* MessageTypeName(MessageType type);
 
 /// Machine-readable reason carried by a kError frame, so clients (and
@@ -109,9 +110,10 @@ std::vector<uint8_t> EncodeFrame(MessageType type, uint64_t session,
                                  const std::vector<uint8_t>& payload);
 
 /// Parses and validates a 36-byte header. Rejects short buffers, bad
-/// magic, unsupported versions, non-zero reserved flags, and payload
-/// lengths over `max_payload`. Does NOT check the payload CRC (the
-/// payload has not been read yet) — use VerifyPayload once it has.
+/// magic, unsupported versions, unknown message types, non-zero
+/// reserved flags, and payload lengths over `max_payload`. Does NOT
+/// check the payload CRC (the payload has not been read yet) — use
+/// VerifyPayload once it has.
 Result<FrameHeader> DecodeFrameHeader(const uint8_t* bytes, size_t size,
                                       uint32_t max_payload = kMaxFramePayload);
 

@@ -14,14 +14,6 @@
 
 namespace qbism::server {
 
-namespace {
-
-/// Payload ceiling on frames the server reads. Clients send only small
-/// requests, so a length prefix above this is an attack or garbage.
-constexpr uint32_t kMaxRequestPayload = 16u << 20;
-
-}  // namespace
-
 QbismServer::QbismServer(qbism::SpatialExtension* ext, ServerOptions options)
     : ext_(ext), options_(std::move(options)) {}
 
@@ -175,6 +167,8 @@ bool QbismServer::SendError(Connection* conn, uint64_t request_id,
 void QbismServer::HandleConnection(Connection* conn) {
   while (!stopping_.load(std::memory_order_relaxed)) {
     WallTimer read_timer;
+    // No request is longer than kMaxRequestPayload, so a header that
+    // declares more is refused before a payload byte is read or held.
     Result<Frame> frame = conn->socket.ReadFrame(kMaxRequestPayload);
     double read_seconds = read_timer.Seconds();
     if (!frame.ok()) {
@@ -332,7 +326,6 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
   service::ServiceRequest request;
   request.spec = query->spec;
   request.tenant = tenant;
-  request.render = query->render;
   request.deadline_seconds = query->deadline_seconds;
   request.trace_parent = request_span.context();
   Result<service::ServiceReply> reply = service_->Execute(request);
@@ -375,53 +368,33 @@ bool QbismServer::HandleQuery(Connection* conn, const Frame& frame,
                      prefix.status());
   }
 
+  // The frame is the commit point: the answer is counted before it goes
+  // out, so a client holding its answer sees it counted. A send that
+  // fails moves the query from queries_ok to queries_failed.
   const uint64_t total = prefix->size() + values.size();
-  ResultHeader rh;
-  rh.result_runs = reply->result.result_runs;
-  rh.result_voxels = reply->result.result_voxels;
-  rh.payload_bytes = total;
-  rh.cache_hit = reply->cache_hit;
-  rh.timing = reply->result.timing;
-  rh.info_sql = reply->result.info_sql;
-  rh.data_sql = reply->result.data_sql;
-
-  obs::Span ship(request_span.context(), obs::Stage::kShip);
-  ship.SetLabel("socket");
-  bool sent = SendCounted(conn, MessageType::kResultHeader, header.session,
-                          header.request_id, {EncodeResultHeader(rh)})
-                  .ok() &&
-              SendCounted(conn, MessageType::kResultData, header.session,
-                          header.request_id, {*prefix, values})
-                  .ok();
-  ship.AddBytes(total);
-  if (!sent) {
-    ship.SetFailed();
-    request_span.SetFailed();
-    queries_failed_.fetch_add(1, std::memory_order_relaxed);
-    tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-
-  // The answer is on the wire: record the success before result_end
-  // goes out, so any observer the client wakes after seeing result_end
-  // is guaranteed to see these counters too. A result_end-only send
-  // failure below still severs the connection, but the answer was
-  // fully shipped — it is not a query failure.
   ship_bytes_.fetch_add(total, std::memory_order_relaxed);
   tstats->ship_bytes.fetch_add(total, std::memory_order_relaxed);
   queries_ok_.fetch_add(1, std::memory_order_relaxed);
   tstats->queries_ok.fetch_add(1, std::memory_order_relaxed);
-  tstats->latency.RecordSeconds(read_seconds + request_timer.Seconds());
 
-  sent = SendCounted(conn, MessageType::kResultEnd, header.session,
-                     header.request_id, {})
-             .ok();
-  if (!sent) {
+  obs::Span ship(request_span.context(), obs::Stage::kShip);
+  ship.SetLabel("socket");
+  ship.AddBytes(total);
+  if (!SendCounted(conn, MessageType::kResult, header.session,
+                   header.request_id, {*prefix, values})
+           .ok()) {
+    ship_bytes_.fetch_sub(total, std::memory_order_relaxed);
+    tstats->ship_bytes.fetch_sub(total, std::memory_order_relaxed);
+    queries_ok_.fetch_sub(1, std::memory_order_relaxed);
+    tstats->queries_ok.fetch_sub(1, std::memory_order_relaxed);
+    queries_failed_.fetch_add(1, std::memory_order_relaxed);
+    tstats->queries_failed.fetch_add(1, std::memory_order_relaxed);
     ship.SetFailed();
     request_span.SetFailed();
     return false;
   }
   ship.End();
+  tstats->latency.RecordSeconds(read_seconds + request_timer.Seconds());
   return true;
 }
 

@@ -53,7 +53,7 @@ struct ServerStats {
   uint64_t frames_written = 0;
   uint64_t bytes_read = 0;     // wire bytes in (headers + payloads)
   uint64_t bytes_written = 0;  // wire bytes out (headers + payloads)
-  /// Answer-payload bytes shipped in kResultData frames — the codec's
+  /// Answer-payload bytes shipped in kResult frames — the codec's
   /// ship-bytes accounting (sum of EncodeAnswerPayload sizes actually
   /// sent). E19 cross-checks this against client-side receipts.
   uint64_t ship_bytes = 0;
@@ -80,7 +80,7 @@ struct TenantWireStats {
 /// The real network front end (ROADMAP item 1): a TCP listener on
 /// localhost speaking the framed binary protocol of server/protocol.h,
 /// thread-per-connection with a connection cap, token-based sessions
-/// (AuthManager), and one data frame per query answer. Each query
+/// (AuthManager), and one result frame per query answer. Each query
 /// runs on its connection's thread through QueryService::Execute, whose
 /// per-tenant fair-share governor is the one admission gate. When the
 /// service is traced, every wire request becomes one trace: kRequest

@@ -226,9 +226,6 @@ Result<ServiceReply> QueryService::Serve(const Call& call,
   }
 
   reply.result = answer.Ship();
-  if (request.render) {
-    qbism::ImportAndRender(/*render=*/true, request.camera, &reply.result);
-  }
   if (options_.io_wait_scale > 0.0) {
     // A hit charges no modeled time, so only executed queries wait.
     const qbism::TimingBreakdown& timing = reply.result.timing;

@@ -30,11 +30,6 @@ struct ServiceRequest {
   /// Index into the service's tenant quotas: the request waits for, and
   /// holds, one of this tenant's execution slots.
   int tenant = 0;
-  /// Import and render the answer after it ships (the DX executive's
-  /// half, §5.2); only then does the reply carry an image and import and
-  /// render times.
-  bool render = false;
-  viz::Camera camera;
   /// Measured from the call to Execute, so it covers the admission wait
   /// as well as the query; 0 disables it.
   double deadline_seconds = 0.0;
@@ -117,8 +112,8 @@ struct ServiceOptions {
 /// calls Execute, after the per-tenant fair-share governor grants it one
 /// of `num_workers` execution slots — the service's only admission
 /// gate. A cache hit and a pipeline run end the same way: one copy of
-/// the answer into the reply, then ImportVolume and rendering only when
-/// the request asks.
+/// the answer into the reply. Importing and rendering the answer are
+/// the display station's (MedicalServer runs them for E5-E7).
 ///
 ///   callers --Execute--> TenantGovernor --slot--> shared ResultCache,
 ///                          |  (FIFO per tenant,    else the shared

@@ -251,51 +251,37 @@ TEST_F(ServiceTraceTest, FullStudyQueryYieldsOneWellFormedTraceTree) {
   EXPECT_FALSE(summaries.empty());
 }
 
-TEST_F(ServiceTraceTest, OnlyRenderRequestsImportAndRender) {
+// Importing and rendering an answer are the display station's, so a
+// service request does neither: its reply carries no image and no
+// import or render time, and its trace copies the answer in one ship
+// span.
+TEST_F(ServiceTraceTest, RequestsNeitherImportNorRender) {
   Tracer tracer;
   ServiceOptions options = TracedOptions(&tracer);
-  options.cache_entries = 0;  // both requests run the whole pipeline
+  options.cache_entries = 0;  // the request runs the whole pipeline
   std::vector<SpanRecord> spans;
   {
     QueryService service(ext_, options);
     ServiceRequest request;
     request.spec.study_id = study_id_;
     request.spec.box = geometry::Box3i{{2, 2, 2}, {40, 40, 40}};
-    request.render = true;
-    auto rendered = service.Execute(request);
-    ASSERT_TRUE(rendered.ok()) << rendered.status().ToString();
-    EXPECT_GT(rendered->result.image.NonBlackFraction(), 0.0);
-    EXPECT_GT(rendered->result.timing.render_seconds, 0.0);
-
-    request.render = false;
     auto plain = service.Execute(request);
     ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+    EXPECT_GT(plain->result.data.VoxelCount(), 0u);
     EXPECT_EQ(plain->result.timing.import_cpu_seconds, 0.0);
     EXPECT_EQ(plain->result.timing.render_seconds, 0.0);
     EXPECT_EQ(plain->result.image.width(), 0);
-    EXPECT_EQ(plain->result.data.values(), rendered->result.data.values());
     service.Shutdown();
     spans = tracer.Spans();
   }
 
-  // Root spans are recorded as each request completes, in order.
-  std::vector<uint64_t> traces;
-  for (const SpanRecord& s : spans) {
-    if (s.stage == Stage::kQuery) traces.push_back(s.trace_id);
-  }
-  ASSERT_EQ(traces.size(), 2u);
-  std::multiset<Stage> rendered_stages, plain_stages;
-  for (const SpanRecord& s : spans) {
-    if (s.trace_id == traces[0]) rendered_stages.insert(s.stage);
-    if (s.trace_id == traces[1]) plain_stages.insert(s.stage);
-  }
-  EXPECT_EQ(rendered_stages.count(Stage::kImport), 1u);
-  EXPECT_EQ(rendered_stages.count(Stage::kRender), 1u);
-  EXPECT_EQ(plain_stages.count(Stage::kImport), 0u);
-  EXPECT_EQ(plain_stages.count(Stage::kRender), 0u);
-  // Each reply's one answer copy happens inside its one ship span.
-  EXPECT_EQ(rendered_stages.count(Stage::kShip), 1u);
-  EXPECT_EQ(plain_stages.count(Stage::kShip), 1u);
+  std::multiset<Stage> stages;
+  for (const SpanRecord& s : spans) stages.insert(s.stage);
+  EXPECT_EQ(stages.count(Stage::kQuery), 1u);
+  EXPECT_EQ(stages.count(Stage::kImport), 0u);
+  EXPECT_EQ(stages.count(Stage::kRender), 0u);
+  // The reply's one answer copy happens inside its one ship span.
+  EXPECT_EQ(stages.count(Stage::kShip), 1u);
 }
 
 TEST_F(ServiceTraceTest, RetriedQuerySpansNestUnderTheOwningTrace) {

@@ -218,7 +218,6 @@ TEST(FaultSweepTest, ServiceRetriesAbsorbEveryTransientFault) {
     instance.run = [world, service]() -> Status {
       service::ServiceRequest request;
       request.spec = SweepQuery(*world);
-      request.render = true;
       QBISM_ASSIGN_OR_RETURN(service::ServiceReply reply,
                              service->Execute(request));
       (void)reply;

@@ -69,20 +69,25 @@ Status DriveScriptedPeer(const Script& script,
   return status;
 }
 
-/// One NetClient::RunQuery against a scripted peer.
-Result<QueryOutcome> QueryScriptedPeer(const Script& script) {
+/// One NetClient::RunQuery against a scripted peer. `*connected`, when
+/// given, tells whether the client kept its connection afterwards.
+Result<QueryOutcome> QueryScriptedPeer(const Script& script,
+                                       bool* connected = nullptr) {
   Result<QueryOutcome> outcome = Status::Internal("client did not connect");
   Status dialed = DriveScriptedPeer(script, [&](NetClient* client) {
     outcome = client->RunQuery(QuerySpec{});
+    if (connected != nullptr) *connected = client->connected();
   });
   if (!dialed.ok()) return dialed;
   return outcome;
 }
 
-/// A small valid answer and the result_header announcing it.
+/// A small valid answer: the payload and what the client should read
+/// off it.
 struct Answer {
   std::vector<uint8_t> payload;
-  ResultHeader header;
+  uint64_t runs = 0;
+  uint64_t voxels = 0;
 };
 
 Answer MakeAnswer() {
@@ -91,12 +96,11 @@ Answer MakeAnswer() {
       geometry::Box3i{{1, 1, 1}, {4, 5, 6}});
   std::vector<uint8_t> values(reg.VoxelCount(), 7);
   Answer answer;
-  answer.header.result_runs = reg.runs().size();
-  answer.header.result_voxels = reg.VoxelCount();
+  answer.runs = reg.RunCount();
+  answer.voxels = reg.VoxelCount();
   answer.payload = EncodeAnswerPayload(
                        volume::DataRegion(std::move(reg), std::move(values)))
                        .MoveValue();
-  answer.header.payload_bytes = answer.payload.size();
   return answer;
 }
 
@@ -130,90 +134,66 @@ size_t ValueCountAt(const std::vector<uint8_t>& payload) {
 TEST(NetClientScriptedPeerTest, WellFormedAnswerDecodes) {
   Answer answer = MakeAnswer();
   auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-    Send(peer, MessageType::kResultHeader, id,
-         EncodeResultHeader(answer.header));
-    Send(peer, MessageType::kResultData, id, answer.payload);
-    Send(peer, MessageType::kResultEnd, id, {});
+    Send(peer, MessageType::kResult, id, answer.payload);
   });
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->shipped_bytes, answer.payload.size());
-  EXPECT_EQ(outcome->data.VoxelCount(), answer.header.result_voxels);
-  EXPECT_EQ(outcome->data.values(),
-            std::vector<uint8_t>(answer.header.result_voxels, 7));
+  // The client fills the header from the frame and the decoded answer.
+  EXPECT_EQ(outcome->header.payload_bytes, answer.payload.size());
+  EXPECT_EQ(outcome->header.result_runs, answer.runs);
+  EXPECT_EQ(outcome->header.result_voxels, answer.voxels);
+  EXPECT_EQ(outcome->data.VoxelCount(), answer.voxels);
+  EXPECT_EQ(outcome->data.values(), std::vector<uint8_t>(answer.voxels, 7));
 }
 
-// A result_header may announce any u64; the client must not size any
-// buffer from it.
+// A result frame may declare any u32 length; one above kMaxFramePayload
+// fails at the header, before the client sizes any buffer or reads a
+// payload byte (the peer sends none).
 TEST(NetClientScriptedPeerTest, HugeAnnouncedPayloadIsCorruption) {
-  ResultHeader header;
-  header.payload_bytes = 1ull << 62;
-  auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-    Send(peer, MessageType::kResultHeader, id, EncodeResultHeader(header));
-    Send(peer, MessageType::kResultData, id, std::vector<uint8_t>(10, 1));
-    Send(peer, MessageType::kResultEnd, id, {});
-  });
+  bool connected = true;
+  auto outcome = QueryScriptedPeer(
+      [&](FrameSocket* peer, uint64_t id) {
+        const auto header = EncodeFrameHeader(MessageType::kResult, 0, id,
+                                              kMaxFramePayload + 1, 0);
+        SendRaw(peer, {header.begin(), header.end()}, header.size());
+      },
+      &connected);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
+  EXPECT_NE(outcome.status().ToString().find("exceeds limit"),
+            std::string::npos)
+      << outcome.status().ToString();
+  EXPECT_FALSE(connected);
 }
 
-TEST(NetClientScriptedPeerTest, DataFrameLengthMismatchIsCorruption) {
+// Only a result or an error frame may answer a query; another type is
+// refused from its header, its payload unread.
+TEST(NetClientScriptedPeerTest, OtherFrameTypeInPlaceOfTheAnswerIsCorruption) {
   Answer answer = MakeAnswer();
-  const uint64_t sent = answer.payload.size();
-  // Announce one byte more (the data frame is short) and one byte less
-  // (the data frame is long).
-  for (uint64_t announced : {sent + 1, sent - 1}) {
-    ResultHeader header = answer.header;
-    header.payload_bytes = announced;
-    auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-      Send(peer, MessageType::kResultHeader, id, EncodeResultHeader(header));
-      Send(peer, MessageType::kResultData, id, answer.payload);
-      Send(peer, MessageType::kResultEnd, id, {});
-    });
-    ASSERT_FALSE(outcome.ok()) << "announced " << announced;
-    EXPECT_TRUE(outcome.status().IsCorruption())
-        << "announced " << announced << ": " << outcome.status().ToString();
-  }
-}
-
-TEST(NetClientScriptedPeerTest, NonEmptyResultEndIsCorruption) {
-  Answer answer = MakeAnswer();
-  auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-    Send(peer, MessageType::kResultHeader, id,
-         EncodeResultHeader(answer.header));
-    Send(peer, MessageType::kResultData, id, answer.payload);
-    Send(peer, MessageType::kResultEnd, id, std::vector<uint8_t>(16, 0));
-  });
+  bool connected = true;
+  auto outcome = QueryScriptedPeer(
+      [&](FrameSocket* peer, uint64_t id) {
+        Send(peer, MessageType::kWelcome, id, answer.payload);
+      },
+      &connected);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
-}
-
-TEST(NetClientScriptedPeerTest, ResultEndBeforeDataIsCorruption) {
-  Answer answer = MakeAnswer();
-  auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-    Send(peer, MessageType::kResultHeader, id,
-         EncodeResultHeader(answer.header));
-    Send(peer, MessageType::kResultEnd, id, {});
-    Send(peer, MessageType::kResultData, id, answer.payload);
-  });
-  ASSERT_FALSE(outcome.ok());
-  EXPECT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
+  EXPECT_NE(outcome.status().ToString().find("expected result, got welcome"),
+            std::string::npos)
+      << outcome.status().ToString();
+  EXPECT_FALSE(connected);
 }
 
 TEST(NetClientScriptedPeerTest, WrongRequestIdIsCorruption) {
-  // The stray id may sit on any of the answer's three frames.
-  for (int stray = 0; stray < 3; ++stray) {
-    Answer answer = MakeAnswer();
-    auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-      Send(peer, MessageType::kResultHeader, stray == 0 ? id + 1 : id,
-           EncodeResultHeader(answer.header));
-      Send(peer, MessageType::kResultData, stray == 1 ? id + 1 : id,
-           answer.payload);
-      Send(peer, MessageType::kResultEnd, stray == 2 ? id + 1 : id, {});
-    });
-    ASSERT_FALSE(outcome.ok()) << "frame " << stray;
-    EXPECT_TRUE(outcome.status().IsCorruption())
-        << "frame " << stray << ": " << outcome.status().ToString();
-  }
+  Answer answer = MakeAnswer();
+  bool connected = true;
+  auto outcome = QueryScriptedPeer(
+      [&](FrameSocket* peer, uint64_t id) {
+        Send(peer, MessageType::kResult, id + 1, answer.payload);
+      },
+      &connected);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
+  EXPECT_FALSE(connected);
 }
 
 // --- The in-place answer reader ------------------------------------
@@ -224,22 +204,14 @@ TEST(NetClientScriptedPeerTest, WrongRequestIdIsCorruption) {
 TEST(NetClientInPlaceTest, VoxelBitFlipIsCorruptionAndDisconnects) {
   Answer answer = MakeAnswer();
   bool connected = true;
-  Result<QueryOutcome> outcome = Status::Internal("not run");
-  ASSERT_TRUE(DriveScriptedPeer(
-                  [&](FrameSocket* peer, uint64_t id) {
-                    Send(peer, MessageType::kResultHeader, id,
-                         EncodeResultHeader(answer.header));
-                    std::vector<uint8_t> bad = EncodeFrame(
-                        MessageType::kResultData, 0, id, answer.payload);
-                    bad[bad.size() - 3] ^= 0x10;  // a voxel, not the CRC
-                    SendRaw(peer, bad, bad.size());
-                    Send(peer, MessageType::kResultEnd, id, {});
-                  },
-                  [&](NetClient* client) {
-                    outcome = client->RunQuery(QuerySpec{});
-                    connected = client->connected();
-                  })
-                  .ok());
+  auto outcome = QueryScriptedPeer(
+      [&](FrameSocket* peer, uint64_t id) {
+        std::vector<uint8_t> bad =
+            EncodeFrame(MessageType::kResult, 0, id, answer.payload);
+        bad[bad.size() - 3] ^= 0x10;  // a voxel, not the CRC
+        SendRaw(peer, bad, bad.size());
+      },
+      &connected);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
   EXPECT_NE(outcome.status().ToString().find("CRC"), std::string::npos)
@@ -249,7 +221,7 @@ TEST(NetClientInPlaceTest, VoxelBitFlipIsCorruptionAndDisconnects) {
 
 // A REGION length past the end of the frame is caught from the head
 // alone: the client neither sizes a buffer from it nor waits for bytes
-// the frame does not hold. The peer hangs up after the data frame, so a
+// the frame does not hold. The peer hangs up after the frame, so a
 // reader that trusted the length would fail later, on EOF mid-frame,
 // with another message.
 TEST(NetClientInPlaceTest, RegionLengthOverrunIsCorruptionBeforeAnyRead) {
@@ -257,19 +229,12 @@ TEST(NetClientInPlaceTest, RegionLengthOverrunIsCorruptionBeforeAnyRead) {
   std::vector<uint8_t> payload = answer.payload;
   StoreLE32(payload.data() + kRegionLengthAt, 48u << 20);
   bool connected = true;
-  Result<QueryOutcome> outcome = Status::Internal("not run");
-  ASSERT_TRUE(DriveScriptedPeer(
-                  [&](FrameSocket* peer, uint64_t id) {
-                    Send(peer, MessageType::kResultHeader, id,
-                         EncodeResultHeader(answer.header));
-                    Send(peer, MessageType::kResultData, id, payload);
-                    peer->ShutdownBoth();
-                  },
-                  [&](NetClient* client) {
-                    outcome = client->RunQuery(QuerySpec{});
-                    connected = client->connected();
-                  })
-                  .ok());
+  auto outcome = QueryScriptedPeer(
+      [&](FrameSocket* peer, uint64_t id) {
+        Send(peer, MessageType::kResult, id, payload);
+        peer->ShutdownBoth();
+      },
+      &connected);
   ASSERT_FALSE(outcome.ok());
   EXPECT_TRUE(outcome.status().IsCorruption()) << outcome.status().ToString();
   EXPECT_NE(outcome.status().ToString().find("overruns"), std::string::npos)
@@ -286,25 +251,18 @@ TEST(NetClientInPlaceTest, RegionLengthOverrunIsCorruptionBeforeAnyRead) {
 TEST(NetClientInPlaceTest, ValueCountMismatchIsCorruption) {
   Answer answer = MakeAnswer();
   const size_t count_at = ValueCountAt(answer.payload);
-  const uint64_t voxels = answer.header.result_voxels;
+  const uint64_t voxels = answer.voxels;
 
   for (uint64_t lie : {voxels + 1, voxels - 1, uint64_t{48} << 20}) {
     std::vector<uint8_t> payload = answer.payload;
     StoreLE64(payload.data() + count_at, lie);
     bool connected = true;
-    Result<QueryOutcome> outcome = Status::Internal("not run");
-    ASSERT_TRUE(DriveScriptedPeer(
-                    [&](FrameSocket* peer, uint64_t id) {
-                      Send(peer, MessageType::kResultHeader, id,
-                           EncodeResultHeader(answer.header));
-                      Send(peer, MessageType::kResultData, id, payload);
-                      peer->ShutdownBoth();
-                    },
-                    [&](NetClient* client) {
-                      outcome = client->RunQuery(QuerySpec{});
-                      connected = client->connected();
-                    })
-                    .ok());
+    auto outcome = QueryScriptedPeer(
+        [&](FrameSocket* peer, uint64_t id) {
+          Send(peer, MessageType::kResult, id, payload);
+          peer->ShutdownBoth();
+        },
+        &connected);
     ASSERT_FALSE(outcome.ok()) << "count " << lie;
     EXPECT_TRUE(outcome.status().IsCorruption())
         << "count " << lie << ": " << outcome.status().ToString();
@@ -324,12 +282,8 @@ TEST(NetClientInPlaceTest, ValueCountMismatchIsCorruption) {
       payload.pop_back();
     }
     StoreLE64(payload.data() + count_at, extra ? voxels + 1 : voxels - 1);
-    ResultHeader header = answer.header;
-    header.payload_bytes = payload.size();
     auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-      Send(peer, MessageType::kResultHeader, id, EncodeResultHeader(header));
-      Send(peer, MessageType::kResultData, id, payload);
-      Send(peer, MessageType::kResultEnd, id, {});
+      Send(peer, MessageType::kResult, id, payload);
     });
     ASSERT_FALSE(outcome.ok()) << "extra " << extra;
     EXPECT_TRUE(outcome.status().IsCorruption())
@@ -340,32 +294,25 @@ TEST(NetClientInPlaceTest, ValueCountMismatchIsCorruption) {
   }
 }
 
-// recv may hand the reader any split of the stream: the three frames of
-// an answer, sent one byte per send, still decode to the same answer.
+// recv may hand the reader any split of the stream: an answer frame,
+// sent one byte per send, still decodes to the same answer.
 TEST(NetClientInPlaceTest, AnswerSentInOneByteWritesDecodes) {
   Answer answer = MakeAnswer();
   auto outcome = QueryScriptedPeer([&](FrameSocket* peer, uint64_t id) {
-    std::vector<uint8_t> wire = EncodeFrame(MessageType::kResultHeader, 0, id,
-                                            EncodeResultHeader(answer.header));
-    std::vector<uint8_t> data =
-        EncodeFrame(MessageType::kResultData, 0, id, answer.payload);
-    std::vector<uint8_t> end = EncodeFrame(MessageType::kResultEnd, 0, id, {});
-    wire.insert(wire.end(), data.begin(), data.end());
-    wire.insert(wire.end(), end.begin(), end.end());
-    SendRaw(peer, wire, 1);
+    SendRaw(peer, EncodeFrame(MessageType::kResult, 0, id, answer.payload), 1);
   });
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
-  EXPECT_EQ(outcome->shipped_bytes, answer.payload.size());
+  EXPECT_EQ(outcome->header.payload_bytes, answer.payload.size());
   auto expected = DecodeAnswerPayload(answer.payload);
   ASSERT_TRUE(expected.ok());
   EXPECT_EQ(outcome->data.region(), expected->region());
   EXPECT_EQ(outcome->data.values(), expected->values());
 }
 
-// A server that bounces the query after its result_header (an error
-// frame where result_data belongs) reports a status, not a broken
-// stream: the client returns it with its reason and stays usable, as a
-// benchmark client does after a quota bounce.
+// A server that bounces the query (an error frame where the answer
+// belongs) reports a status, not a broken stream: the client returns it
+// with its reason and stays usable, as a benchmark client does after a
+// quota bounce.
 TEST(NetClientInPlaceTest, ErrorFrameInPlaceOfDataKeepsTheConnection) {
   Answer answer = MakeAnswer();
   int queries = 0;
@@ -376,8 +323,6 @@ TEST(NetClientInPlaceTest, ErrorFrameInPlaceOfDataKeepsTheConnection) {
   ASSERT_TRUE(
       DriveScriptedPeer(
           [&](FrameSocket* peer, uint64_t id) {
-            Send(peer, MessageType::kResultHeader, id,
-                 EncodeResultHeader(answer.header));
             if (queries++ == 0) {
               ErrorReply error;
               error.code = StatusCode::kResourceExhausted;
@@ -386,8 +331,7 @@ TEST(NetClientInPlaceTest, ErrorFrameInPlaceOfDataKeepsTheConnection) {
               Send(peer, MessageType::kError, id, EncodeError(error));
               return;
             }
-            Send(peer, MessageType::kResultData, id, answer.payload);
-            Send(peer, MessageType::kResultEnd, id, {});
+            Send(peer, MessageType::kResult, id, answer.payload);
           },
           [&](NetClient* client) {
             bounced = client->RunQuery(QuerySpec{});
@@ -402,7 +346,7 @@ TEST(NetClientInPlaceTest, ErrorFrameInPlaceOfDataKeepsTheConnection) {
   EXPECT_EQ(reason, ErrorReason::kQuotaRejected);
   EXPECT_TRUE(connected);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
-  EXPECT_EQ(next->data.VoxelCount(), answer.header.result_voxels);
+  EXPECT_EQ(next->data.VoxelCount(), answer.voxels);
 }
 
 }  // namespace

@@ -58,16 +58,39 @@ TEST(CodecTest, QueryRoundTripAllFields) {
                                    geometry::Vec3i{10, 11, 12}};
   query.spec.intensity_range = {40, 200};
   query.spec.use_band_index = true;
-  query.spec.allow_cached = false;
-  query.render = true;
+  query.spec.allow_cached = true;  // MedicalServer's hint; not sent
   query.deadline_seconds = 2.5;
   auto decoded = DecodeQuery(EncodeQuery(query));
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   EXPECT_EQ(decoded->spec.Describe(), query.spec.Describe());
   EXPECT_EQ(decoded->spec.use_band_index, true);
   EXPECT_EQ(decoded->spec.allow_cached, false);
-  EXPECT_EQ(decoded->render, true);
   EXPECT_EQ(decoded->deadline_seconds, 2.5);
+}
+
+// The server's read ceiling is the largest query EncodeQuery can make
+// from names the decoder accepts; a hello with two such names is below
+// it.
+TEST(CodecTest, RequestCeilingIsTheLargestQuery) {
+  QueryRequest query;
+  query.spec.atlas_name = std::string(kMaxNameBytes, 'a');
+  query.spec.structure_name = std::string(kMaxNameBytes, 's');
+  query.spec.box = geometry::Box3i{{0, 0, 0}, {1, 1, 1}};
+  query.spec.intensity_range = {0, 255};
+  std::vector<uint8_t> payload = EncodeQuery(query);
+  EXPECT_EQ(payload.size(), kMaxRequestPayload);
+  EXPECT_EQ(payload.size(), 8248u);
+  EXPECT_TRUE(DecodeQuery(payload).ok());
+
+  HelloRequest hello;
+  hello.tenant = std::string(kMaxNameBytes, 't');
+  hello.secret = std::string(kMaxNameBytes, 's');
+  EXPECT_EQ(EncodeHello(hello).size(), 8200u);
+  EXPECT_LE(EncodeHello(hello).size(), kMaxRequestPayload);
+
+  // A name one byte over the cap is refused.
+  query.spec.structure_name = std::string(kMaxNameBytes + 1, 's');
+  EXPECT_TRUE(DecodeQuery(EncodeQuery(query)).status().IsCorruption());
 }
 
 TEST(CodecTest, QueryRoundTripOptionalFieldsAbsent) {
@@ -79,28 +102,6 @@ TEST(CodecTest, QueryRoundTripOptionalFieldsAbsent) {
   EXPECT_FALSE(decoded->spec.structure_name.has_value());
   EXPECT_FALSE(decoded->spec.box.has_value());
   EXPECT_FALSE(decoded->spec.intensity_range.has_value());
-}
-
-TEST(CodecTest, ResultHeaderRoundTrip) {
-  ResultHeader rh;
-  rh.result_runs = 123;
-  rh.result_voxels = 45678;
-  rh.payload_bytes = 99999;
-  rh.cache_hit = true;
-  rh.timing.total_seconds = 1.5;
-  rh.timing.lfm_pages = 42;
-  rh.timing.network_messages = 7;
-  rh.info_sql = "SELECT * FROM studies";
-  rh.data_sql = "EXTRACT_DATA(...)";
-  auto decoded = DecodeResultHeader(EncodeResultHeader(rh));
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  EXPECT_EQ(decoded->result_runs, rh.result_runs);
-  EXPECT_EQ(decoded->result_voxels, rh.result_voxels);
-  EXPECT_EQ(decoded->payload_bytes, rh.payload_bytes);
-  EXPECT_EQ(decoded->cache_hit, true);
-  EXPECT_EQ(decoded->timing.lfm_pages, 42u);
-  EXPECT_EQ(decoded->info_sql, rh.info_sql);
-  EXPECT_EQ(decoded->data_sql, rh.data_sql);
 }
 
 TEST(CodecTest, ErrorRoundTrip) {
@@ -299,7 +300,6 @@ TEST(CodecAdversarialTest, RandomPayloadsNeverCrashDecoders) {
     (void)DecodeHello(junk);
     (void)DecodeWelcome(junk);
     (void)DecodeQuery(junk);
-    (void)DecodeResultHeader(junk);
     (void)DecodeError(junk);
     (void)DecodeAnswerPayload(junk);
   }

@@ -76,7 +76,9 @@ TEST(FrameTest, RejectsUnsupportedVersion) {
 }
 
 TEST(FrameTest, RejectsUnknownMessageType) {
-  for (uint16_t type : {uint16_t{0}, uint16_t{11}, uint16_t{0xFFFF}}) {
+  // 4 and 6 are unassigned (they were result_header and result_end).
+  for (uint16_t type : {uint16_t{0}, uint16_t{4}, uint16_t{6}, uint16_t{11},
+                        uint16_t{0xFFFF}}) {
     std::vector<uint8_t> wire = EncodeFrame(MessageType::kHello, 0, 0, {});
     std::memcpy(wire.data() + 6, &type, sizeof(type));
     auto header = DecodeFrameHeader(wire.data(), wire.size());
@@ -114,7 +116,7 @@ TEST(FrameTest, RejectsOversizedLengthPrefix) {
 TEST(FrameTest, DetectsPayloadCorruption) {
   std::vector<uint8_t> payload(100, 0x5A);
   std::vector<uint8_t> wire =
-      EncodeFrame(MessageType::kResultData, 1, 2, payload);
+      EncodeFrame(MessageType::kResult, 1, 2, payload);
   auto header = DecodeFrameHeader(wire.data(), wire.size());
   ASSERT_TRUE(header.ok());
 
@@ -130,7 +132,7 @@ TEST(FrameTest, DetectsPayloadCorruption) {
 
 TEST(WireTest, NamesAreStable) {
   EXPECT_STREQ(MessageTypeName(MessageType::kHello), "hello");
-  EXPECT_STREQ(MessageTypeName(MessageType::kResultData), "result_data");
+  EXPECT_STREQ(MessageTypeName(MessageType::kResult), "result");
   EXPECT_STREQ(ErrorReasonName(ErrorReason::kQuotaRejected), "quota_rejected");
 }
 

@@ -106,9 +106,11 @@ TEST_F(ServerTest, LoginQueryMatchesDirectExecution) {
   EXPECT_EQ(outcome->header.result_voxels, truth->result_voxels);
   EXPECT_EQ(outcome->header.result_runs, truth->result_runs);
 
-  // Codec accounting: what the client received is what the header
-  // promised and what the server says it shipped.
-  EXPECT_EQ(outcome->shipped_bytes, outcome->header.payload_bytes);
+  // Codec accounting: what the client received is the encoded answer
+  // and what the server says it shipped.
+  auto want = EncodeAnswerPayload(truth->data, ext_->config().region_encoding);
+  ASSERT_TRUE(want.ok());
+  EXPECT_EQ(outcome->header.payload_bytes, want->size());
   EXPECT_EQ(server.stats().ship_bytes, outcome->header.payload_bytes);
   EXPECT_EQ(server.stats().queries_ok, 1u);
 
@@ -118,7 +120,8 @@ TEST_F(ServerTest, LoginQueryMatchesDirectExecution) {
 
 TEST_F(ServerTest, AnswerPayloadIsEncodeAnswerPayloadByteForByte) {
   // The server sends the answer prefix and then the voxels in place;
-  // the frame a client reads must be exactly the one-buffer encoding.
+  // the one frame a client reads must be exactly the one-buffer
+  // encoding.
   QbismServer server(ext_, BaseOptions());
   ASSERT_TRUE(server.Start().ok());
   auto client = NetClient::Connect("127.0.0.1", server.port());
@@ -158,24 +161,27 @@ TEST_F(ServerTest, AnswerPayloadIsEncodeAnswerPayloadByteForByte) {
                                   client->session_token(), ++request_id,
                                   {EncodeQuery(query)})
                     .ok());
-    auto header = socket->ReadFrame();
-    ASSERT_TRUE(header.ok()) << header.status().ToString();
-    ASSERT_EQ(header->header.type, MessageType::kResultHeader);
     auto data = socket->ReadFrame();
     ASSERT_TRUE(data.ok()) << data.status().ToString();
-    ASSERT_EQ(data->header.type, MessageType::kResultData);
+    ASSERT_EQ(data->header.type, MessageType::kResult);
     EXPECT_EQ(data->header.request_id, request_id);
     EXPECT_TRUE(data->payload == *want);
-    EXPECT_EQ(DecodeResultHeader(header->payload)->payload_bytes,
-              want->size());
-    auto end = socket->ReadFrame();
-    ASSERT_TRUE(end.ok()) << end.status().ToString();
-    EXPECT_EQ(end->header.type, MessageType::kResultEnd);
+    // The answer was counted before its frame went out.
     EXPECT_EQ(server.stats().ship_bytes - shipped_before, want->size());
+    // It is the only frame: the next one on the socket answers a ping.
+    ASSERT_TRUE(socket->SendFrame(MessageType::kPing, client->session_token(),
+                                  ++request_id, {})
+                    .ok());
+    auto pong = socket->ReadFrame();
+    ASSERT_TRUE(pong.ok()) << pong.status().ToString();
+    EXPECT_EQ(pong->header.type, MessageType::kPong);
+    EXPECT_EQ(pong->header.request_id, request_id);
   }
 
   client->Bye();
   server.Shutdown();
+  // The welcome, then one result frame and one pong per query.
+  EXPECT_EQ(server.stats().frames_written, 1u + 3u * 2u);
 }
 
 TEST_F(ServerTest, BadSecretCountsUnauthorized) {
@@ -399,6 +405,61 @@ TEST_F(ServerTest, GarbageBytesCountProtocolErrorAndDropConnection) {
   EXPECT_EQ(error->reason, ErrorReason::kProtocol);
   EXPECT_TRUE(client->socket()->ReadFrame().status().IsCancelled());  // EOF
   EXPECT_GE(server.stats().protocol_errors, 1u);
+  server.Shutdown();
+}
+
+// A request header declaring one byte more than the largest valid
+// request is refused from the header alone: error(protocol) and a close,
+// counted, with no payload byte sent, so none was read or buffered.
+TEST_F(ServerTest, RequestOverTheCeilingIsRefusedAtItsHeader) {
+  QbismServer server(ext_, BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  const auto header = EncodeFrameHeader(MessageType::kHello, 0, 1,
+                                        kMaxRequestPayload + 1, 0);
+  ASSERT_EQ(::send(client->socket()->fd(), header.data(), header.size(),
+                   MSG_NOSIGNAL),
+            static_cast<ssize_t>(header.size()));
+  auto frame = client->socket()->ReadFrame();
+  ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+  EXPECT_EQ(frame->header.type, MessageType::kError);
+  auto error = DecodeError(frame->payload);
+  ASSERT_TRUE(error.ok());
+  EXPECT_EQ(error->reason, ErrorReason::kProtocol);
+  EXPECT_NE(error->message.find("exceeds limit " +
+                                std::to_string(kMaxRequestPayload)),
+            std::string::npos)
+      << error->message;
+  EXPECT_TRUE(client->socket()->ReadFrame().status().IsCancelled());  // EOF
+  EXPECT_EQ(server.stats().protocol_errors, 1u);
+  EXPECT_EQ(server.stats().frames_read, 0u);
+  server.Shutdown();
+}
+
+// The largest valid request, a query whose two names are as long as the
+// codec allows, passes the ceiling and is decoded: the names are
+// unknown, so the reply is query_failed, not protocol.
+TEST_F(ServerTest, QueryAtTheRequestCeilingIsDecoded) {
+  QbismServer server(ext_, BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
+  QueryRequest query;
+  query.spec.study_id = study_ids_->front();
+  query.spec.atlas_name = std::string(kMaxNameBytes, 'a');
+  query.spec.structure_name = std::string(kMaxNameBytes, 's');
+  query.spec.box = geometry::Box3i{{0, 0, 0}, {7, 7, 7}};
+  query.spec.intensity_range = {0, 255};
+  ASSERT_EQ(EncodeQuery(query).size(), kMaxRequestPayload);
+  auto outcome = client->RunQuery(query.spec);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(client->last_error_reason(), ErrorReason::kQueryFailed)
+      << outcome.status().ToString();
+  EXPECT_TRUE(client->connected());
+  EXPECT_EQ(server.stats().protocol_errors, 0u);
+  EXPECT_EQ(server.stats().queries_failed, 1u);
   server.Shutdown();
 }
 

@@ -175,7 +175,7 @@ TEST_F(SlowReaderTest, SendFrameChecksumsAndSendsEveryPart) {
   FrameSocket socket(fds_[0]);
   Status status;
   std::thread sender([&] {
-    status = socket.SendFrame(MessageType::kResultData, 11, 22,
+    status = socket.SendFrame(MessageType::kResult, 11, 22,
                               {prefix, values});
   });
   std::vector<uint8_t> got =
@@ -186,7 +186,7 @@ TEST_F(SlowReaderTest, SendFrameChecksumsAndSendsEveryPart) {
 
   auto header = DecodeFrameHeader(got.data(), kHeaderBytes);
   ASSERT_TRUE(header.ok()) << header.status().ToString();
-  EXPECT_EQ(header->type, MessageType::kResultData);
+  EXPECT_EQ(header->type, MessageType::kResult);
   EXPECT_EQ(header->session, 11u);
   EXPECT_EQ(header->request_id, 22u);
   std::vector<uint8_t> payload(got.begin() + kHeaderBytes, got.end());

@@ -23,8 +23,10 @@ directory). Verifies, over every tracked markdown file:
    CHANGES.md are exempt: they name planned and deleted files.
 7. docs/NETWORK.md states the wire protocol of src/server/protocol.h:
    its frame-layout row reads "protocol version, currently N" with N =
-   kProtocolVersion, and its message-type table has exactly one row
-   per MessageTypeName string, with that type's enum number.
+   kProtocolVersion, its version history has a "Version N" sentence
+   for that N (so a protocol bump cannot land without its note), and
+   its message-type table has exactly one row per MessageTypeName
+   string, with that type's enum number.
 8. (Over source files, not docs.) One byte codec: src/common/bytes.h
    alone decides how an integer is laid out in bytes. No other file
    under src/ defines a fixed-width Put/Get/Load/Store helper (U8,
@@ -83,6 +85,7 @@ PROTOCOL_VERSION_RE = re.compile(r"kProtocolVersion\s*=\s*(\d+)")
 MESSAGE_ENUM_RE = re.compile(r"^\s*(k\w+)\s*=\s*(\d+),", re.MULTILINE)
 MESSAGE_NAME_RE = re.compile(r'case MessageType::(k\w+):\s*return "(\w+)"')
 DOC_VERSION_RE = re.compile(r"protocol version, currently (\d+)")
+DOC_VERSION_NOTE_RE = re.compile(r"\bVersion (\d+)\b")
 DOC_MESSAGE_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|\s*(\d+)\s*\|",
                                 re.MULTILINE)
 BYTE_CODEC = "src/common/bytes.h"
@@ -129,10 +132,14 @@ def check_protocol_doc(network_doc):
     stated = DOC_VERSION_RE.findall(network_doc)
     if version is None:
         problems.append("src/server/protocol.h: no kProtocolVersion")
-    elif stated != [version.group(1)]:
-        problems.append(f"{rel}: states protocol version "
-                        f"{', '.join(stated) or 'nowhere'}, "
-                        f"kProtocolVersion is {version.group(1)}")
+    else:
+        if stated != [version.group(1)]:
+            problems.append(f"{rel}: states protocol version "
+                            f"{', '.join(stated) or 'nowhere'}, "
+                            f"kProtocolVersion is {version.group(1)}")
+        if version.group(1) not in DOC_VERSION_NOTE_RE.findall(network_doc):
+            problems.append(f"{rel}: the version history has no "
+                            f"'Version {version.group(1)}' note")
     enum_body = header.split("enum class MessageType", 1)[-1].split("};")[0]
     numbers = dict(MESSAGE_ENUM_RE.findall(enum_body))
     want = {name: numbers.get(enum) for enum, name in
