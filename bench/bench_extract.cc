@@ -12,10 +12,16 @@
 // coalescing ratio (pages a read per run would transfer per page
 // actually read). The serial rows are built from public LFM calls: a
 // gap-0 PlanRead (exactly the runs of consecutive distinct pages), one
-// ReadExtents of those runs, and a copy-out per region run. Writes
-// BENCH_extract.json next to the binary.
+// ReadExtents of those runs, and a copy-out per region run. A second
+// table repeats the serial path and the vectored path at 1 and 4
+// workers on the same device with the realize scale at 0, where a
+// transfer is a memcpy and ExtractBytes reads inline whatever the pool.
+// Writes BENCH_extract.json into the working directory.
 //
 // `--smoke` shrinks the grid and repetitions for the perf-labeled ctest.
+// Besides the byte checks against the serial path and Volume::Extract,
+// it exits 1 when an in-memory extraction with a pool runs any helper
+// task, or when no extraction on the waiting device reaches a helper.
 
 #include <algorithm>
 #include <cstdio>
@@ -89,6 +95,17 @@ std::vector<uint8_t> SerialExtract(qbism::storage::LongFieldManager* lfm,
   return values;
 }
 
+/// The per-run page sum: what a read-per-run execution transfers.
+uint64_t PagesDemanded(const std::vector<ByteRange>& ranges) {
+  uint64_t demanded = 0;
+  for (const ByteRange& r : ranges) {
+    if (r.length == 0) continue;
+    demanded += (r.offset + r.length - 1) / qbism::storage::kPageSize -
+                r.offset / qbism::storage::kPageSize + 1;
+  }
+  return demanded;
+}
+
 struct Shape {
   std::string name;
   Region region;
@@ -101,6 +118,7 @@ struct Measurement {
   double p95_ms = 0.0;
   uint64_t pages_read = 0;
   uint64_t pages_demanded = 0;
+  double shards = 0.0;  // shard tasks per extraction; 0 for serial rows
 };
 
 double Percentile(std::vector<double> xs, double p) {
@@ -131,13 +149,59 @@ Measurement Measure(const std::string& config, int reps,
   return m;
 }
 
+void PrintHeader() {
+  std::printf("%-12s %-7s %9s %9s %9s %9s %10s %10s %7s\n", "shape", "config",
+              "MB/s", "p50(ms)", "p95(ms)", "speedup", "pages", "demanded",
+              "shards");
+}
+
 void PrintRow(const std::string& shape, const Measurement& m,
               double serial_mbps) {
-  std::printf("%-12s %-7s %9.1f %9.3f %9.3f %8.2fx %10llu %10llu\n",
+  std::printf("%-12s %-7s %9.1f %9.3f %9.3f %8.2fx %10llu %10llu ",
               shape.c_str(), m.config.c_str(), m.mbps, m.p50_ms, m.p95_ms,
               serial_mbps > 0.0 ? m.mbps / serial_mbps : 1.0,
               static_cast<unsigned long long>(m.pages_read),
               static_cast<unsigned long long>(m.pages_demanded));
+  if (m.shards > 0.0) {
+    std::printf("%7.1f\n", m.shards);
+  } else {
+    std::printf("%7s\n", "-");
+  }
+}
+
+/// ExtractBytes at `workers` (the caller plus workers - 1 pool helpers),
+/// timed over `reps` runs; adds the extractor's counters to the row and
+/// its helper tasks to `*helper_tasks`.
+Measurement MeasureVectored(qbism::storage::LongFieldManager* lfm,
+                            LongFieldId field,
+                            const std::vector<ByteRange>& ranges,
+                            uint64_t bytes, int workers, int reps,
+                            ExtractorStatsSnapshot* delta_out,
+                            uint64_t* helper_tasks) {
+  ExtractOptions options;
+  options.min_parallel_pages = 1;
+  ParallelExtractor extractor(lfm, options);
+  std::unique_ptr<TaskPool> pool;
+  if (workers > 1) {
+    pool = std::make_unique<TaskPool>(workers - 1);
+    extractor.set_pool(pool.get());
+  }
+  ExtractorStatsSnapshot before = extractor.stats();
+  Measurement m = Measure("w" + std::to_string(workers), reps,
+                          [&extractor, field, &ranges, bytes]() {
+                            auto out = extractor.ExtractBytes(field, ranges);
+                            QBISM_CHECK(out.ok());
+                            return bytes;
+                          });
+  ExtractorStatsSnapshot delta = extractor.stats() - before;
+  m.pages_read = delta.pages_read / delta.extractions;
+  m.pages_demanded = delta.pages_demanded / delta.extractions;
+  m.shards = static_cast<double>(delta.shard_tasks) /
+             static_cast<double>(delta.extractions);
+  *helper_tasks += delta.helper_tasks;
+  if (delta_out != nullptr) *delta_out = delta;
+  if (pool) pool->Shutdown();
+  return m;
 }
 
 }  // namespace
@@ -193,21 +257,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(config.grid.NumCells() /
                                               qbism::storage::kPageSize),
               1.0 / kRealizeScale, kReps);
-  std::printf("%-12s %-7s %9s %9s %9s %9s %10s %10s\n", "shape", "config",
-              "MB/s", "p50(ms)", "p95(ms)", "speedup", "pages", "demanded");
+  PrintHeader();
 
   double full_serial_mbps = 0.0, full_w4_mbps = 0.0;
   bool pages_bounded = true;
+  uint64_t waiting_helper_tasks = 0;
   for (const Shape& shape : shapes) {
     std::vector<ByteRange> ranges = qbism::RunByteRanges(shape.region);
     uint64_t bytes = shape.region.VoxelCount();
-    // The per-run page sum: what a read-per-run execution transfers.
-    uint64_t demanded = 0;
-    for (const ByteRange& r : ranges) {
-      if (r.length == 0) continue;
-      demanded += (r.offset + r.length - 1) / qbism::storage::kPageSize -
-                  r.offset / qbism::storage::kPageSize + 1;
-    }
+    uint64_t demanded = PagesDemanded(ranges);
 
     // The serial path: each run of consecutive distinct pages is one
     // transfer, then a copy-out per region run.
@@ -230,25 +288,10 @@ int main(int argc, char** argv) {
 
     // The vectored path at increasing worker counts (caller + helpers).
     for (int workers : {1, 2, 4, 8}) {
-      ExtractOptions options;
-      options.min_parallel_pages = 1;
-      ParallelExtractor extractor(db.lfm(), options);
-      std::unique_ptr<TaskPool> pool;
-      if (workers > 1) {
-        pool = std::make_unique<TaskPool>(workers - 1);
-        extractor.set_pool(pool.get());
-      }
-      ExtractorStatsSnapshot before = extractor.stats();
-      Measurement m = Measure(
-          "w" + std::to_string(workers), kReps,
-          [&extractor, field, &ranges, bytes]() {
-            auto out = extractor.ExtractBytes(field, ranges);
-            QBISM_CHECK(out.ok());
-            return bytes;
-          });
-      ExtractorStatsSnapshot delta = extractor.stats() - before;
-      m.pages_read = delta.pages_read / delta.extractions;
-      m.pages_demanded = delta.pages_demanded / delta.extractions;
+      ExtractorStatsSnapshot delta;
+      Measurement m =
+          MeasureVectored(db.lfm(), field, ranges, bytes, workers, kReps,
+                          &delta, &waiting_helper_tasks);
       if (m.pages_read > m.pages_demanded) pages_bounded = false;
       PrintRow(shape.name, m, serial.mbps);
       prefix = shape.name + "_w" + std::to_string(workers);
@@ -263,7 +306,6 @@ int main(int argc, char** argv) {
                  delta.ParallelEfficiency());
         if (shape.name == "full-study") full_w4_mbps = m.mbps;
       }
-      if (pool) pool->Shutdown();
     }
 
     // Differential check once per shape: the vectored bytes must equal
@@ -277,20 +319,72 @@ int main(int argc, char** argv) {
     std::printf("\n");
   }
 
+  // The same shapes on the in-memory device: a transfer is a memcpy, so
+  // ExtractBytes reads inline (one shard) with or without a pool.
+  db.lfm()->device()->set_realize_scale(0.0);
+  const int kMemReps = smoke ? 20 : 400;
+  std::printf("in memory (realize scale 0), %d reps\n\n", kMemReps);
+  PrintHeader();
+  uint64_t memory_helper_tasks = 0;
+  for (const Shape& shape : shapes) {
+    std::vector<ByteRange> ranges = qbism::RunByteRanges(shape.region);
+    uint64_t bytes = shape.region.VoxelCount();
+    std::vector<uint8_t> arena;
+    qbism::storage::IoStats io_before = db.lfm()->device()->stats();
+    Measurement serial =
+        Measure("serial", kMemReps, [&db, field, &ranges, bytes, &arena]() {
+          SerialExtract(db.lfm(), field, ranges, bytes, &arena);
+          return bytes;
+        });
+    serial.pages_read =
+        (db.lfm()->device()->stats() - io_before).pages_read / (kMemReps + 1);
+    serial.pages_demanded = PagesDemanded(ranges);
+    PrintRow(shape.name, serial, serial.mbps);
+    std::string prefix = shape.name + "_mem_serial";
+    json.Add(prefix + "_mbps", serial.mbps);
+    json.Add(prefix + "_p50_ms", serial.p50_ms);
+    for (int workers : {1, 4}) {
+      Measurement m =
+          MeasureVectored(db.lfm(), field, ranges, bytes, workers, kMemReps,
+                          nullptr, &memory_helper_tasks);
+      PrintRow(shape.name, m, serial.mbps);
+      prefix = shape.name + "_mem_w" + std::to_string(workers);
+      json.Add(prefix + "_mbps", m.mbps);
+      json.Add(prefix + "_p50_ms", m.p50_ms);
+      json.Add(prefix + "_shards", m.shards);
+    }
+    std::printf("\n");
+  }
+
   double speedup_4w =
       full_serial_mbps > 0.0 ? full_w4_mbps / full_serial_mbps : 0.0;
   std::printf("full-study vectored @4 workers vs serial path: %.2fx\n",
               speedup_4w);
   std::printf("planner pages-read <= per-run demand everywhere: %s\n",
               pages_bounded ? "yes" : "NO");
+  std::printf("helper tasks: %llu on the waiting device, %llu in memory\n",
+              static_cast<unsigned long long>(waiting_helper_tasks),
+              static_cast<unsigned long long>(memory_helper_tasks));
   json.Add("full_study_speedup_4w", speedup_4w);
   json.Add("pages_bounded", pages_bounded ? uint64_t{1} : uint64_t{0});
+  json.Add("waiting_helper_tasks", waiting_helper_tasks);
+  json.Add("memory_helper_tasks", memory_helper_tasks);
 
   const char* out = "BENCH_extract.json";
   if (json.WriteFile(out)) {
     std::printf("wrote %s\n", out);
   } else {
     std::printf("failed to write %s\n", out);
+    return 1;
+  }
+  // Fan out only where a transfer waits: in memory no helper runs, and
+  // on the waiting device some extraction reaches one.
+  if (memory_helper_tasks != 0) {
+    std::printf("FAIL: an in-memory extraction ran helper tasks\n");
+    return 1;
+  }
+  if (waiting_helper_tasks == 0) {
+    std::printf("FAIL: no extraction on the waiting device reached a helper\n");
     return 1;
   }
   return 0;

@@ -2,21 +2,29 @@
 // remarks: O(bits) curve conversions ("Both curves require O(n)
 // complexity to convert", §4), cheap merge-scan spatial operators ("the
 // computational cost of managing REGIONs ... is low", §6.4), and the
-// contiguous-copy extraction path; plus the CRC-32 every shipped and
+// contiguous-copy extraction path, in memory and through the long-field
+// device as EXTRACT_DATA runs it; plus the CRC-32 every shipped and
 // logged byte passes through, and the naive-runs REGION codec and
 // answer decode every shipped answer takes.
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <cstring>
+#include <memory>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/task_pool.h"
 #include "compress/codes.h"
 #include "curve/curve.h"
 #include "geometry/shapes.h"
+#include "qbism/parallel_extractor.h"
+#include "qbism/spatial_extension.h"
 #include "region/encoding.h"
 #include "region/region.h"
 #include "server/codec.h"
+#include "sql/database.h"
 #include "volume/volume.h"
 
 namespace {
@@ -137,10 +145,11 @@ BENCHMARK(BM_RegionDecodeNaive);
 /// Decoding one shipped answer (naive-runs REGION) on the client, for a
 /// full study (arg 0 = 0: one run, 2 MiB of voxels) and a blob (1: the
 /// ellipsoid's ~2.2k runs). arg 1 = 0 decodes the whole payload with
-/// DecodeAnswerPayload, which copies the pieces out of it; 1 is what
-/// the in-place reader leaves to do around recv: size the REGION and
-/// voxel buffers (the REGION bytes are copied in where recv would
-/// write them) and DecodeAnswer.
+/// DecodeAnswerPayload, which copies the pieces out of it; 1 is the
+/// in-place receive: the REGION bytes are copied in where recv would
+/// write them, the voxel buffer grows 64 KiB at a time as
+/// NetClient::ReceiveAnswer grows it, each slice filled (a copy stands
+/// in for recv) right after it is sized, and DecodeAnswer runs.
 void BM_AnswerDecode(benchmark::State& state) {
   const GridSpec grid{3, 7};
   Region r = state.range(0) == 0 ? Region::Full(grid, CurveKind::kHilbert)
@@ -161,11 +170,19 @@ void BM_AnswerDecode(benchmark::State& state) {
           })
           .MoveValue();
   const bool in_place = state.range(1) == 1;
+  constexpr size_t kSliceBytes = 64u << 10;  // as NetClient's receive
   for (auto _ : state) {
     if (in_place) {
       qbism::server::AnswerPieces pieces{received.head, received.region_bytes,
                                          {}};
-      pieces.values.resize(voxels);
+      pieces.values.reserve(voxels);
+      for (size_t at = 0; at < voxels;) {
+        const size_t slice = std::min(voxels - at, kSliceBytes);
+        pieces.values.resize(at + slice);
+        std::memcpy(pieces.values.data() + at, received.values.data() + at,
+                    slice);
+        at += slice;
+      }
       auto data = qbism::server::DecodeAnswer(std::move(pieces));
       benchmark::DoNotOptimize(data);
     } else {
@@ -178,6 +195,62 @@ void BM_AnswerDecode(benchmark::State& state) {
   state.SetLabel(in_place ? "in place" : "payload");
 }
 BENCHMARK(BM_AnswerDecode)->ArgsProduct({{0, 1}, {0, 1}});
+
+/// A 128^3 study stored in an in-memory long-field device (transfers
+/// do not wait) and three EXTRACT_DATA run lists over it: the full
+/// study, the blob of BM_VolumeExtract and an intensity band.
+struct ExtractFixture {
+  qbism::sql::Database db;
+  std::unique_ptr<qbism::SpatialExtension> ext;
+  qbism::storage::LongFieldId field;
+  std::vector<qbism::storage::ByteRange> shapes[3];
+
+  ExtractFixture() {
+    ext = qbism::SpatialExtension::Install(&db, qbism::SpatialConfig{})
+              .MoveValue();
+    const GridSpec grid{3, 7};
+    auto volume = qbism::volume::Volume::FromFunction(
+        grid, CurveKind::kHilbert, [](const qbism::geometry::Vec3i& p) {
+          int cx = p.x - 64, cy = p.y - 64, cz = p.z - 64;
+          return static_cast<uint8_t>((cx * cx + cy * cy + cz * cz) * 255 /
+                                      (3 * 64 * 64 + 1));
+        });
+    field = ext->StoreVolume(volume).MoveValue();
+    shapes[0] = qbism::RunByteRanges(Region::Full(grid, CurveKind::kHilbert));
+    shapes[1] = qbism::RunByteRanges(BlobRegion(1.0));
+    shapes[2] = qbism::RunByteRanges(volume.BandRegion(96, 127));
+  }
+};
+
+/// One ExtractBytes, the EXTRACT_DATA data path, on the in-memory
+/// device: arg 0 picks the run list (0 full study, 1 blob, 2 band), arg
+/// 1 runs it inline (0) or with a 4-thread donation pool installed (1).
+void BM_ExtractBytes(benchmark::State& state) {
+  static ExtractFixture* fixture = new ExtractFixture();
+  const auto& ranges = fixture->shapes[state.range(0)];
+  qbism::ParallelExtractor extractor(fixture->db.lfm());
+  std::unique_ptr<qbism::TaskPool> pool;
+  if (state.range(1) == 1) {
+    pool = std::make_unique<qbism::TaskPool>(4);
+    extractor.set_pool(pool.get());
+  }
+  uint64_t bytes = 0;
+  for (auto _ : state) {
+    auto data = extractor.ExtractBytes(fixture->field, ranges);
+    bytes = data->size();
+    benchmark::DoNotOptimize(data);
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+  state.counters["runs"] = static_cast<double>(ranges.size());
+  state.counters["shards"] =
+      static_cast<double>(extractor.stats().shard_tasks) /
+      static_cast<double>(std::max<uint64_t>(1, extractor.stats().extractions));
+  static const char* const kShapes[] = {"full", "blob", "band"};
+  state.SetLabel(std::string(kShapes[state.range(0)]) +
+                 (pool ? " pool 4" : " inline"));
+}
+BENCHMARK(BM_ExtractBytes)->ArgsProduct({{0, 1, 2}, {0, 1}});
 
 void BM_VolumeExtract(benchmark::State& state) {
   const GridSpec grid{3, 7};

@@ -4,6 +4,7 @@
 
 #include "common/macros.h"
 #include "common/timer.h"
+#include "sql/lexer.h"
 
 namespace qbism {
 
@@ -103,8 +104,8 @@ Result<StudyQueryResult> MedicalServer::AverageInStructure(
   // Fetch the structure REGION handle.
   out.info_sql =
       "select ast.region from atlasStructure ast, neuralStructure ns "
-      "where ast.structureId = ns.structureId and ns.structureName = '" +
-      structure_name + "'";
+      "where ast.structureId = ns.structureId and ns.structureName = " +
+      sql::QuoteLiteral(structure_name);
   const double compile_seconds = pipeline_.cost_model().sql_compile_seconds;
   out.timing.other_seconds = compile_seconds;
 

@@ -47,17 +47,6 @@ uint64_t PinRun(storage::EpochManager* epochs,
   return epoch;
 }
 
-/// Pages a read-per-run execution would transfer: every run pays for
-/// each of its own pages, shared pages counted once per run.
-uint64_t PagesDemanded(const std::vector<ByteRange>& ranges) {
-  uint64_t pages = 0;
-  for (const ByteRange& r : ranges) {
-    if (r.length == 0) continue;
-    pages += (r.offset + r.length - 1) / kPageSize - r.offset / kPageSize + 1;
-  }
-  return pages;
-}
-
 }  // namespace
 
 ExtractorStatsSnapshot ExtractorStatsSnapshot::operator-(
@@ -104,13 +93,30 @@ struct ParallelExtractor::ShardOutcome {
   double busy_seconds = 0.0;   // mu
 };
 
-Status ParallelExtractor::RunShard(
-    LongFieldId field, const std::vector<PlannedExtent>& units,
-    const std::vector<ByteRange>& ranges,
-    const std::vector<uint64_t>& dest_offsets,
-    const std::vector<size_t>& range_lo, size_t first_extent,
-    size_t extent_count, uint8_t* out,
-    const std::function<Status()>& interrupt, ShardOutcome* outcome) const {
+/// Where a shard writes its pieces. They are one contiguous part of the
+/// answer, in order: appended to `append` (the inline path's reserved
+/// answer), or else copied from `next` on (the shard's part of the
+/// sharded path's pre-sized answer).
+struct ParallelExtractor::Sink {
+  std::vector<uint8_t>* append = nullptr;
+  uint8_t* next = nullptr;
+
+  void Put(const uint8_t* bytes, uint64_t len) {
+    if (append != nullptr) {
+      append->insert(append->end(), bytes, bytes + len);
+    } else {
+      std::memcpy(next, bytes, len);
+      next += len;
+    }
+  }
+};
+
+Status ParallelExtractor::RunShard(LongFieldId field,
+                                   const std::vector<PlannedExtent>& units,
+                                   const std::vector<ByteRange>& ranges,
+                                   size_t first_range, Sink sink,
+                                   const std::function<Status()>& interrupt,
+                                   ShardOutcome* outcome) const {
   WallTimer timer;
   // Helpers enter with the owner's context installed by TaskPool, so
   // this span (and the kIo spans under ReadExtents) joins the owning
@@ -127,57 +133,26 @@ Status ParallelExtractor::RunShard(
 
   Status status = Poll(interrupt);
   if (status.ok()) {
-    // Destination per extent: straight into the result buffer when one
-    // range covers the extent end to end (the common case — a coalesced
-    // extent is usually interior to a long run), a scratch arena for
-    // boundary extents whose pages carry bytes of several ranges or
-    // bytes outside every range.
-    std::vector<PlannedExtent> extents(
-        units.begin() + static_cast<ptrdiff_t>(first_extent),
-        units.begin() + static_cast<ptrdiff_t>(first_extent + extent_count));
-    std::vector<uint8_t*> outs(extent_count, nullptr);
-    std::vector<uint64_t> scratch_off(extent_count, UINT64_MAX);
-    uint64_t scratch_bytes = 0;
-    for (size_t i = 0; i < extent_count; ++i) {
-      const PlannedExtent& e = extents[i];
-      uint64_t start = e.ByteOffset();
-      uint64_t bytes = e.ByteCount();
-      const ByteRange& r = ranges[range_lo[first_extent + i]];
-      if (r.offset <= start && r.offset + r.length >= start + bytes) {
-        outs[i] = out + dest_offsets[range_lo[first_extent + i]] +
-                  (start - r.offset);
-      } else {
-        scratch_off[i] = scratch_bytes;
-        scratch_bytes += bytes;
-      }
-    }
-    std::vector<uint8_t> scratch(scratch_bytes);
-    for (size_t i = 0; i < extent_count; ++i) {
-      if (scratch_off[i] != UINT64_MAX) {
-        outs[i] = scratch.data() + scratch_off[i];
-      }
-    }
-
-    // One scatter-gather device call for the whole shard.
-    status = lfm_->ReadExtents(field, extents, outs);
-
-    if (status.ok()) {
-      // Scatter the boundary extents' pieces to their ranges.
-      for (size_t i = 0; i < extent_count; ++i) {
-        if (scratch_off[i] == UINT64_MAX) continue;
-        uint64_t start = extents[i].ByteOffset();
-        uint64_t end = start + extents[i].ByteCount();
-        for (size_t j = range_lo[first_extent + i];
-             j < ranges.size() && ranges[j].offset < end; ++j) {
-          uint64_t ov_start = std::max(ranges[j].offset, start);
-          uint64_t ov_end = std::min(ranges[j].offset + ranges[j].length, end);
-          if (ov_start >= ov_end) continue;
-          std::memcpy(out + dest_offsets[j] + (ov_start - ranges[j].offset),
-                      scratch.data() + scratch_off[i] + (ov_start - start),
-                      ov_end - ov_start);
-        }
-      }
-    }
+    // One batch device read for the whole shard. The visitor sees each
+    // unit's pages in place and copies every range's overlap with them
+    // once, straight to the answer; a range running past a unit goes on
+    // in the next one, so pieces arrive in range order.
+    size_t j = first_range;
+    status = lfm_->ReadExtents(
+        field, units, [&](size_t i, const uint8_t* pages) {
+          const uint64_t start = units[i].ByteOffset();
+          const uint64_t end = start + units[i].ByteCount();
+          for (; j < ranges.size() && ranges[j].offset < end; ++j) {
+            const ByteRange& r = ranges[j];
+            const uint64_t r_end = r.offset + r.length;
+            const uint64_t from = std::max(r.offset, start);
+            const uint64_t to = std::min(r_end, end);
+            if (from < to) {
+              sink.Put(pages + (from - start), to - from);
+            }
+            if (r_end > end) break;
+          }
+        });
   }
 
   storage::IoStats delta = device->thread_stats() - io_before;
@@ -203,19 +178,23 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
   // under this span.
   obs::Span extract(obs::Stage::kExtract);
   obs::ScopedTraceContext extract_ctx(extract.context());
-  // The scatter offsets are prefix sums over the input order, which is
-  // only meaningful for a canonical (sorted, disjoint) run list.
-  std::vector<uint64_t> dest_offsets(ranges.size(), 0);
+  // The answer is the ranges' bytes in input order, which a shard
+  // writes in one ascending walk only for a canonical (sorted,
+  // disjoint) run list.
   uint64_t total = 0;
+  uint64_t demanded = 0;  // pages a read per run would transfer
   uint64_t prev_end = 0;
   for (size_t i = 0; i < ranges.size(); ++i) {
-    if (i > 0 && ranges[i].offset < prev_end) {
+    const ByteRange& r = ranges[i];
+    if (i > 0 && r.offset < prev_end) {
       return Status::InvalidArgument(
           "ExtractBytes: ranges must be sorted and disjoint");
     }
-    dest_offsets[i] = total;
-    total += ranges[i].length;
-    prev_end = ranges[i].offset + ranges[i].length;
+    total += r.length;
+    prev_end = r.offset + r.length;
+    if (r.length > 0) {
+      demanded += (prev_end - 1) / kPageSize - r.offset / kPageSize + 1;
+    }
   }
 
   // One snapshot for the whole run: the plan and every shard resolve
@@ -228,76 +207,84 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
   storage::ReadPlanOptions plan_options{options_.gap_fill_pages};
   QBISM_ASSIGN_OR_RETURN(ReadPlan plan,
                          lfm_->PlanRead(field, ranges, plan_options));
-  std::vector<uint8_t> out(total);
 
+  // Shards pay only by overlapping transfers that wait. Where a
+  // transfer is a memcpy, more threads add handoffs and, under load,
+  // take cores from other queries, so the caller reads inline. A
+  // one-page plan cannot split.
   TaskPool* pool = this->pool();
   size_t num_shards = 1;
-  if (pool != nullptr && pool->num_threads() > 0 && plan.pages_read > 0 &&
-      plan.pages_read >= options_.min_parallel_pages) {
+  if (pool != nullptr && pool->num_threads() > 0 && plan.pages_read > 1 &&
+      plan.pages_read >= options_.min_parallel_pages &&
+      lfm_->device()->transfers_wait()) {
     num_shards = std::min(kMaxShards,
                           static_cast<size_t>(pool->num_threads()) + 1);
   }
 
-  // The shard unit list: the plan's extents, with any extent larger than
-  // the per-shard page target split so a single long run (a full-study
-  // extraction is one extent) still fans out across workers. Splitting
-  // never changes which pages move — only how many device calls carry
-  // them — so pages_read and the fault sweep's transfer-site count stay
-  // deterministic.
-  std::vector<PlannedExtent> units;
-  uint64_t target =
-      num_shards <= 1 ? 0 : (plan.pages_read + num_shards - 1) / num_shards;
-  if (target == 0) {
-    units = plan.extents;
-  } else {
-    for (const PlannedExtent& e : plan.extents) {
-      for (uint64_t p = 0; p < e.page_count; p += target) {
-        units.push_back(
-            {e.first_page + p, std::min(target, e.page_count - p)});
-      }
-    }
-  }
-  if (units.size() <= 1) num_shards = 1;
-
-  // First range overlapping each unit (ranges and units are both
-  // ascending, so one forward sweep suffices).
-  std::vector<size_t> range_lo(units.size(), 0);
-  for (size_t i = 0, j = 0; i < units.size(); ++i) {
-    uint64_t start = units[i].ByteOffset();
-    while (j < ranges.size() &&
-           ranges[j].offset + ranges[j].length <= start) {
-      ++j;
-    }
-    range_lo[i] = j;
-  }
-
   const std::function<Status()> interrupt = ThreadInterrupt();
-
+  std::vector<uint8_t> out;
   Status status;
   uint64_t num_tasks = 1;
   if (num_shards <= 1) {
-    status = RunShard(field, units, ranges, dest_offsets, range_lo, 0,
-                      units.size(), out.data(), interrupt, &outcome);
+    // Inline: one shard on the caller appends every piece, in order, to
+    // the reserved answer, so each answer byte is written once.
+    out.reserve(total);
+    Sink sink;
+    sink.append = &out;
+    status = RunShard(field, plan.extents, ranges, 0, sink, interrupt,
+                      &outcome);
   } else {
-    // Contiguous unit slices balanced by page count: greedy cuts at
-    // ceil(pages/shards) produce at most num_shards tasks.
-    std::vector<std::function<Status()>> tasks;
-    uint8_t* out_data = out.data();
-    size_t begin = 0;
+    // Sharded. Units: the plan's extents chopped at `target` pages, so a
+    // single long extent (a full study) still fans out, dealt greedily
+    // into contiguous slices of about `target` pages, at most num_shards
+    // of them. Splitting never changes which pages move, only how many
+    // device calls carry them, so pages_read and the fault sweep's
+    // transfer-site count stay deterministic. A slice's pieces are one
+    // contiguous part of the pre-sized answer, from where the first
+    // range overlapping its first unit meets that unit.
+    out.resize(total);
+    struct Slice {
+      std::vector<PlannedExtent> units;
+      size_t first_range = 0;
+      uint64_t answer_offset = 0;
+    };
+    const uint64_t target = (plan.pages_read + num_shards - 1) / num_shards;
+    std::vector<Slice> slices(1);
     uint64_t acc = 0;
-    for (size_t i = 0; i < units.size(); ++i) {
-      acc += units[i].page_count;
-      if (acc >= target || i + 1 == units.size()) {
-        size_t count = i + 1 - begin;
-        tasks.push_back([this, field, &units, &ranges, &dest_offsets,
-                         &range_lo, &interrupt, &outcome, out_data, begin,
-                         count]() {
-          return RunShard(field, units, ranges, dest_offsets, range_lo, begin,
-                          count, out_data, interrupt, &outcome);
-        });
-        begin = i + 1;
-        acc = 0;
+    size_t j = 0;
+    uint64_t before = 0;  // answer bytes of ranges[0, j)
+    for (const PlannedExtent& e : plan.extents) {
+      for (uint64_t p = 0; p < e.page_count; p += target) {
+        PlannedExtent unit{e.first_page + p,
+                           std::min(target, e.page_count - p)};
+        if (acc >= target) {
+          const uint64_t start = unit.ByteOffset();
+          while (j < ranges.size() &&
+                 ranges[j].offset + ranges[j].length <= start) {
+            before += ranges[j].length;
+            ++j;
+          }
+          Slice& slice = slices.emplace_back();
+          slice.first_range = j;
+          slice.answer_offset = before;
+          if (j < ranges.size() && ranges[j].offset < start) {
+            slice.answer_offset += start - ranges[j].offset;
+          }
+          acc = 0;
+        }
+        slices.back().units.push_back(unit);
+        acc += unit.page_count;
       }
+    }
+    std::vector<std::function<Status()>> tasks;
+    for (const Slice& slice : slices) {
+      tasks.push_back([this, field, &slice, &ranges, &interrupt, &outcome,
+                       &out]() {
+        Sink sink;
+        sink.next = out.data() + slice.answer_offset;
+        return RunShard(field, slice.units, ranges, slice.first_range, sink,
+                        interrupt, &outcome);
+      });
     }
     num_tasks = tasks.size();
     status = pool->RunBatch(std::move(tasks), kMaxHelpers);
@@ -317,7 +304,7 @@ Result<std::vector<uint8_t>> ParallelExtractor::ExtractBytes(
       stats_.runs += ranges.size();
       stats_.extents_planned += plan.extents.size();
       stats_.pages_read += plan.pages_read;
-      stats_.pages_demanded += PagesDemanded(ranges);
+      stats_.pages_demanded += demanded;
       stats_.bytes_moved += total;
       stats_.wall_seconds += wall.Seconds();
     }

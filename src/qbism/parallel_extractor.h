@@ -20,7 +20,8 @@ struct ExtractOptions {
   /// through rather than paying a seek.
   uint64_t gap_fill_pages = 1;
   /// Plans moving fewer pages than this run inline on the caller —
-  /// sharding a tiny read costs more in coordination than it saves.
+  /// sharding a tiny read costs more in coordination than it saves. A
+  /// larger plan is sharded only on a device whose transfers wait.
   uint64_t min_parallel_pages = 64;
 };
 
@@ -59,11 +60,13 @@ struct ExtractorStatsSnapshot {
 };
 
 /// The vectored, parallel EXTRACT_DATA executor: plans a region's run
-/// list into coalesced page extents (LongFieldManager::PlanRead), shards
-/// the extents across a donation TaskPool, and scatters each batch read
-/// directly into the caller's pre-sized result buffer at precomputed
-/// offsets — one copy from the device store to the DATA_REGION, no
-/// per-range intermediate buffers.
+/// list into coalesced page extents (LongFieldManager::PlanRead) and
+/// reads them in one batch whose visitor copies each range's bytes from
+/// the device page straight into the answer — one copy from the device
+/// store to the DATA_REGION, no intermediate buffers. On a device whose
+/// transfers wait (DiskDevice::transfers_wait) a large plan is sharded
+/// across a donation TaskPool so the waits overlap; everywhere else the
+/// caller reads inline and appends the pieces in order.
 ///
 /// Thread-safe: many queries may extract through one executor at once
 /// (the query service shares one across its workers). The pool pointer
@@ -74,7 +77,8 @@ class ParallelExtractor {
                              ExtractOptions options = {});
 
   /// Donation pool for intra-query parallelism; nullptr (the default)
-  /// runs every extraction inline on the caller. Not owned.
+  /// runs every extraction inline on the caller, as does a device whose
+  /// transfers do not wait. Not owned.
   void set_pool(TaskPool* pool) {
     pool_.store(pool, std::memory_order_release);
   }
@@ -129,16 +133,17 @@ class ParallelExtractor {
 
  private:
   struct ShardOutcome;
+  struct Sink;
 
-  /// Executes one shard (a contiguous slice of `units`, the plan's
-  /// extents after splitting for parallelism) and scatters into `out`.
-  /// An IOError surfaces as is: the query service owns retries.
+  /// Executes one shard: `units` (the whole plan inline, or a slice of
+  /// its extents split for parallelism) as one batch read, putting each
+  /// range's overlap with a unit, from `ranges[first_range]` on, into
+  /// `sink` in order. An IOError surfaces as is: the query service owns
+  /// retries.
   Status RunShard(storage::LongFieldId field,
                   const std::vector<storage::PlannedExtent>& units,
                   const std::vector<storage::ByteRange>& ranges,
-                  const std::vector<uint64_t>& dest_offsets,
-                  const std::vector<size_t>& range_lo, size_t first_extent,
-                  size_t extent_count, uint8_t* out,
+                  size_t first_range, Sink sink,
                   const std::function<Status()>& interrupt,
                   ShardOutcome* outcome) const;
 

@@ -5,6 +5,7 @@
 #include "common/macros.h"
 #include "common/timer.h"
 #include "obs/trace.h"
+#include "sql/lexer.h"
 #include "viz/dx.h"
 
 namespace qbism {
@@ -80,7 +81,7 @@ std::string BuildInfoSql(const QuerySpec& spec) {
       << " from atlas a, rawVolume rv, warpedVolume wv, patient p"
       << " where a.atlasId = wv.atlasId and wv.studyId = rv.studyId"
       << " and rv.patientId = p.patientId and rv.studyId = " << spec.study_id
-      << " and a.atlasName = '" << spec.atlas_name << "'";
+      << " and a.atlasName = " << sql::QuoteLiteral(spec.atlas_name);
   return sql.str();
 }
 
@@ -122,7 +123,8 @@ Result<std::string> BuildDataSql(sql::Database* db, const QuerySpec& spec) {
   if (spec.structure_name) {
     from << ", atlasStructure ast, neuralStructure ns";
     where << " and ast.structureId = ns.structureId"
-          << " and ns.structureName = '" << *spec.structure_name << "'"
+          << " and ns.structureName = "
+          << sql::QuoteLiteral(*spec.structure_name)
           << " and ast.atlasId = wv.atlasId";
     pieces.push_back("ast.region");
   }

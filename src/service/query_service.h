@@ -85,10 +85,13 @@ struct ServiceOptions {
   double retry_backoff_max_seconds = 0.050;
   /// Donation threads for intra-query extraction parallelism: the
   /// service owns a TaskPool this size and installs it on the shared
-  /// extension's ParallelExtractor, so a large EXTRACT_DATA borrows idle
-  /// capacity while the pool's fair-share cap keeps one query from
-  /// monopolizing it. -1 sizes the pool to num_workers; 0 disables
-  /// (extractions run inline on the calling thread).
+  /// extension's ParallelExtractor, so a large EXTRACT_DATA on a device
+  /// whose transfers wait (DiskDevice::transfers_wait) overlaps its
+  /// waits on borrowed threads while the pool's fair-share cap keeps one
+  /// query from monopolizing them. On the in-memory device every
+  /// extraction runs inline on the calling thread and the pool stays
+  /// idle. -1 sizes the pool to num_workers; 0 disables (extractions
+  /// always run inline).
   int extract_helper_threads = -1;
   /// Optional tracing sink (not owned; must outlive the service). Each
   /// admitted request becomes one trace: a kQuery root span labeled by

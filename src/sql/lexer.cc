@@ -140,4 +140,16 @@ Result<std::vector<Token>> Tokenize(const std::string& sql) {
   return tokens;
 }
 
+std::string QuoteLiteral(std::string_view text) {
+  std::string out;
+  out.reserve(text.size() + 2);
+  out.push_back('\'');
+  for (char c : text) {
+    if (c == '\'') out.push_back('\'');
+    out.push_back(c);
+  }
+  out.push_back('\'');
+  return out;
+}
+
 }  // namespace qbism::sql

@@ -2,6 +2,7 @@
 #define QBISM_SQL_LEXER_H_
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -29,6 +30,11 @@ struct Token {
 
 /// Tokenizes a SQL string. Comments ("-- ... end of line") are skipped.
 Result<std::vector<Token>> Tokenize(const std::string& sql);
+
+/// `text` as a SQL string literal: in single quotes, with each quote in
+/// it doubled, so Tokenize reads it back as one kString token equal to
+/// `text`. Every name pasted into generated SQL goes through it.
+std::string QuoteLiteral(std::string_view text);
 
 }  // namespace qbism::sql
 

@@ -191,23 +191,26 @@ Status DiskDevice::CheckBounds(uint64_t page_no, uint64_t count,
 }
 
 Status DiskDevice::ReadPages(uint64_t page_no, uint64_t count, uint8_t* out) {
-  return ReadPagesBatch({PageReadOp{page_no, count, out}});
+  if (count > 0 && out == nullptr) {
+    return Status::InvalidArgument("DiskDevice::ReadPages: null destination");
+  }
+  return ReadPagesBatch({PageReadOp{page_no, count}},
+                        [out, count](size_t, const uint8_t* pages) {
+                          std::memcpy(out, pages, count * kPageSize);
+                        });
 }
 
-Status DiskDevice::ReadPagesBatch(const std::vector<PageReadOp>& ops) {
+Status DiskDevice::ReadPagesBatch(const std::vector<PageReadOp>& ops,
+                                  const PageVisitor& visit) {
   for (const PageReadOp& op : ops) {
     QBISM_RETURN_NOT_OK(CheckBounds(op.page_no, op.count, "ReadPagesBatch"));
-    if (op.count > 0 && op.out == nullptr) {
-      return Status::InvalidArgument(
-          "DiskDevice::ReadPagesBatch: null destination");
-    }
   }
   std::shared_lock<std::shared_mutex> data_lock(data_mu_);
-  for (const PageReadOp& op : ops) {
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const PageReadOp& op = ops[i];
     if (op.count == 0) continue;
     QBISM_RETURN_NOT_OK(AccountTransfer(op.page_no, op.count, /*write=*/false));
-    std::memcpy(op.out, bytes_.get() + op.page_no * kPageSize,
-                op.count * kPageSize);
+    visit(i, bytes_.get() + op.page_no * kPageSize);
   }
   return Status::OK();
 }

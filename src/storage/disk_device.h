@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -44,13 +45,17 @@ struct IoStats {
   }
 };
 
-/// One operation of a scatter-gather read: `count` consecutive pages
-/// starting at `page_no`, delivered to `out` (count * kPageSize bytes).
+/// One operation of a batch read: `count` consecutive pages starting at
+/// `page_no`.
 struct PageReadOp {
   uint64_t page_no = 0;
   uint64_t count = 0;
-  uint8_t* out = nullptr;
 };
+
+/// Sees op `op`'s pages in place: `count * kPageSize` bytes of the store,
+/// readable only during the call. It runs under the store's reader hold,
+/// so it must not write to the device.
+using PageVisitor = std::function<void(size_t op, const uint8_t* pages)>;
 
 /// An in-memory simulated raw disk device with page-granular access,
 /// exact I/O counting, and a deterministic cost model. Stands in for the
@@ -60,14 +65,13 @@ struct PageReadOp {
 /// neither construction time nor resident memory.
 ///
 /// Thread-safe. Accounting (stats, cost model, fault plan) is
-/// serialized on a small internal mutex, but the page *copies* run
-/// under a reader-writer lock: concurrent reads of the (immutable
-/// during a read) backing store proceed in parallel, so a parallel
-/// extraction moves bytes at memory bandwidth instead of convoying on
-/// one latch; writes remain exclusive and atomic. Besides the
-/// device-wide stats, every transfer is also accumulated into a
-/// per-calling-thread ledger so a worker in the concurrent query
-/// service can compute exact per-request I/O deltas on a shared device.
+/// serialized on a small internal mutex, but the page *reads* run under
+/// a reader-writer lock: concurrent reads of the (immutable during a
+/// read) backing store proceed in parallel instead of convoying on one
+/// latch; writes remain exclusive and atomic. Besides the device-wide
+/// stats, every transfer is also accumulated into a per-calling-thread
+/// ledger so a worker in the concurrent query service can compute exact
+/// per-request I/O deltas on a shared device.
 class DiskDevice {
  public:
   DiskDevice(uint64_t num_pages, DiskCostModel model = DiskCostModel{});
@@ -80,22 +84,25 @@ class DiskDevice {
   /// Writes one page from `in` (kPageSize bytes).
   Status WritePage(uint64_t page_no, const uint8_t* in);
 
-  /// Reads `count` consecutive pages starting at `page_no`: a one-op
-  /// ReadPagesBatch.
+  /// Reads `count` consecutive pages starting at `page_no` into `out`
+  /// (count * kPageSize bytes): a one-op ReadPagesBatch whose visitor
+  /// copies the pages out.
   Status ReadPages(uint64_t page_no, uint64_t count, uint8_t* out);
 
   /// Writes `count` consecutive pages.
   Status WritePages(uint64_t page_no, uint64_t count, const uint8_t* in);
 
-  /// Scatter-gather read: performs every op of a planned read in order,
+  /// The one read loop: performs every op of a planned read in order,
   /// each op one transfer (one arm movement) for accounting and the
-  /// fault plan, with the copies of all ops sharing one reader hold on
-  /// the store. Ops are validated against the device bounds before any
-  /// transfer happens. On an injected fault the batch stops at the
-  /// faulting op and returns its IOError: earlier ops have transferred
-  /// and are charged, the faulting and later ops are not — exactly the
-  /// accounting a mid-batch media error leaves behind.
-  Status ReadPagesBatch(const std::vector<PageReadOp>& ops);
+  /// fault plan, then hands the op's pages to `visit` in place, with all
+  /// ops sharing one reader hold on the store. Ops are validated against
+  /// the device bounds before any transfer happens. On an injected fault
+  /// the batch stops at the faulting op and returns its IOError: earlier
+  /// ops have transferred, been charged and been visited, the faulting
+  /// and later ops are none of these — exactly the accounting a
+  /// mid-batch media error leaves behind.
+  Status ReadPagesBatch(const std::vector<PageReadOp>& ops,
+                        const PageVisitor& visit);
 
   /// Device-wide cumulative stats (all threads).
   IoStats stats() const;
@@ -135,10 +142,20 @@ class DiskDevice {
   /// deterministic cost model as wall-clock I/O wait. Benchmarks use
   /// this to measure how well parallel extraction overlaps I/O waits on
   /// any host (including single-core machines, where CPU cannot scale);
-  /// leave at the default 0 everywhere else — accounting, fault
-  /// injection, and results are unaffected either way.
+  /// leave at the default 0 everywhere else. Fault injection, results
+  /// and the per-transfer accounting are the same either way, but a
+  /// device whose transfers wait is one the extractor shards reads on
+  /// (transfers_wait), and sharding splits extents into more transfers.
   void set_realize_scale(double scale) {
     realize_scale_.store(scale, std::memory_order_relaxed);
+  }
+
+  /// Whether a transfer holds its caller for real time, so transfers on
+  /// several threads overlap their waits: true under a realized cost
+  /// model (a file-backed store would answer true too). False for the
+  /// in-memory store, whose transfer is a memcpy.
+  bool transfers_wait() const {
+    return realize_scale_.load(std::memory_order_relaxed) > 0.0;
   }
 
   /// Cumulative transfer/fault counters (counted with or without an

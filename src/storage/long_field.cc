@@ -200,11 +200,15 @@ Result<uint64_t> LongFieldManager::Size(LongFieldId id) const {
 Result<std::vector<uint8_t>> LongFieldManager::Read(LongFieldId id) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-  if (entry->size_bytes == 0) return std::vector<uint8_t>{};
-  std::vector<uint8_t> out(entry->PageCount() * kPageSize);
+  std::vector<uint8_t> out;
+  if (entry->size_bytes == 0) return out;
+  const uint64_t size = entry->size_bytes;
+  out.reserve(size);
   QBISM_RETURN_NOT_OK(ReadExtentsLocked(
-      *entry, {PlannedExtent{0, entry->PageCount()}}, {out.data()}));
-  out.resize(entry->size_bytes);
+      *entry, {PlannedExtent{0, entry->PageCount()}},
+      [&out, size](size_t, const uint8_t* pages) {
+        out.insert(out.end(), pages, pages + size);
+      }));
   return out;
 }
 
@@ -212,32 +216,41 @@ Result<ReadPlan> LongFieldManager::BuildReadPlan(
     const std::vector<ByteRange>& ranges, uint64_t field_size_bytes,
     const ReadPlanOptions& options) {
   ReadPlan plan;
-  // Page intervals (inclusive) per non-empty range. Overflow-safe form
-  // of `offset + length > size`: a huge offset must not wrap into range.
-  std::vector<std::pair<uint64_t, uint64_t>> intervals;
-  intervals.reserve(ranges.size());
+  // One pass validates every range and sweeps its inclusive page
+  // interval into the plan, producing both accountings at once: distinct
+  // pages (merging only overlap/adjacency) and the physical extents
+  // (merging across gaps of up to gap_fill_pages as well). The sweep is
+  // exact while no interval starts before the page run it is building,
+  // which holds for every sorted list; any other list is sorted and
+  // planned again.
+  PlannedExtent extent;  // page_count 0 until the first interval
+  uint64_t touch_first = 0;
+  uint64_t touch_last = 0;
   for (const ByteRange& r : ranges) {
+    // Overflow-safe form of `offset + length > size`: a huge offset
+    // must not wrap into range.
     if (r.offset > field_size_bytes ||
         r.length > field_size_bytes - r.offset) {
       return Status::OutOfRange("LongFieldManager::BuildReadPlan: past field end");
     }
     if (r.length == 0) continue;
-    intervals.emplace_back(r.offset / kPageSize,
-                           (r.offset + r.length - 1) / kPageSize);
+    const uint64_t first = r.offset / kPageSize;
+    const uint64_t last = (r.offset + r.length - 1) / kPageSize;
     plan.bytes_needed += r.length;
-  }
-  if (intervals.empty()) return plan;
-  std::sort(intervals.begin(), intervals.end());
-
-  // One ascending sweep produces both accountings: distinct pages
-  // (merging only overlap/adjacency) and the physical extents (merging
-  // across gaps of up to gap_fill_pages as well).
-  uint64_t touch_first = intervals[0].first;
-  uint64_t touch_last = intervals[0].second;
-  PlannedExtent extent{intervals[0].first,
-                       intervals[0].second - intervals[0].first + 1};
-  for (size_t i = 1; i < intervals.size(); ++i) {
-    auto [first, last] = intervals[i];
+    if (extent.page_count == 0) {
+      touch_first = first;
+      touch_last = last;
+      extent = PlannedExtent{first, last - first + 1};
+      continue;
+    }
+    if (first < touch_first) {
+      std::vector<ByteRange> sorted = ranges;
+      std::sort(sorted.begin(), sorted.end(),
+                [](const ByteRange& a, const ByteRange& b) {
+                  return a.offset < b.offset;
+                });
+      return BuildReadPlan(sorted, field_size_bytes, options);
+    }
     if (first <= touch_last + 1) {
       touch_last = std::max(touch_last, last);
     } else {
@@ -256,9 +269,11 @@ Result<ReadPlan> LongFieldManager::BuildReadPlan(
       extent = PlannedExtent{first, last - first + 1};
     }
   }
-  plan.pages_touched += touch_last - touch_first + 1;
-  plan.pages_read += extent.page_count;
-  plan.extents.push_back(extent);
+  if (extent.page_count > 0) {
+    plan.pages_touched += touch_last - touch_first + 1;
+    plan.pages_read += extent.page_count;
+    plan.extents.push_back(extent);
+  }
   return plan;
 }
 
@@ -273,35 +288,41 @@ Result<ReadPlan> LongFieldManager::PlanRead(
 
 Status LongFieldManager::ReadExtents(LongFieldId id,
                                      const std::vector<PlannedExtent>& extents,
+                                     const PageVisitor& visit) const {
+  std::shared_lock<std::shared_mutex> lock(mu_);
+  QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
+  return ReadExtentsLocked(*entry, extents, visit);
+}
+
+Status LongFieldManager::ReadExtents(LongFieldId id,
+                                     const std::vector<PlannedExtent>& extents,
                                      const std::vector<uint8_t*>& outs) const {
   if (extents.size() != outs.size()) {
     return Status::InvalidArgument(
         "LongFieldManager::ReadExtents: extents/outs size mismatch");
   }
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  QBISM_ASSIGN_OR_RETURN(const Entry* entry, Lookup(id));
-  return ReadExtentsLocked(*entry, extents, outs);
+  return ReadExtents(id, extents, [&](size_t i, const uint8_t* pages) {
+    std::memcpy(outs[i], pages, extents[i].ByteCount());
+  });
 }
 
 Status LongFieldManager::ReadExtentsLocked(
     const Entry& entry, const std::vector<PlannedExtent>& extents,
-    const std::vector<uint8_t*>& outs) const {
+    const PageVisitor& visit) const {
   uint64_t field_pages = entry.PageCount();
   obs::Span span(obs::Stage::kIo);
-  std::vector<storage::PageReadOp> ops;
+  std::vector<PageReadOp> ops;
   ops.reserve(extents.size());
-  for (size_t i = 0; i < extents.size(); ++i) {
-    const PlannedExtent& e = extents[i];
+  for (const PlannedExtent& e : extents) {
     if (e.first_page > field_pages || e.page_count > field_pages - e.first_page) {
       return Status::OutOfRange(
           "LongFieldManager::ReadExtents: extent past field end");
     }
     span.AddPages(e.page_count);
     span.AddBytes(e.ByteCount());
-    ops.push_back(PageReadOp{entry.start_page + e.first_page, e.page_count,
-                             outs[i]});
+    ops.push_back(PageReadOp{entry.start_page + e.first_page, e.page_count});
   }
-  Status status = device_->ReadPagesBatch(ops);
+  Status status = device_->ReadPagesBatch(ops, visit);
   if (!status.ok()) span.SetFailed();
   return status;
 }

@@ -112,8 +112,9 @@ class LongFieldManager {
   Result<uint64_t> Size(LongFieldId id) const;
 
   /// Reads the whole field: one version lookup and one transfer of its
-  /// extent straight into the returned buffer, under one directory
-  /// hold, so the bytes are exactly the version resolved.
+  /// extent, whose first size_bytes are appended to the returned buffer
+  /// straight from the device's pages, under one directory hold, so the
+  /// bytes are exactly the version resolved.
   Result<std::vector<uint8_t>> Read(LongFieldId id) const;
 
   /// --- Planned reads (every partial read of a field) -------------------
@@ -124,9 +125,11 @@ class LongFieldManager {
   /// Pure planning step: maps byte ranges (any order, overlaps allowed)
   /// to the minimal ascending set of page extents under the gap-fill
   /// threshold. Validates every range against `field_size_bytes`
-  /// overflow-safely (a huge offset cannot wrap into range). Gap fill
-  /// only bridges *between* needed pages; a plan never reads past the
-  /// last page any range touches, so pages_read <= pages_touched +
+  /// overflow-safely (a huge offset cannot wrap into range). A sorted
+  /// list (every run list) is planned in one sweep straight off the
+  /// ranges; only an out-of-order list is copied and sorted first. Gap
+  /// fill only bridges *between* needed pages; a plan never reads past
+  /// the last page any range touches, so pages_read <= pages_touched +
   /// filled gaps and a plan with gap_fill_pages = 0 reads exactly the
   /// distinct pages.
   static Result<ReadPlan> BuildReadPlan(const std::vector<ByteRange>& ranges,
@@ -139,12 +142,17 @@ class LongFieldManager {
                             const std::vector<ByteRange>& ranges,
                             const ReadPlanOptions& options = {}) const;
 
-  /// Executes (part of) a plan as one scatter-gather device call:
-  /// extent i lands in outs[i] (extent.ByteCount() bytes). Extents must
-  /// come from a plan for this field. This path goes straight to the
-  /// raw device — the LFM is unbuffered, so a streaming extraction can
-  /// never evict relational pages from the buffer pool or serialize on
-  /// its latch.
+  /// Executes (part of) a plan as one batch device read: `visit(i,
+  /// pages)` sees extent i's extent.ByteCount() bytes in place, in
+  /// order, on the device's page store. Extents must come from a plan
+  /// for this field. This path goes straight to the raw device — the LFM
+  /// is unbuffered, so a streaming extraction can never evict relational
+  /// pages from the buffer pool or serialize on its latch.
+  Status ReadExtents(LongFieldId id, const std::vector<PlannedExtent>& extents,
+                     const PageVisitor& visit) const;
+
+  /// ReadExtents copying extent i into outs[i] (extent.ByteCount()
+  /// bytes).
   Status ReadExtents(LongFieldId id, const std::vector<PlannedExtent>& extents,
                      const std::vector<uint8_t*>& outs) const;
 
@@ -262,11 +270,11 @@ class LongFieldManager {
   /// pointer's use.
   Result<const Entry*> Lookup(LongFieldId id) const;
 
-  /// Transfers `extents` of `entry`'s field into `outs` as one
-  /// scatter-gather device call. Caller holds mu_ (shared suffices).
+  /// Transfers `extents` of `entry`'s field through `visit` as one
+  /// batch device read. Caller holds mu_ (shared suffices).
   Status ReadExtentsLocked(const Entry& entry,
                            const std::vector<PlannedExtent>& extents,
-                           const std::vector<uint8_t*>& outs) const;
+                           const PageVisitor& visit) const;
 
   /// Writes `bytes` as zero-padded full pages to the private extent at
   /// `start` and publishes it as `id`'s new version; on failure hands

@@ -144,7 +144,7 @@ TEST(TracerConcurrencyTest, ManyThreadsRecordWhileReadersAggregate) {
 
 /// Full query-path propagation over a loaded database: one study on a
 /// 64^3 grid, so a full-study extraction moves 64 pages — enough to
-/// shard across donated helpers.
+/// shard across donated helpers when the device's transfers wait.
 class ServiceTraceTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
@@ -176,6 +176,7 @@ class ServiceTraceTest : public ::testing::Test {
   void TearDown() override {
     db_->long_field_device()->ClearFault();
     db_->relational_device()->ClearFault();
+    db_->long_field_device()->set_realize_scale(0.0);
   }
 
   static ServiceOptions TracedOptions(Tracer* tracer) {
@@ -201,6 +202,7 @@ TEST_F(ServiceTraceTest, FullStudyQueryYieldsOneWellFormedTraceTree) {
   Tracer tracer;
   ServiceOptions options = TracedOptions(&tracer);
   options.extract_helper_threads = 2;
+  db_->long_field_device()->set_realize_scale(1e-4);  // transfers wait
   std::vector<SpanRecord> spans;
   {
     QueryService service(ext_, options);

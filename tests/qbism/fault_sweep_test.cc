@@ -255,12 +255,13 @@ TEST(FaultSweepTest, ServiceRetriesAbsorbEveryTransientFault) {
 }
 
 // ---------------------------------------------------------------------
-// Arm 5: the vectored, parallel extraction path in isolation. Every
-// transfer here is a ReadPagesBatch op issued from shard tasks running
-// on pool helpers, so the sweep covers the scatter-gather sites
-// specifically: a mid-batch fault on any op (on any thread) must
-// surface as IOError from ExtractBytes, page accounting must stay
-// intact, and a clean re-run must deliver uncorrupted bytes.
+// Arm 5: the vectored, parallel extraction path in isolation. The
+// device's transfers wait (a small realize scale), so every transfer
+// here is a ReadPagesBatch op issued from shard tasks running on pool
+// helpers, and the sweep covers the batch read sites specifically: a
+// mid-batch fault on any op (on any thread) must surface as IOError
+// from ExtractBytes, page accounting must stay intact, and a clean
+// re-run must deliver uncorrupted bytes.
 
 struct ExtractWorld {
   storage::DiskDevice device{1 << 10};
@@ -285,6 +286,7 @@ struct ExtractWorld {
     }
     ExtractOptions options;
     options.min_parallel_pages = 1;
+    world->device.set_realize_scale(1e-4);
     world->extractor =
         std::make_unique<ParallelExtractor>(&world->lfm, options);
     world->extractor->set_pool(&world->pool);

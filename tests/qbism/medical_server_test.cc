@@ -344,5 +344,60 @@ TEST_F(MedicalServerTest, DescribeIsACanonicalCacheKey) {
   EXPECT_EQ(hinted.Describe(), base.Describe());
 }
 
+// Names reach the generated SQL from any wire client. Pasted between
+// quotes unescaped, this structure name's `or` dropped the studyId
+// condition and read 173,892 voxels of other studies; quoted, it is one
+// unknown name.
+TEST_F(MedicalServerTest, QuotesInNamesStayInsideTheirLiteral) {
+  const std::string injected = "no_such' or 'a'='a";
+  QueryPipeline pipeline(ext_, net::NetworkCostModel{}, ServerCostModel{});
+  QuerySpec bad_structure;
+  bad_structure.study_id = 53;
+  bad_structure.structure_name = injected;
+  EXPECT_TRUE(pipeline.Run(bad_structure).status().IsNotFound());
+  QuerySpec bad_atlas;
+  bad_atlas.study_id = 53;
+  bad_atlas.atlas_name = injected;
+  EXPECT_TRUE(pipeline.Run(bad_atlas).status().IsNotFound());
+  EXPECT_TRUE(
+      server_->AverageInStructure({53}, injected).status().IsNotFound());
+
+  // A structure whose stored name holds quotes is found by that name:
+  // store a copy of "ntal" as "o'brien's ntal".
+  auto original = db_->Execute(
+      "select ns.structureId, ns.systemId from neuralStructure ns"
+      " where ns.structureName = 'ntal'");
+  ASSERT_TRUE(original.ok() && !original->rows.empty());
+  const int64_t id = original->rows[0][0].AsInt().value();
+  auto regions = db_->Execute(
+      "select ast.atlasId, ast.region, ast.mesh from atlasStructure ast"
+      " where ast.structureId = " + std::to_string(id));
+  ASSERT_TRUE(regions.ok() && !regions->rows.empty());
+  const int64_t copy_id = 1000000;
+  const std::string quoted = "o'brien's ntal";
+  ASSERT_TRUE(db_->Insert("neuralStructure",
+                          {sql::Value::Int(copy_id), sql::Value::String(quoted),
+                           original->rows[0][1]})
+                  .ok());
+  for (const sql::Row& row : regions->rows) {
+    ASSERT_TRUE(db_->Insert("atlasStructure", {row[0], sql::Value::Int(copy_id),
+                                               row[1], row[2]})
+                    .ok());
+  }
+  QuerySpec spec;
+  spec.study_id = 53;
+  spec.structure_name = "ntal";
+  auto plain = pipeline.Run(spec);
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  const uint64_t voxels = plain->data->VoxelCount();
+  spec.structure_name = quoted;
+  auto found = pipeline.Run(spec);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found->data->VoxelCount(), voxels);
+  auto average = server_->AverageInStructure({53}, quoted);
+  ASSERT_TRUE(average.ok()) << average.status().ToString();
+  EXPECT_EQ(average->result_voxels, voxels);
+}
+
 }  // namespace
 }  // namespace qbism

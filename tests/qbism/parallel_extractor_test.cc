@@ -21,6 +21,11 @@ using storage::kPageSize;
 using storage::LongFieldId;
 using storage::LongFieldManager;
 
+/// Any realize scale above 0 makes a device's transfers wait, and only
+/// there does ExtractBytes shard; this one keeps each wait to a few
+/// microseconds of modeled time.
+constexpr double kWaitScale = 1e-4;
+
 /// A field of pseudo-random bytes plus the oracle copy.
 struct TestField {
   std::vector<uint8_t> bytes;
@@ -102,6 +107,7 @@ TEST(ParallelExtractorTest, MatchesOracleRandomizedAllGapFills) {
 
 TEST(ParallelExtractorTest, ParallelMatchesSerial) {
   DiskDevice device(2048);
+  device.set_realize_scale(kWaitScale);
   LongFieldManager lfm(&device);
   TestField f = MakeField(&lfm, 1024 * kPageSize, 4);
   TaskPool pool(4);
@@ -117,7 +123,7 @@ TEST(ParallelExtractorTest, ParallelMatchesSerial) {
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got.value(), Oracle(f, ranges));
   }
-  // The full field as one run: the all-direct fast path, sharded.
+  // The full field as one run, split into units across the shards.
   auto full = extractor.ExtractBytes(f.id, {{0, f.bytes.size()}});
   ASSERT_TRUE(full.ok());
   EXPECT_EQ(full.value(), f.bytes);
@@ -126,6 +132,7 @@ TEST(ParallelExtractorTest, ParallelMatchesSerial) {
 
 TEST(ParallelExtractorTest, ConcurrentExtractionsAreIsolated) {
   DiskDevice device(4096);
+  device.set_realize_scale(kWaitScale);
   LongFieldManager lfm(&device);
   TaskPool pool(4);
   ExtractOptions options;
@@ -156,6 +163,7 @@ TEST(ParallelExtractorTest, ConcurrentExtractionsAreIsolated) {
 
 TEST(ParallelExtractorTest, StatsTrackCoalescingAndParallelism) {
   DiskDevice device(2048);
+  device.set_realize_scale(kWaitScale);
   LongFieldManager lfm(&device);
   TestField f = MakeField(&lfm, 512 * kPageSize, 6);
   TaskPool pool(4);
@@ -186,6 +194,7 @@ TEST(ParallelExtractorTest, StatsTrackCoalescingAndParallelism) {
 
 TEST(ParallelExtractorTest, HelperIoIsReattributedToTheCallingThread) {
   DiskDevice device(2048);
+  device.set_realize_scale(kWaitScale);
   LongFieldManager lfm(&device);
   TestField f = MakeField(&lfm, 512 * kPageSize, 7);
   TaskPool pool(4);
@@ -212,6 +221,101 @@ TEST(ParallelExtractorTest, HelperIoIsReattributedToTheCallingThread) {
     EXPECT_EQ(thread_delta.pages_read, 512u);
   }
   EXPECT_GT(extractor.stats().helper_tasks, 0u);
+}
+
+TEST(ParallelExtractorTest, InlineUnlessTransfersWait) {
+  DiskDevice device(2048);
+  LongFieldManager lfm(&device);
+  TestField f = MakeField(&lfm, 512 * kPageSize, 15);
+  TaskPool pool(4);
+  ParallelExtractor extractor(&lfm);  // default min_parallel_pages
+  extractor.set_pool(&pool);
+  const std::vector<ByteRange> full = {{0, f.bytes.size()}};
+
+  // In memory a transfer is a memcpy: the caller reads inline, one shard
+  // per extraction, and the pool never runs a task.
+  const TaskPool::Stats pool_before = pool.stats();
+  for (int i = 0; i < 4; ++i) {
+    auto got = extractor.ExtractBytes(f.id, full);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), f.bytes);
+  }
+  const ExtractorStatsSnapshot in_memory = extractor.stats();
+  EXPECT_EQ(in_memory.extractions, 4u);
+  EXPECT_EQ(in_memory.shard_tasks, 4u);
+  EXPECT_EQ(in_memory.helper_tasks, 0u);
+  EXPECT_EQ(pool.stats().batches, pool_before.batches);
+  EXPECT_EQ(pool.stats().tasks, pool_before.tasks);
+  EXPECT_EQ(pool.stats().helper_tasks, pool_before.helper_tasks);
+
+  // The same call on a device whose transfers wait fans out.
+  device.set_realize_scale(kWaitScale);
+  auto got = extractor.ExtractBytes(f.id, full);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), f.bytes);
+  ExtractorStatsSnapshot waiting = extractor.stats() - in_memory;
+  EXPECT_EQ(waiting.extractions, 1u);
+  EXPECT_GT(waiting.shard_tasks, 1u);
+  EXPECT_EQ(pool.stats().batches, pool_before.batches + 1);
+}
+
+/// Run lists whose pieces rarely cover a whole page: many runs per page,
+/// runs across page edges, and long runs across several pages separated
+/// by page-sized gaps, so plans hold boundary extents everywhere and
+/// sharding cuts runs at unit edges.
+std::vector<std::vector<ByteRange>> BoundaryHeavyLists(uint64_t size) {
+  std::vector<std::vector<ByteRange>> lists(4);
+  for (uint64_t off = 3; off + 5 <= 48 * kPageSize; off += 37) {
+    lists[0].push_back({off, 5});
+  }
+  for (uint64_t p = 1; (p + 1) * kPageSize < size; p += 2) {
+    lists[1].push_back({p * kPageSize - 3, 7});
+  }
+  for (uint64_t off = kPageSize / 2; off + 3 * kPageSize + 1 <= size;
+       off += 5 * kPageSize + 11) {
+    lists[2].push_back({off, 3 * kPageSize + 1});
+  }
+  // A long run, then a spray of short runs on the page it ends in and
+  // the next one, then a gap.
+  for (uint64_t off = 100; off + 4 * kPageSize <= size;
+       off += 7 * kPageSize) {
+    lists[3].push_back({off, 2 * kPageSize});
+    for (uint64_t at = off + 2 * kPageSize + 1;
+         at + 3 <= off + 4 * kPageSize; at += 301) {
+      lists[3].push_back({at, 3});
+    }
+  }
+  return lists;
+}
+
+TEST(ParallelExtractorTest, OneCopyMatchesOracleOnBoundaryHeavyLists) {
+  DiskDevice device(2048);
+  LongFieldManager lfm(&device);
+  TestField f = MakeField(&lfm, 300 * kPageSize + 99, 16);
+  TaskPool pool(4);
+  for (bool sharded : {false, true}) {
+    device.set_realize_scale(sharded ? kWaitScale : 0.0);
+    for (uint64_t gap : {uint64_t{0}, uint64_t{1}, uint64_t{1000}}) {
+      ExtractOptions options;
+      options.gap_fill_pages = gap;
+      options.min_parallel_pages = 1;
+      ParallelExtractor extractor(&lfm, options);
+      extractor.set_pool(&pool);
+      for (const auto& ranges : BoundaryHeavyLists(f.bytes.size())) {
+        ASSERT_FALSE(ranges.empty());
+        auto got = extractor.ExtractBytes(f.id, ranges);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        ASSERT_EQ(got.value(), Oracle(f, ranges))
+            << (sharded ? "sharded" : "inline") << " gap " << gap;
+      }
+      ExtractorStatsSnapshot stats = extractor.stats();
+      if (sharded) {
+        EXPECT_GT(stats.shard_tasks, stats.extractions);
+      } else {
+        EXPECT_EQ(stats.shard_tasks, stats.extractions);
+      }
+    }
+  }
 }
 
 TEST(ParallelExtractorTest, RejectsUnsortedOrOverlappingRanges) {

@@ -463,6 +463,28 @@ TEST_F(ServerTest, QueryAtTheRequestCeilingIsDecoded) {
   server.Shutdown();
 }
 
+// A name carrying SQL stays one quoted literal in the generated SQL: an
+// unknown structure, so the query fails instead of reading other
+// studies.
+TEST_F(ServerTest, InjectedStructureNameFailsTheQuery) {
+  QbismServer server(ext_, BaseOptions());
+  ASSERT_TRUE(server.Start().ok());
+  auto client = NetClient::Connect("127.0.0.1", server.port());
+  ASSERT_TRUE(client.ok());
+  ASSERT_TRUE(client->Login("clinic", "clinic-secret").ok());
+  QuerySpec spec;
+  spec.study_id = study_ids_->front();
+  spec.structure_name = "no_such' or 'a'='a";
+  auto outcome = client->RunQuery(spec);
+  ASSERT_FALSE(outcome.ok());
+  EXPECT_EQ(client->last_error_reason(), ErrorReason::kQueryFailed)
+      << outcome.status().ToString();
+  EXPECT_TRUE(outcome.status().IsNotFound()) << outcome.status().ToString();
+  EXPECT_TRUE(client->connected());
+  EXPECT_EQ(server.stats().queries_failed, 1u);
+  server.Shutdown();
+}
+
 TEST_F(ServerTest, MidFrameDisconnectIsSurvived) {
   QbismServer server(ext_, BaseOptions());
   ASSERT_TRUE(server.Start().ok());

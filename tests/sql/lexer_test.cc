@@ -41,6 +41,20 @@ TEST(LexerTest, StringsWithEscapedQuotes) {
   EXPECT_EQ(tokens[1].text, "it's");
 }
 
+TEST(LexerTest, QuoteLiteralReadsBackAsOneString) {
+  for (const std::string name : {"ntal", "o'brien", "o'brien's",
+                                 "it's o'brien's", "'", "no_such' or 'a'='a"}) {
+    const std::string literal = QuoteLiteral(name);
+    auto tokens = Tokenize("x = " + literal);
+    ASSERT_TRUE(tokens.ok()) << literal << ": " << tokens.status().ToString();
+    ASSERT_EQ(tokens->size(), 4u) << literal;  // x, =, the string, end
+    EXPECT_EQ((*tokens)[2].kind, Token::Kind::kString) << literal;
+    EXPECT_EQ((*tokens)[2].text, name);
+  }
+  EXPECT_EQ(QuoteLiteral(""), "''");
+  EXPECT_EQ(QuoteLiteral("it's"), "'it''s'");
+}
+
 TEST(LexerTest, UnterminatedStringFails) {
   EXPECT_FALSE(Tokenize("'oops").ok());
 }

@@ -10,6 +10,14 @@
 namespace qbism::storage {
 namespace {
 
+/// A batch read whose visitor copies op i's pages to outs[i].
+Status ReadInto(DiskDevice* device, const std::vector<PageReadOp>& ops,
+                const std::vector<uint8_t*>& outs) {
+  return device->ReadPagesBatch(ops, [&](size_t i, const uint8_t* pages) {
+    std::memcpy(outs[i], pages, ops[i].count * kPageSize);
+  });
+}
+
 TEST(DiskDeviceTest, WriteThenReadBack) {
   DiskDevice device(16);
   std::vector<uint8_t> out(kPageSize, 0xAB);
@@ -41,8 +49,8 @@ TEST(DiskDeviceTest, WrappingPageRangeRejectedOnEveryPath) {
   DiskDevice device(16);
   std::vector<uint8_t> buf(kPageSize, 0x5A);
   EXPECT_TRUE(device.ReadPage(UINT64_MAX, buf.data()).IsOutOfRange());
-  EXPECT_TRUE(device.ReadPagesBatch({{UINT64_MAX, 1, buf.data()}})
-                  .IsOutOfRange());
+  EXPECT_TRUE(
+      ReadInto(&device, {{UINT64_MAX, 1}}, {buf.data()}).IsOutOfRange());
   EXPECT_TRUE(device.WritePages(UINT64_MAX, 1, buf.data()).IsOutOfRange());
   EXPECT_TRUE(device.ReadPages(2, UINT64_MAX - 1, buf.data()).IsOutOfRange());
   EXPECT_EQ(device.fault_stats().transfers, 0u);
@@ -115,10 +123,8 @@ TEST(DiskDeviceTest, BatchReadScattersIntoDistinctBuffers) {
     ASSERT_TRUE(device.WritePage(p, page.data()).ok());
   }
   std::vector<uint8_t> a(2 * kPageSize), b(kPageSize), c(3 * kPageSize);
-  ASSERT_TRUE(device
-                  .ReadPagesBatch({{4, 2, a.data()},
-                                   {10, 1, b.data()},
-                                   {20, 3, c.data()}})
+  ASSERT_TRUE(ReadInto(&device, {{4, 2}, {10, 1}, {20, 3}},
+                       {a.data(), b.data(), c.data()})
                   .ok());
   EXPECT_EQ(a[0], 5);
   EXPECT_EQ(a[kPageSize], 6);
@@ -132,10 +138,9 @@ TEST(DiskDeviceTest, BatchReadChargesOneTransferPerOp) {
   std::vector<uint8_t> buf(8 * kPageSize);
   device.ResetStats();
   FaultStats before = device.fault_stats();
-  ASSERT_TRUE(device
-                  .ReadPagesBatch({{0, 4, buf.data()},
-                                   {30, 2, buf.data() + 4 * kPageSize},
-                                   {60, 2, buf.data() + 6 * kPageSize}})
+  ASSERT_TRUE(ReadInto(&device, {{0, 4}, {30, 2}, {60, 2}},
+                       {buf.data(), buf.data() + 4 * kPageSize,
+                        buf.data() + 6 * kPageSize})
                   .ok());
   FaultStats delta = device.fault_stats() - before;
   EXPECT_EQ(delta.transfers, 3u);  // one arm movement per extent
@@ -150,27 +155,42 @@ TEST(DiskDeviceTest, BatchReadValidatesBeforeTransferring) {
   device.ResetStats();
   // Second op is out of bounds: the whole batch is rejected up front and
   // nothing transfers (no torn charge for the valid first op).
-  Status status = device.ReadPagesBatch(
-      {{0, 2, buf.data()}, {15, 2, buf.data() + 2 * kPageSize}});
+  Status status = ReadInto(&device, {{0, 2}, {15, 2}},
+                           {buf.data(), buf.data() + 2 * kPageSize});
   EXPECT_FALSE(status.ok());
   EXPECT_EQ(device.stats().pages_read, 0u);
-  EXPECT_FALSE(device.ReadPagesBatch({{0, 1, nullptr}}).ok());
+  EXPECT_TRUE(device.ReadPages(0, 1, nullptr).IsInvalidArgument());
+  EXPECT_EQ(device.stats().pages_read, 0u);
 }
 
 TEST(DiskDeviceTest, BatchReadMidBatchFaultChargesEarlierOps) {
   DiskDevice device(64);
-  std::vector<uint8_t> buf(6 * kPageSize);
+  std::vector<uint8_t> page(kPageSize);
+  for (uint64_t p = 0; p < 64; ++p) {
+    std::fill(page.begin(), page.end(), static_cast<uint8_t>(p + 1));
+    ASSERT_TRUE(device.WritePage(p, page.data()).ok());
+  }
   device.ResetStats();
+  device.ResetThreadStats();
   // Transfers number per op; fail the second op of the batch.
   device.InstallFaultPlan(FaultPlan::FailAtTransfer(1));
-  Status status = device.ReadPagesBatch({{0, 2, buf.data()},
-                                         {10, 2, buf.data() + 2 * kPageSize},
-                                         {20, 2, buf.data() + 4 * kPageSize}});
+  std::vector<size_t> visited;
+  std::vector<uint8_t> first_bytes;
+  Status status = device.ReadPagesBatch(
+      {{0, 2}, {10, 2}, {20, 2}}, [&](size_t i, const uint8_t* pages) {
+        visited.push_back(i);
+        first_bytes.push_back(pages[0]);
+      });
   device.ClearFault();
   EXPECT_TRUE(status.IsIOError());
-  // Op 0 transferred and is charged; the faulting op and the one behind
-  // it are not.
+  // Op 0 transferred, is charged and was visited with its own pages;
+  // the faulting op and the one behind it are neither charged nor
+  // visited.
+  EXPECT_EQ(visited, std::vector<size_t>{0});
+  EXPECT_EQ(first_bytes, std::vector<uint8_t>{1});
   EXPECT_EQ(device.stats().pages_read, 2u);
+  EXPECT_EQ(device.stats().seeks, 1u);
+  EXPECT_EQ(device.thread_stats().pages_read, 2u);
 }
 
 TEST(DiskDeviceTest, ConcurrentBatchReadsSeeConsistentData) {
@@ -187,8 +207,8 @@ TEST(DiskDeviceTest, ConcurrentBatchReadsSeeConsistentData) {
       std::vector<uint8_t> buf(16 * kPageSize);
       for (int iter = 0; iter < 50; ++iter) {
         uint64_t first = static_cast<uint64_t>(t) * 16;
-        if (!device.ReadPagesBatch({{first, 8, buf.data()},
-                                    {first + 8, 8, buf.data() + 8 * kPageSize}})
+        if (!ReadInto(&device, {{first, 8}, {first + 8, 8}},
+                      {buf.data(), buf.data() + 8 * kPageSize})
                  .ok()) {
           failures.fetch_add(1);
           continue;

@@ -57,9 +57,11 @@ TEST(LfmConcurrencyTest, ReadsNeverTearAcrossDurableUpdates) {
     }
   });
 
-  // The extraction covers the first 3 pages of either payload; with
+  // The extraction covers the first 3 pages of either payload; on a
+  // device whose transfers wait (a small realize scale) and with
   // min_parallel_pages = 1 it splits into one-page shards, two of them
   // on pool helpers.
+  device.set_realize_scale(1e-4);
   TaskPool pool(2);
   ExtractOptions options;
   options.min_parallel_pages = 1;

@@ -58,6 +58,29 @@ TEST(LongFieldTest, CreateReadRoundTrip) {
   EXPECT_EQ(lfm.Read(id).value(), bytes);
 }
 
+TEST(LongFieldTest, ReadReturnsExactlySizeBytes) {
+  DiskDevice device(64);
+  LongFieldManager lfm(&device);
+  Rng rng(21);
+  for (size_t size : {size_t{0}, size_t{1}, size_t{4095}, size_t{4096},
+                      size_t{4097}}) {
+    auto bytes = RandomBytes(&rng, size);
+    auto id = lfm.Create(bytes).MoveValue();
+    auto read = lfm.Read(id);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(read->size(), size);
+    EXPECT_EQ(*read, bytes);
+    // Replaced by a smaller version: the read is the new size, not the
+    // old extent's.
+    auto smaller = RandomBytes(&rng, size / 2);
+    ASSERT_TRUE(lfm.Update(id, smaller).ok());
+    read = lfm.Read(id);
+    ASSERT_TRUE(read.ok()) << read.status().ToString();
+    EXPECT_EQ(*read, smaller);
+    ASSERT_TRUE(lfm.Delete(id).ok());
+  }
+}
+
 TEST(LongFieldTest, EmptyField) {
   DiskDevice device(16);
   LongFieldManager lfm(&device);

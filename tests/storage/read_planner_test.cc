@@ -1,3 +1,4 @@
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -161,6 +162,34 @@ TEST(ReadPlannerTest, UnsortedInputIsSortedIntoElevatorOrder) {
   EXPECT_EQ(plan.extents[0].first_page, 0u);
   EXPECT_EQ(plan.extents[1].first_page, 5u);
   EXPECT_EQ(plan.extents[2].first_page, 9u);
+}
+
+TEST(ReadPlannerTest, ShuffledListPlansLikeTheSortedList) {
+  // A sorted list is swept as it is and a shuffled one is sorted first;
+  // both must give the same plan. Overlapping and same-page ranges
+  // included.
+  Rng rng(7);
+  for (int trial = 0; trial < 50; ++trial) {
+    const uint64_t field_size = 96 * kPageSize;
+    std::vector<ByteRange> sorted;
+    for (uint64_t cursor = rng.Next() % kPageSize; cursor < field_size;
+         cursor += 1 + rng.Next() % (3 * kPageSize)) {
+      uint64_t len = rng.Next() % (2 * kPageSize);
+      sorted.push_back({cursor, std::min(len, field_size - cursor)});
+    }
+    std::vector<ByteRange> shuffled = sorted;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.Next() % i]);
+    }
+    for (uint64_t gap : {uint64_t{0}, uint64_t{1}, uint64_t{4}}) {
+      ReadPlan a = MustPlan(sorted, field_size, gap);
+      ReadPlan b = MustPlan(shuffled, field_size, gap);
+      EXPECT_EQ(a.extents, b.extents) << "trial " << trial << " gap " << gap;
+      EXPECT_EQ(a.pages_read, b.pages_read);
+      EXPECT_EQ(a.pages_touched, b.pages_touched);
+      EXPECT_EQ(a.bytes_needed, b.bytes_needed);
+    }
+  }
 }
 
 TEST(ReadPlannerTest, PagesReadNeverExceedsPerRunSum) {
